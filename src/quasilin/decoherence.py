@@ -7,12 +7,14 @@ Lyapunov functions G solving a shifted Lyapunov equation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
+from scipy.linalg.lapack import dtrsyl
 
-from .qsde import spectral_abscissa
+from .qsde import _hurwitz_abscissa
 
 __all__ = [
     "TauBoundSearch",
@@ -24,13 +26,6 @@ __all__ = [
 ]
 
 GRID_POINTS = 400
-
-
-def _hurwitz_abscissa(a) -> float:
-    sa = spectral_abscissa(a)
-    if sa >= -1e-10:
-        raise ValueError("drift is not Hurwitz (spectral abscissa %.6e)" % sa)
-    return sa
 
 
 def tau_star(a, ccr_matrix, horizon_factor: float = 10.0) -> float:
@@ -73,40 +68,63 @@ def tau_star(a, ccr_matrix, horizon_factor: float = 10.0) -> float:
     return float(hi)
 
 
-def lyapunov_G(a, lam: float, k_matrix) -> np.ndarray:
-    """Solve (A + lam I) G + G (A + lam I)^T + K = 0 for G > 0.
-
-    Requires 0 < lam < -sigma(A) and K symmetric positive definite.  The
-    equation is solved through its Kronecker linear system on column-major
-    vec(G).  The result certifies A G + G A^T < -2 lam G.
-    """
+def _schur_drift(a):
+    """Float drift, its Hurwitz abscissa and real Schur pair (T, Q) with A = Q T Q^T."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    sa = _hurwitz_abscissa(a)
-    if not 0.0 < lam < -sa:
-        raise ValueError("lam must lie in (0, %.6g), got %r" % (-sa, lam))
+    return a, _hurwitz_abscissa(a), *schur(a, output="real")
+
+
+def _schur_k(q, k_matrix) -> np.ndarray:
     k = np.asarray(k_matrix, dtype=float)
-    if k.shape != (n, n) or np.max(np.abs(k - k.T)) > 1e-12 * max(1.0, float(np.max(np.abs(k)))):
+    if k.shape != q.shape or np.max(np.abs(k - k.T)) > 1e-12 * max(1.0, float(np.max(np.abs(k)))):
         raise ValueError("K must be symmetric of matching size")
     if np.min(np.linalg.eigvalsh(k)) <= 0.0:
         raise ValueError("K must be positive definite")
-    eye = np.eye(n)
-    shifted = a + lam * eye
-    kron_op = np.kron(eye, shifted) + np.kron(shifted, eye)
-    g = np.linalg.solve(kron_op, -k.flatten(order="F")).reshape((n, n), order="F")
+    return q.T @ k @ q
+
+
+def _shifted_lyapunov(a, sa: float, t, q, lam: float, k_schur):
+    """lyapunov_G from the Schur pair (T, Q) of A and Q^T K Q; returns G and eigh(G)."""
+    if not 0.0 < lam < -sa:
+        raise ValueError("lam must lie in (0, %.6g), got %r" % (-sa, lam))
+    shifted = t + lam * np.eye(len(t))
+    y, scale, info = dtrsyl(shifted, shifted, -k_schur, tranb="T")
+    if info != 0:
+        raise ValueError("trsyl perturbed near-common eigenvalues at lam %r (spectral abscissa %.6e)" % (lam, sa))
+    g = q @ (y / scale) @ q.T
     g = (g + g.T) / 2.0
-    if np.min(np.linalg.eigvalsh(g)) <= 0.0:
+    w, v = np.linalg.eigh(g)
+    if w[0] <= 0.0:
         raise ValueError("Lyapunov solution is not positive definite")
     strict = a @ g + g @ a.T + 2.0 * lam * g
     if np.max(np.linalg.eigvalsh((strict + strict.T) / 2.0)) > 1e-9:
         raise ValueError("strict decay inequality failed")
-    return g
+    return g, w, v
 
 
-def _g_isqrt(g):
-    w, q = np.linalg.eigh(g)
-    w = np.maximum(w, 1e-14)
-    return q @ np.diag(1.0 / np.sqrt(w)) @ q.T, float(w[-1])
+def lyapunov_G(a, lam: float, k_matrix) -> np.ndarray:
+    """Solve (A + lam I) G + G (A + lam I)^T + K = 0 for G > 0.
+
+    Requires 0 < lam < -sigma(A) and K symmetric positive definite.  Solved
+    by Bartels-Stewart on the real Schur form A = Q T Q^T: A + lam I keeps
+    the Schur vectors Q, so a search factors A once and each (lam, K) costs
+    one O(n^3) triangular Sylvester solve.  Certifies A G + G A^T < -2 lam G.
+    """
+    a, sa, t, q = _schur_drift(a)
+    return _shifted_lyapunov(a, sa, t, q, lam, _schur_k(q, k_matrix))[0]
+
+
+def _pd_sqrt(w, v):
+    r = np.sqrt(np.maximum(w, 1e-14))
+    return (v * r) @ v.T, (v / r) @ v.T
+
+
+def _bound(z0, lam: float, w, v) -> float:
+    base = float(np.linalg.norm(z0))
+    if base == 0.0:
+        raise ValueError("zero CCR matrix: tau* = 0 and the bound is void")
+    weighted = float(np.linalg.norm(_pd_sqrt(w, v)[1] @ z0))
+    return float((1.0 + np.log(np.sqrt(w[-1]) * weighted / base)) / lam)
 
 
 def tau_upper_bound(a, ccr_matrix, lam: float, k_matrix) -> float:
@@ -115,14 +133,9 @@ def tau_upper_bound(a, ccr_matrix, lam: float, k_matrix) -> float:
     (1/lam) * (1 + log(sqrt(||G||) ||G^{-1/2} Z0||_F / ||Z0||_F)); invariant
     under rescaling of K.
     """
-    z0 = np.asarray(ccr_matrix)
-    base = float(np.linalg.norm(z0))
-    if base == 0.0:
-        raise ValueError("zero CCR matrix: tau* = 0 and the bound is void")
-    g = lyapunov_G(a, lam, k_matrix)
-    isqrt, gnorm = _g_isqrt(g)
-    weighted = float(np.linalg.norm(isqrt @ z0))
-    return float((1.0 + np.log(np.sqrt(gnorm) * weighted / base)) / lam)
+    a, sa, t, q = _schur_drift(a)
+    _, w, v = _shifted_lyapunov(a, sa, t, q, lam, _schur_k(q, k_matrix))
+    return _bound(ccr_matrix, lam, w, v)
 
 
 def contraction_norm(a, g, tau: float) -> float:
@@ -131,10 +144,7 @@ def contraction_norm(a, g, tau: float) -> float:
     At most e^{-lam tau} when G comes from lyapunov_G(a, lam, .); used to
     certify the decay that underlies tau_upper_bound.
     """
-    w, q = np.linalg.eigh(np.asarray(g))
-    w = np.maximum(w, 1e-14)
-    isqrt = q @ np.diag(1.0 / np.sqrt(w)) @ q.T
-    root = q @ np.diag(np.sqrt(w)) @ q.T
+    root, isqrt = _pd_sqrt(*np.linalg.eigh(np.asarray(g)))
     return float(np.linalg.norm(isqrt @ expm(tau * np.asarray(a)) @ root, ord=2))
 
 
@@ -160,38 +170,25 @@ def optimize_tau_bound(a, ccr_matrix, budget: int = 64, seed: int = 0) -> TauBou
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    sa = _hurwitz_abscissa(a)
-    lams = np.geomspace(0.01 * -sa, 0.99 * -sa, 32)
+    a, sa, t, q = _schur_drift(a)
+    n = len(a)
+    lams = np.geomspace(0.01 * -sa, 0.99 * -sa, 32).tolist()
     rng = np.random.default_rng(seed)
 
     def candidates():
         yield "identity", np.eye(n)
-        i = 0
-        while True:
+        for i in itertools.count():
             s = rng.standard_normal((n, n))
             w = s.T @ s + 1e-6 * np.eye(n)
             yield "sample-%d" % i, w / np.trace(w)
-            i += 1
 
-    best = None
-    evals = 0
-    for label, k in candidates():
-        for lam in lams:
-            if evals >= budget:
-                break
-            bound = tau_upper_bound(a, ccr_matrix, float(lam), k)
+    best, evals, pool = None, 0, candidates()
+    while evals < budget:
+        label, k = next(pool)
+        k_schur = _schur_k(q, k)
+        for lam in lams[: budget - evals]:
+            bound = _bound(ccr_matrix, lam, *_shifted_lyapunov(a, sa, t, q, lam, k_schur)[1:])
             evals += 1
             if best is None or bound < best[0] or (bound == best[0] and lam < best[1]):
-                best = (bound, float(lam), k, label)
-        if evals >= budget:
-            break
-    return TauBoundSearch(
-        bound=best[0],
-        lam=best[1],
-        k_matrix=best[2],
-        k_label=best[3],
-        seed=seed,
-        evaluations=evals,
-    )
+                best = (bound, lam, k, label)
+    return TauBoundSearch(*best, seed=seed, evaluations=evals)

@@ -186,13 +186,16 @@ def mean_flow(coeffs: QsdeCoefficients, mu0, times) -> np.ndarray:
     return out
 
 
+def _hurwitz_abscissa(a_matrix, reason: str = "") -> float:
+    sa = spectral_abscissa(a_matrix)
+    if sa >= -1e-10:
+        raise ValueError("drift is not Hurwitz (spectral abscissa %.6e)%s" % (sa, reason))
+    return sa
+
+
 def steady_mean(coeffs: QsdeCoefficients) -> np.ndarray:
     """Unique stationary mean -A^{-1} b; requires A Hurwitz."""
-    sa = spectral_abscissa(coeffs.a)
-    if sa >= -1e-10:
-        raise ValueError(
-            "drift is not Hurwitz (spectral abscissa %.6e), no stationary mean" % sa
-        )
+    _hurwitz_abscissa(coeffs.a, ", no stationary mean")
     return np.linalg.solve(coeffs.a, -coeffs.b)
 
 

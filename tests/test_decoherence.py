@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from quasilin import decoherence, qsde
-from conftest import random_stable_pauli_spec
+from quasilin import composite, decoherence, qsde
+from conftest import random_pauli_spec, random_stable_pauli_spec
 
 
 def steady_ccr(coeffs):
@@ -89,3 +89,94 @@ def test_bound_refuses_zero_ccr(worked):
     _, coeffs = worked
     with pytest.raises(ValueError):
         decoherence.tau_upper_bound(coeffs.a, np.zeros((3, 3)), 0.5, np.eye(3))
+
+
+def kron_lyapunov(a, lam, k):
+    """Reference solve of (A + lam I) G + G (A + lam I)^T + K = 0 through the
+    n^2 x n^2 Kronecker system on column-major vec(G)."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    shifted = a + lam * eye
+    op = np.kron(eye, shifted) + np.kron(shifted, eye)
+    g = np.linalg.solve(op, -k.flatten(order="F")).reshape((n, n), order="F")
+    return (g + g.T) / 2.0
+
+
+def kron_search(a, z0, budget, seed):
+    """The (lam, K) grid search of optimize_tau_bound on the Kronecker solve."""
+    n = a.shape[0]
+    sa = qsde.spectral_abscissa(a)
+    lams = np.geomspace(0.01 * -sa, 0.99 * -sa, 32)
+    rng = np.random.default_rng(seed)
+    base = np.linalg.norm(z0)
+    best, evals, i = None, 0, 0
+    while evals < budget:
+        if evals == 0:
+            label, k = "identity", np.eye(n)
+        else:
+            s = rng.standard_normal((n, n))
+            w = s.T @ s + 1e-6 * np.eye(n)
+            label, k = "sample-%d" % i, w / np.trace(w)
+            i += 1
+        for lam in lams[: budget - evals]:
+            w, q = np.linalg.eigh(kron_lyapunov(a, lam, k))
+            isqrt = q @ np.diag(1.0 / np.sqrt(w)) @ q.T
+            bound = (1.0 + np.log(np.sqrt(w[-1]) * np.linalg.norm(isqrt @ z0) / base)) / lam
+            evals += 1
+            if best is None or bound < best[0] or (bound == best[0] and lam < best[1]):
+                best = (bound, lam, label)
+    return best, evals
+
+
+@pytest.mark.parametrize("n", [3, 8, 24])
+def test_lyapunov_matches_kronecker_solve(n):
+    rng = np.random.default_rng(100 + n)
+    m = rng.standard_normal((n, n))
+    a = m - (qsde.spectral_abscissa(m) + 0.5) * np.eye(n)
+    s = rng.standard_normal((n, n))
+    k = s.T @ s + 0.1 * np.eye(n)
+    sa = qsde.spectral_abscissa(a)
+    for lam in (0.05 * -sa, 0.5 * -sa, 0.95 * -sa):
+        g = decoherence.lyapunov_G(a, lam, k)
+        ref = kron_lyapunov(a, lam, k)
+        assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("budget", [90, 96])
+def test_search_matches_kronecker_search_on_pauli_pair(budget):
+    # with seed 3 the last 16 evaluations of budget 96 find a better sampled K
+    # (sample-1); budget 90 stops inside that K and keeps the identity
+    rng = np.random.default_rng(6)
+    spec = composite.composite_spec(
+        random_pauli_spec(rng), random_pauli_spec(rng), rng.uniform(-1.0, 1.0, (3, 3))
+    )
+    coeffs = qsde.build_coefficients(composite.augmented_system(spec))
+    assert coeffs.n == 15
+    z0 = steady_ccr(coeffs)
+    search = decoherence.optimize_tau_bound(coeffs.a, z0, budget=budget, seed=3)
+    (bound, lam, label), evals = kron_search(coeffs.a, z0, budget=budget, seed=3)
+    assert search.lam == lam
+    assert search.k_label == label
+    assert search.evaluations == evals == budget
+    assert abs(search.bound - bound) <= 1e-12 * abs(bound)
+
+
+def test_search_and_lyapunov_refusals(worked):
+    _, coeffs = worked
+    with pytest.raises(ValueError, match="not Hurwitz"):
+        decoherence.optimize_tau_bound(coeffs.a0, steady_ccr(coeffs))
+    asym = np.eye(3)
+    asym[0, 1] = 0.5
+    with pytest.raises(ValueError, match="K must be symmetric"):
+        decoherence.lyapunov_G(coeffs.a, 0.5, asym)
+    with pytest.raises(ValueError, match="K must be positive definite"):
+        decoherence.lyapunov_G(coeffs.a, 0.5, np.diag([1.0, -1.0, 1.0]))
+
+
+def test_lyapunov_refuses_perturbed_sylvester_solve():
+    # eigenvalues -1 and -1000: at lam just below 1 the shifted spectra of
+    # A + lam I and -(A + lam I) meet within LAPACK's perturbation threshold
+    a = np.diag([-1.0, -1000.0])
+    sa = qsde.spectral_abscissa(a)
+    with pytest.raises(ValueError, match="near-common eigenvalues"):
+        decoherence.lyapunov_G(a, -sa * (1 - 1e-14), np.eye(2))
