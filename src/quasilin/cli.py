@@ -564,7 +564,7 @@ def main(argv=None) -> int:
     except CapabilityLimit as e:
         print("capability limit: %s" % e, file=sys.stderr)
         return 3
-    except (ValueError, AssertionError, ArithmeticError, np.linalg.LinAlgError) as e:
+    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as e:
         print("numeric failure: %s" % e, file=sys.stderr)
         return 4
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .composite import augment_constants
-from .model import MAX_DIM, CapabilityLimit, StructureConstants, pauli_constants
+from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, pauli_constants
 from .qsde import ito_structure
 
 __all__ = [
@@ -121,7 +121,7 @@ def gksl_apply(rep: HilbertRep, spec, xi) -> np.ndarray:
     """Heisenberg-picture generator applied to a single matrix xi.
 
     i[H, xi] + (1/2) sum_jk Omega_jk ([L_j, xi] L_k + L_j [xi, L_k]).
-    When xi is Hermitian the output is asserted Hermitian.
+    When xi is Hermitian the output is checked Hermitian (ConsistencyError).
     """
     xi = np.asarray(xi, dtype=complex)
     h, ls, omega = _gksl_terms(rep, spec)
@@ -135,7 +135,8 @@ def gksl_apply(rep: HilbertRep, spec, xi) -> np.ndarray:
             out += 0.5 * w * ((ls[j] @ xi - xi @ ls[j]) @ ls[k] + ls[j] @ (xi @ ls[k] - ls[k] @ xi))
     if np.max(np.abs(xi - xi.conj().T)) <= 1e-12:
         scale = max(1.0, float(np.max(np.abs(out))))
-        assert np.max(np.abs(out - out.conj().T)) <= 1e-12 * scale
+        if not np.max(np.abs(out - out.conj().T)) <= 1e-12 * scale:
+            raise ConsistencyError("GKSL output of a Hermitian input is not Hermitian")
     return out
 
 
@@ -220,7 +221,8 @@ def lindblad_propagate(rep: HilbertRep, spec, rho0, t: float):
     rho_t = (flow @ rho0.flatten(order="F")).reshape((d, d), order="F")
     tr = complex(np.trace(rho_t))
     residual = abs(tr - 1.0)
-    assert residual <= 1e-9, "trace drifted by %g" % residual
+    if not residual <= 1e-9:
+        raise ConsistencyError("trace drifted by %g" % residual)
     return rho_t / tr, residual
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PAULI_THETA, StructureConstants
+from .model import PAULI_THETA, ConsistencyError, StructureConstants
 from .modes import EigenModes
 from .qsde import SystemSpec, build_coefficients, system_spec
 
@@ -73,9 +73,9 @@ def scaled_coefficients(shape: CouplingShape, eps: float):
     _, sa, sb = shape_drift(shape)
     scale = max(1.0, float(np.max(np.abs(sa))))
     if np.max(np.abs(coeffs.atilde - eps**2 * sa)) > 1e-12 * scale:
-        raise AssertionError("coupling drift failed quadratic homogeneity")
+        raise ConsistencyError("coupling drift failed quadratic homogeneity")
     if np.max(np.abs(coeffs.b - eps**2 * sb)) > 1e-12 * scale:
-        raise AssertionError("affine drift failed quadratic homogeneity")
+        raise ConsistencyError("affine drift failed quadratic homogeneity")
     return coeffs
 
 

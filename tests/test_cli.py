@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from quasilin import cli
+from quasilin import cli, model
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
 
@@ -138,6 +138,30 @@ def test_validate_reports_failure(tmp_path):
     rows = open(os.path.join(out, "validate.csv")).read().strip().splitlines()
     name, passed, violations = rows[1].split(",")[:3]
     assert name == "broken" and passed == "0" and int(violations) > 0
+
+
+def test_validate_nan_constant_exits_four(tmp_path):
+    beta = model.pauli_constants().beta
+    sections = [[[[z.real, z.imag] if z.imag else z.real for z in row] for row in sec] for sec in beta]
+    sections[0][1][2] = float("nan")
+    cfg = {
+        "systems": {
+            "nan": {
+                "constants": {"alpha": np.eye(3).tolist(), "beta": sections},
+                "E": [0.0, 0.0, 1.0],
+                "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                "N": [0.0, 0.0],
+            }
+        },
+        "analysis": {"system": "nan"},
+    }
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert "NaN" in path.read_text()
+    out = str(tmp_path / "o")
+    assert cli.main(["validate", "--config", str(path), "--out", out]) == 4
+    rows = open(os.path.join(out, "validate.csv")).read().strip().splitlines()
+    assert rows[1].split(",")[:2] == ["nan", "0"]
 
 
 def test_qcf_direction_option(tmp_path):

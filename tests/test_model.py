@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasilin import model
+from quasilin import composite, model
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -213,3 +215,131 @@ def test_quadratic_form_rejects_asymmetric(pauli):
     r[0, 1] = 1.0
     with pytest.raises(ValueError):
         model.quadratic_form(r, pauli)
+
+
+def _einsum_validate(constants, tol=1e-10):
+    # reference: the closure identities as full n^4 einsums, flagged with > tol
+    alpha, beta, n = constants.alpha, constants.beta, constants.n
+    violations = []
+
+    def collect(label, residual):
+        for idx in np.argwhere(residual > tol):
+            violations.append((label, tuple(int(i) for i in idx), float(residual[tuple(idx)])))
+
+    collect("alpha-sym", np.abs(alpha - alpha.T))
+    collect("alpha-imag", np.abs(np.imag(alpha)))
+    collect("beta-herm", np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))))
+    con1 = np.einsum("ls,ljk->jks", alpha, beta) - np.einsum("jl,lks->jks", alpha, beta)
+    collect("assoc-const", np.abs(con1))
+    eye = np.eye(n)
+    con2 = (
+        np.einsum("jk,rs->jksr", alpha, eye)
+        - np.einsum("ks,rj->jksr", alpha, eye)
+        + np.einsum("ljk,rls->jksr", beta, beta)
+        - np.einsum("lks,rjl->jksr", beta, beta)
+    )
+    collect("assoc-linear", np.abs(con2))
+    return violations
+
+
+def _gell_mann_constants(d):
+    # generalized Gell-Mann matrices, Tr(X_j X_k) = 2 delta_jk, and their exact
+    # constants alpha_jk = Tr(X_j X_k) / d, beta_ljk = Tr(X_l X_j X_k) / 2
+    mats = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            asym = np.zeros((d, d), dtype=complex)
+            asym[j, k], asym[k, j] = -1j, 1j
+            mats += [sym, asym]
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l], diag[l] = 1.0, -l
+        mats.append(np.diag(diag * np.sqrt(2.0 / (l * (l + 1)))).astype(complex))
+    x = np.array(mats)
+    alpha = np.einsum("jab,kba->jk", x, x).real / d
+    beta = np.einsum("lab,jbc,kca->ljk", x, x, x) / 2.0
+    return model.structure_constants(alpha, beta)
+
+
+def _exact_constants(n):
+    pauli = model.pauli_constants()
+    return {3: pauli, 8: _gell_mann_constants(3), 15: composite.augment_constants(pauli, pauli)}[n]
+
+
+def _same_violations(got, want):
+    assert [v[:2] for v in got] == [v[:2] for v in want]
+    np.testing.assert_allclose([v[2] for v in got], [v[2] for v in want], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("noise", [1e-6, 1e-9])
+@pytest.mark.parametrize("n", [3, 8, 15])
+def test_validate_matches_einsum_reference_on_perturbed_constants(n, noise):
+    exact = _exact_constants(n)
+    assert model.validate(exact).passed
+    rng = np.random.default_rng(100 * n + int(-np.log10(noise)))
+    alpha = exact.alpha + noise * rng.normal(size=(n, n))
+    beta = exact.beta + noise * (rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n)))
+    constants = model.structure_constants(alpha, beta)
+    report = model.validate(constants)
+    assert not report.passed
+    _same_violations(report.violations, _einsum_validate(constants))
+
+
+def test_validate_matches_einsum_reference_across_row_blocks():
+    # n = 26 spans two j-row blocks, the last one partial; alpha = 0 and a
+    # sparse beta keep the violation list small
+    n = 26
+    rows = max(1, model._BLOCK_ENTRIES // n**3)
+    assert rows < n and n % rows
+    rng = np.random.default_rng(26)
+    beta = (rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))) * (rng.random((n, n, n)) < 0.004)
+    constants = model.structure_constants(np.zeros((n, n)), beta)
+    report = model.validate(constants)
+    want = _einsum_validate(constants)
+    assert any(v[0] == "assoc-linear" and v[1][0] >= n // 2 for v in want)
+    _same_violations(report.violations, want)
+
+
+@pytest.mark.parametrize("j", [0, 25])
+def test_validate_reports_planted_closure_violation_row(j):
+    # beta_{1,j,2} beta_{3,1,4} is the only nonzero product: it enters the
+    # closure identity at (j, k, s, r) = (j, 2, 4, 3)
+    n = 26
+    beta = np.zeros((n, n, n), dtype=complex)
+    beta[1, j, 2] = 0.5
+    beta[3, 1, 4] = 0.5
+    report = model.validate(model.structure_constants(np.zeros((n, n)), beta))
+    linear = [v for v in report.violations if v[0] == "assoc-linear"]
+    assert linear == [("assoc-linear", (j, 2, 4, 3), 0.25)]
+
+
+def test_validate_memory_stays_below_one_n4_array():
+    n = 40
+    constants = model.structure_constants(np.zeros((n, n)), np.zeros((n, n, n)))
+    tracemalloc.start()
+    try:
+        report = model.validate(constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16e6  # one n^4 complex array is 41 MB
+
+
+def test_validate_fails_nan_in_beta(pauli):
+    beta = pauli.beta.copy()
+    beta[2, 0, 1] = np.nan
+    report = model.validate(model.structure_constants(pauli.alpha, beta))
+    assert not report.passed
+    assert {v[0] for v in report.violations} >= {"beta-herm", "assoc-linear"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_fails_non_finite_alpha(pauli, bad):
+    alpha = pauli.alpha.copy()
+    alpha[1, 1] = bad
+    report = model.validate(model.structure_constants(alpha, pauli.beta))
+    assert not report.passed
+    assert not report.alpha_psd

@@ -130,3 +130,13 @@ def test_tensor_representation_dim_limit():
     assert oracle.representation_check(sixteen) < 1e-12
     with pytest.raises(model.CapabilityLimit):
         oracle.tensor_representation(sixteen, rep)
+
+
+def test_trace_drift_raises_consistency_error(worked, monkeypatch):
+    # a propagator that doubles the trace must be refused, also under python -O
+    spec, _ = worked
+    rep = oracle.pauli_representation()
+    monkeypatch.setattr(oracle, "expm", lambda m: 2.0 * np.eye(m.shape[0]))
+    with pytest.raises(model.ConsistencyError, match="trace drifted by 1"):
+        oracle.lindblad_propagate(rep, spec, np.diag([0.5, 0.5]).astype(complex), 1.0)
+    assert issubclass(model.ConsistencyError, ArithmeticError)
