@@ -195,7 +195,12 @@ def _grid(args, cfg):
         spec = cfg.analysis.get("grid", [0.0, 5.0, 41])
         if not isinstance(spec, list) or len(spec) != 3:
             raise ConfigError("analysis.grid must be [t0, t1, steps]")
-        t0, t1, steps = float(spec[0]), float(spec[1]), int(spec[2])
+        try:
+            t0, t1, steps = float(spec[0]), float(spec[1]), int(spec[2])
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError("analysis.grid must be [t0, t1, steps] with numeric fields")
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ConfigError("grid times must be finite, got %r:%r" % (t0, t1))
     if steps < 2 or t1 <= t0:
         raise ConfigError("grid needs t1 > t0 and at least 2 steps")
     return np.linspace(t0, t1, steps)
@@ -317,6 +322,7 @@ def cmd_qcf(cfg, args, out_dir):
 def cmd_spectrum(cfg, args, out_dir):
     name, entry = cfg.system()
     tol = _tol(args, cfg)
+    times = _grid(args, cfg)
     coeffs = qsde.build_coefficients(entry["spec"])
     op = second_moment.lambda_operator(coeffs)
     sa = qsde.spectral_abscissa(coeffs.a)
@@ -328,16 +334,14 @@ def cmd_spectrum(cfg, args, out_dir):
         rows.append(("second-moment", i, float(ev.real), float(ev.imag)))
     _write_csv(out_dir, "spectrum.csv", ["kind", "index", "re", "im"], rows)
 
-    times = _grid(args, cfg)
-    from scipy.linalg import expm
-
     flow = second_moment.pi_trace_flow(op, times)
     frows = []
     worst = 0.0
-    for i, t in enumerate(times):
-        lower = float(np.linalg.norm(expm(float(t) * coeffs.a)) ** 2)
-        worst = max(worst, lower - flow[i])
-        frows.append((float(t), float(flow[i]), lower))
+    props = qsde.propagate(coeffs.a, np.eye(coeffs.n), times)
+    for t, tr, prop in zip(times, flow, props):
+        lower = float(np.linalg.norm(prop) ** 2)
+        worst = max(worst, lower - tr)
+        frows.append((float(t), float(tr), lower))
     _write_csv(out_dir, "spectrum_flow.csv", ["t", "trace", "squared_norm_lower"], frows)
     print(
         "system %s: abscissa %.6g, restricted abscissa %.6g, sandwich slack %.3g"

@@ -148,35 +148,37 @@ def validate(constants: StructureConstants, tol: float = 1e-10) -> ValidationRep
     alpha, beta, n = constants.alpha, constants.beta, constants.n
     violations = []
 
-    _collect(violations, "alpha-sym", np.abs(alpha - alpha.T), tol)
-    _collect(violations, "alpha-imag", np.abs(np.imag(alpha)), tol)
-    _collect(
-        violations,
-        "beta-herm",
-        np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))),
-        tol,
+    with np.errstate(invalid="ignore"):  # inf - inf residuals are NaN and fail
+        _collect(violations, "alpha-sym", np.abs(alpha - alpha.T), tol)
+        _collect(violations, "alpha-imag", np.abs(np.imag(alpha)), tol)
+        _collect(
+            violations,
+            "beta-herm",
+            np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))),
+            tol,
+        )
+
+        # sum_l (alpha_ls beta_jkl - alpha_jl beta_ksl) = 0, indexed (j, k, s)
+        flat = beta.reshape(n, n * n)
+        con1 = (flat.T @ alpha).reshape(n, n, n) - (alpha @ flat).reshape(n, n, n)
+        _collect(violations, "assoc-const", np.abs(con1), tol)
+
+        # alpha_jk d_rs - alpha_ks d_rj + sum_l (beta_jkl beta_lsr - beta_ksl beta_jlr)
+        #   = 0, indexed (j,k,s,r); each block of j-rows is built as (j,k,r,s).
+        right = beta.transpose(1, 0, 2).reshape(n, n * n)
+        diag = np.arange(n)
+        rows = max(1, _BLOCK_ENTRIES // n**3)
+        for j0 in range(0, n, rows):
+            p = beta[:, j0 : j0 + rows, :]
+            con2 = (p.transpose(1, 2, 0).reshape(-1, n) @ right).reshape(-1, n, n, n)
+            con2 -= (p.reshape(-1, n) @ flat).reshape(n, -1, n, n).transpose(1, 2, 0, 3)
+            con2[:, :, diag, diag] += alpha[j0 : j0 + rows, :, None]
+            con2[diag[: len(con2)], :, diag[j0 : j0 + rows], :] -= alpha
+            _collect(violations, "assoc-linear", np.abs(con2.transpose(0, 1, 3, 2)), tol, j0)
+
+    alpha_psd = bool(
+        np.isfinite(alpha).all() and np.linalg.eigvalsh((alpha + np.conj(alpha).T) / 2.0).min() >= -tol
     )
-
-    # sum_l (alpha_ls beta_jkl - alpha_jl beta_ksl) = 0, indexed (j, k, s)
-    flat = beta.reshape(n, n * n)
-    con1 = (flat.T @ alpha).reshape(n, n, n) - (alpha @ flat).reshape(n, n, n)
-    _collect(violations, "assoc-const", np.abs(con1), tol)
-
-    # alpha_jk d_rs - alpha_ks d_rj + sum_l (beta_jkl beta_lsr - beta_ksl beta_jlr)
-    #   = 0, indexed (j,k,s,r); each block of j-rows is built as (j,k,r,s).
-    right = beta.transpose(1, 0, 2).reshape(n, n * n)
-    diag = np.arange(n)
-    rows = max(1, _BLOCK_ENTRIES // n**3)
-    for j0 in range(0, n, rows):
-        p = beta[:, j0 : j0 + rows, :]
-        con2 = (p.transpose(1, 2, 0).reshape(-1, n) @ right).reshape(-1, n, n, n)
-        con2 -= (p.reshape(-1, n) @ flat).reshape(n, -1, n, n).transpose(1, 2, 0, 3)
-        con2[:, :, diag, diag] += alpha[j0 : j0 + rows, :, None]
-        con2[diag[: len(con2)], :, diag[j0 : j0 + rows], :] -= alpha
-        _collect(violations, "assoc-linear", np.abs(con2.transpose(0, 1, 3, 2)), tol, j0)
-
-    herm_part = (alpha + np.conj(alpha).T) / 2.0
-    alpha_psd = bool(np.isfinite(alpha).all() and np.linalg.eigvalsh(herm_part).min() >= -tol)
 
     return ValidationReport(
         passed=not violations, violations=violations, alpha_psd=alpha_psd

@@ -36,6 +36,7 @@ __all__ = [
     "ito_structure",
     "mean_flow",
     "mean_two_point_ccr",
+    "propagate",
     "qcf",
     "spectral_abscissa",
     "steady_mean",
@@ -166,11 +167,51 @@ def spectral_abscissa(a_matrix) -> float:
     return float(np.max(np.linalg.eigvals(np.asarray(a_matrix)).real))
 
 
+def propagate(generator, state0, times):
+    """Yield e^{t G} state0 for each t in times, in order.
+
+    The chain starts from state0 at t = 0 and reaches each point from the
+    previous one by the step exponential e^{(t_i - t_{i-1}) G}, formed again
+    only when the step length changes.  A grid whose points before the last
+    equal t0 + i h bit for bit, h = (t_last - t0) / (N - 1), as np.linspace
+    gives, steps by h throughout; a zero step keeps the state.  A time
+    earlier than its predecessor restarts the chain as expm(t G) state0.  A
+    negative time is evaluated that way but the chain stays at t = 0, as
+    stepping out of a backward propagation would amplify its rounding error.
+    """
+    gen = np.asarray(generator)
+    state0 = np.asarray(state0)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be one-dimensional, got shape %r" % (times.shape,))
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
+    steps = np.diff(np.maximum(times, 0.0), prepend=0.0)
+    count = len(times)
+    if count > 2:
+        h = (times[-1] - times[0]) / (count - 1)
+        if h > 0 and np.array_equal(times[:-1], times[0] + np.arange(count - 1) * h):
+            steps[1:] = np.where(times[:-1] >= 0, h, steps[1:])
+    state, length, step = state0, None, None
+    for t, dt in zip(times, steps):
+        if t < 0:
+            state = state0
+            yield expm(t * gen) @ state0
+            continue
+        if dt < 0:
+            state = expm(t * gen) @ state0
+        elif dt > 0:
+            if dt != length:
+                length, step = dt, expm(dt * gen)
+            state = step @ state
+        yield state
+
+
 def mean_flow(coeffs: QsdeCoefficients, mu0, times) -> np.ndarray:
     """First-moment trajectory mu(t) for each t in times.
 
-    Solves mu' = A mu + b through the exponential of the augmented
-    (n+1) x (n+1) matrix [[A, b], [0, 0]], one exponential per grid point.
+    Solves mu' = A mu + b by propagating (mu0, 1) with the augmented
+    (n+1) x (n+1) matrix [[A, b], [0, 0]] (see `propagate`).
     """
     n = coeffs.n
     mu0 = np.asarray(mu0)
@@ -181,8 +222,8 @@ def mean_flow(coeffs: QsdeCoefficients, mu0, times) -> np.ndarray:
     aug[:n, n] = coeffs.b
     state0 = np.concatenate([mu0, [1.0]])
     out = np.empty((len(times), n), dtype=aug.dtype)
-    for i, t in enumerate(times):
-        out[i] = (expm(float(t) * aug) @ state0)[:n]
+    for i, state in enumerate(propagate(aug, state0, times)):
+        out[i] = state[:n]
     return out
 
 

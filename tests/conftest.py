@@ -49,3 +49,24 @@ def random_stable_pauli_spec(rng, m=2, margin=1e-3, max_tries=200):
         if qsde.spectral_abscissa(qsde.build_coefficients(spec).a) < -margin:
             return spec
     raise RuntimeError("no Hurwitz sample found")
+
+
+def gell_mann_constants(d):
+    # generalized Gell-Mann matrices, Tr(X_j X_k) = 2 delta_jk, and their exact
+    # constants alpha_jk = Tr(X_j X_k) / d, beta_ljk = Tr(X_l X_j X_k) / 2
+    mats = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[j, k] = sym[k, j] = 1.0
+            asym = np.zeros((d, d), dtype=complex)
+            asym[j, k], asym[k, j] = -1j, 1j
+            mats += [sym, asym]
+    for l in range(1, d):
+        diag = np.zeros(d)
+        diag[:l], diag[l] = 1.0, -l
+        mats.append(np.diag(diag * np.sqrt(2.0 / (l * (l + 1)))).astype(complex))
+    x = np.array(mats)
+    alpha = np.einsum("jab,kba->jk", x, x).real / d
+    beta = np.einsum("lab,jbc,kca->ljk", x, x, x) / 2.0
+    return model.structure_constants(alpha, beta)

@@ -181,3 +181,21 @@ def test_qcf_direction_option(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         cli.main(["frobnicate", "--config", REPO_CONFIG])
+
+
+@pytest.mark.parametrize("command", ["mean-flow", "spectrum"])
+@pytest.mark.parametrize("t1", ["nan", "inf"])
+def test_non_finite_grid_exits_two(tmp_path, command, t1):
+    out = tmp_path / "o"
+    argv = [command, "--config", REPO_CONFIG, "--out", str(out), "--grid", "0:%s:5" % t1]
+    assert cli.main(argv) == 2
+    assert not os.listdir(out)
+    cfgpath = qubit_config(tmp_path, grid=[0.0, float(t1), 5])
+    assert ("NaN" if t1 == "nan" else "Infinity") in open(cfgpath).read()
+    assert cli.main([command, "--config", cfgpath, "--out", str(out)]) == 2
+    assert not os.listdir(out)
+
+
+def test_analysis_grid_with_non_numeric_field_exits_two(tmp_path):
+    cfgpath = qubit_config(tmp_path, grid=[0.0, 2.0, "many"])
+    assert cli.main(["mean-flow", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2

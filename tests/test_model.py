@@ -1,10 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasilin import composite, model
+from conftest import gell_mann_constants
 
 SIGMA = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -242,30 +244,9 @@ def _einsum_validate(constants, tol=1e-10):
     return violations
 
 
-def _gell_mann_constants(d):
-    # generalized Gell-Mann matrices, Tr(X_j X_k) = 2 delta_jk, and their exact
-    # constants alpha_jk = Tr(X_j X_k) / d, beta_ljk = Tr(X_l X_j X_k) / 2
-    mats = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[j, k] = sym[k, j] = 1.0
-            asym = np.zeros((d, d), dtype=complex)
-            asym[j, k], asym[k, j] = -1j, 1j
-            mats += [sym, asym]
-    for l in range(1, d):
-        diag = np.zeros(d)
-        diag[:l], diag[l] = 1.0, -l
-        mats.append(np.diag(diag * np.sqrt(2.0 / (l * (l + 1)))).astype(complex))
-    x = np.array(mats)
-    alpha = np.einsum("jab,kba->jk", x, x).real / d
-    beta = np.einsum("lab,jbc,kca->ljk", x, x, x) / 2.0
-    return model.structure_constants(alpha, beta)
-
-
 def _exact_constants(n):
     pauli = model.pauli_constants()
-    return {3: pauli, 8: _gell_mann_constants(3), 15: composite.augment_constants(pauli, pauli)}[n]
+    return {3: pauli, 8: gell_mann_constants(3), 15: composite.augment_constants(pauli, pauli)}[n]
 
 
 def _same_violations(got, want):
@@ -343,3 +324,21 @@ def test_validate_fails_non_finite_alpha(pauli, bad):
     report = model.validate(model.structure_constants(alpha, pauli.beta))
     assert not report.passed
     assert not report.alpha_psd
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_non_finite_alpha_is_silent(pauli, bad):
+    # inf - inf in the residuals is NaN: the entry fails, with no numpy warning
+    alpha = pauli.alpha.copy()
+    alpha[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = model.validate(model.structure_constants(alpha, pauli.beta))
+    assert not report.passed and not report.alpha_psd
+    labels = [v[0] for v in report.violations]
+    assert labels == ["alpha-sym"] + ["assoc-const"] * 15 + ["assoc-linear"] * 5
+    assert report.violations[0][1] == (1, 1)
+    for label in set(labels):
+        keys = [v[1] for v in report.violations if v[0] == label]
+        assert keys == sorted(keys)
+

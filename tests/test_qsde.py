@@ -147,3 +147,99 @@ def test_two_point_ccr_against_oracle_random():
             table = oracle.two_point_commutator(rep, spec, rho0, 1.0, 1.0 + tau)
             pred = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, tau)
             np.testing.assert_allclose(table, pred, atol=1e-10)
+
+
+PROPAGATE_GRIDS = {
+    "default": np.linspace(0.0, 5.0, 41),
+    "ulp-steps": np.linspace(0.0, 4.0, 30),
+    "uneven": [0.0, 0.3, 1.1, 2.7],
+    "unsorted": [2.7, 0.3, 1.1],
+    "negative-first": [-0.6, 0.2, 1.5],
+    "repeated": [0.5, 0.5, 1.5, 1.5, 1.5, 2.5],
+    "single": [1.7],
+    "empty": [],
+}
+
+
+def assert_matches_per_point_expm(gen, state0, times, got):
+    got = list(got)
+    assert len(got) == len(times)
+    for t, state in zip(times, got):
+        ref = expm(float(t) * gen) @ state0
+        assert np.linalg.norm(state - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("grid", sorted(PROPAGATE_GRIDS))
+def test_propagate_matches_per_point_expm(worked, grid):
+    _, coeffs = worked
+    times = PROPAGATE_GRIDS[grid]
+    rng = np.random.default_rng(11)
+    for state0 in (rng.normal(size=3), np.eye(3)):
+        got = qsde.propagate(coeffs.a, state0, times)
+        assert_matches_per_point_expm(coeffs.a, state0, times, got)
+    mu0 = rng.normal(size=3)
+    aug = np.zeros((4, 4))
+    aug[:3, :3], aug[:3, 3] = coeffs.a, coeffs.b
+    ref = [(expm(float(t) * aug) @ np.append(mu0, 1.0))[:3] for t in times]
+    flow = qsde.mean_flow(coeffs, mu0, times)
+    assert flow.shape == (len(times), 3)
+    for got, want in zip(flow, ref):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def count_exponentials(monkeypatch):
+    calls = []
+
+    def counting(mat):
+        calls.append(mat)
+        return expm(mat)
+
+    monkeypatch.setattr(qsde, "expm", counting)
+    return calls
+
+
+def test_propagate_one_exponential_per_step_length(worked, monkeypatch):
+    _, coeffs = worked
+    calls = count_exponentials(monkeypatch)
+    state0 = np.ones(3)
+    expected = {
+        "default": 1,
+        "ulp-steps": 1,
+        "uneven": 3,
+        "unsorted": 3,  # restart at 2.7, restart at 0.3, step 0.8
+        "negative-first": 3,  # restart at -0.6, then steps 0.8 and 1.3
+        "repeated": 2,  # first step 0.5, then the 1.0 step twice
+        "single": 1,
+        "empty": 0,
+    }
+    for grid, count in expected.items():
+        calls.clear()
+        list(qsde.propagate(coeffs.a, state0, PROPAGATE_GRIDS[grid]))
+        assert len(calls) == count, grid
+
+
+def test_propagate_at_most_two_exponentials_on_linspace(worked, monkeypatch):
+    _, coeffs = worked
+    calls = count_exponentials(monkeypatch)
+    rng = np.random.default_rng(3)
+    # includes grids whose last point is not t0 + (N - 1) h bit for bit
+    grids = [(0.0, 98.08372552423525, 308), (0.0, 52.540178704347824, 195), (1.0, 3.0, 2)]
+    grids += [(rng.uniform(0, 5), rng.uniform(5, 50), int(rng.integers(2, 200))) for _ in range(100)]
+    # a negative time takes its own exponential; the rest of the grid at most two
+    grids += [(-8.828639303896113, 6.207804590918844, 438), (-1.0, 1.0, 21)]
+    for t0, t1, num in grids:
+        calls.clear()
+        times = np.linspace(t0, t1, num)
+        for state in qsde.propagate(coeffs.a, np.ones(3), times):
+            pass
+        assert len(calls) <= 2 + np.count_nonzero(times < 0), (t0, t1, num)
+        assert np.linalg.norm(state - expm(times[-1] * coeffs.a) @ np.ones(3)) <= 1e-10 * np.linalg.norm(state)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_propagate_refuses_non_finite_times(worked, bad):
+    _, coeffs = worked
+    with pytest.raises(ValueError, match="finite"):
+        list(qsde.propagate(coeffs.a, np.ones(3), [0.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        qsde.mean_flow(coeffs, np.zeros(3), [bad])

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from quasilin import model, qsde, second_moment
-from conftest import random_pauli_spec
+from conftest import gell_mann_constants, random_pauli_spec
 
 
 def test_apply_matches_matrix_route(worked):
@@ -84,3 +84,63 @@ def test_hermitian_abscissa_rejects_non_real_restriction(worked):
     )
     with pytest.raises(ValueError):
         second_moment.lambda_hermitian_abscissa(skew)
+
+
+def gell_mann_coeffs(seed=0):
+    # qutrit (n = 8) with a Hurwitz drift drawn on [-1, 1]
+    rng = np.random.default_rng(seed)
+    constants = gell_mann_constants(3)
+    while True:
+        spec = qsde.system_spec(
+            constants, rng.uniform(-1, 1, 8), rng.uniform(-1, 1, (2, 8)), rng.uniform(-1, 1, 2)
+        )
+        coeffs = qsde.build_coefficients(spec)
+        if qsde.spectral_abscissa(coeffs.a) < -1e-2:
+            return coeffs
+
+
+def column_loop_lambda(coeffs):
+    # the generator filled one column k*n + j at a time
+    n = coeffs.n
+    cross = coeffs.coupling.T @ qsde.ito_structure(coeffs.coupling.shape[0]).omega @ coeffs.coupling
+    th = coeffs.theta
+    matrix = np.kron(np.eye(n), coeffs.a).astype(complex) + np.kron(coeffs.a, np.eye(n))
+    for k in range(n):
+        for j in range(n):
+            matrix[:, k * n + j] += -4.0 * (th[j] @ cross @ th[k]).flatten(order="F")
+    return matrix
+
+
+def test_lambda_operator_matches_column_loop(worked):
+    rng = np.random.default_rng(4)
+    cases = [worked[1], gell_mann_coeffs()]
+    cases += [qsde.build_coefficients(random_pauli_spec(rng, m=4)) for _ in range(3)]
+    for coeffs in cases:
+        op = second_moment.lambda_operator(coeffs)
+        np.testing.assert_array_equal(op.matrix, column_loop_lambda(coeffs))
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 5.0, 41), [0.0, 0.3, 1.1, 2.7], [2.7, 0.3, 1.1], [-0.4, 0.5], [1.0, 1.0], [0.8], []])
+def test_trace_flow_matches_per_point_expm_on_gell_mann(times, monkeypatch):
+    coeffs = gell_mann_coeffs()
+    op = second_moment.lambda_operator(coeffs)
+    vec0 = np.eye(8).flatten(order="F")
+    ref = [expm(float(t) * op.matrix) @ vec0 for t in times]
+    for got, want in zip(qsde.propagate(op.matrix, vec0, times), ref):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    calls = []
+    monkeypatch.setattr(qsde, "expm", lambda mat: calls.append(mat) or expm(mat))
+    tr = second_moment.pi_trace_flow(op, times)
+    want_tr = np.array([np.trace(v.reshape((8, 8), order="F")).real for v in ref])
+    assert np.abs(tr - want_tr).max(initial=0.0) <= 1e-12 * np.abs(want_tr).max(initial=0.0)
+    if len(times) == 41:
+        assert len(calls) == 1
+
+
+def test_trace_flow_refuses_nan_trace(worked, monkeypatch):
+    _, coeffs = worked
+    op = second_moment.lambda_operator(coeffs)
+    monkeypatch.setattr(second_moment, "propagate", lambda gen, vec0, times: iter([np.full(9, np.nan)]))
+    with pytest.raises(ValueError, match="nonnegative axis"):
+        second_moment.pi_trace_flow(op, [0.0])
+
