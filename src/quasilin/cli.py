@@ -18,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -38,30 +39,37 @@ class ConfigError(Exception):
     """Malformed configuration or command line."""
 
 
-def _number(x, what="number"):
-    if isinstance(x, bool):
-        raise ConfigError("%s must be a number, got a boolean" % what)
-    if isinstance(x, (int, float)):
-        return float(x)
-    if isinstance(x, list) and len(x) == 2 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x):
-        return complex(x[0], x[1]) if x[1] != 0 else float(x[0])
-    raise ConfigError("%s must be a number or [re, im] pair, got %r" % (what, x))
-
-
-def _vector(x, what="vector"):
-    if not isinstance(x, list):
-        raise ConfigError("%s must be a list" % what)
-    return np.array([_number(v, what) for v in x])
-
-
-def _matrix(x, what="matrix"):
-    if not isinstance(x, list) or not x or not all(isinstance(r, list) for r in x):
-        raise ConfigError("%s must be a list of rows" % what)
-    rows = [[_number(v, what) for v in r] for r in x]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ConfigError("%s has ragged rows" % what)
-    return np.array(rows)
+def _array(x, what, ndim):
+    """Nested lists of depth `ndim` as an array: float, or complex when an
+    entry has a non-zero imaginary part.  Entries are numbers or [re, im]
+    pairs; the lists are checked level by level, then the leaves converted."""
+    level, shape = [x], []
+    for depth in range(ndim):
+        if not all(isinstance(r, list) and (r or depth == ndim - 1) for r in level):
+            raise ConfigError(("%s must be a list" if ndim == 1 else "%s must be a list of rows") % what)
+        lengths = set(map(len, level))
+        if len(lengths) > 1:
+            raise ConfigError("%s has ragged rows" % what)
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    imag = {}
+    for i in [i for i, v in enumerate(level) if type(v) is not float]:
+        v = level[i]
+        if isinstance(v, bool):
+            raise ConfigError("%s must be a number, got a boolean" % what)
+        if isinstance(v, (int, float)):
+            level[i] = float(v)
+        elif isinstance(v, list) and len(v) == 2 and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in v):
+            level[i] = float(v[0])
+            if v[1] != 0:
+                imag[i] = v[1]
+        else:
+            raise ConfigError("%s must be a number or [re, im] pair, got %r" % (what, v))
+    out = np.array(level, dtype=float)
+    if imag:
+        out = out.astype(complex)
+        out.imag[list(imag)] = list(imag.values())
+    return out.reshape(shape)
 
 
 def _constants(cfg):
@@ -69,11 +77,10 @@ def _constants(cfg):
         return model.pauli_constants(), True
     if not isinstance(cfg, dict) or "alpha" not in cfg or "beta" not in cfg:
         raise ConfigError('constants must be "pauli" or {"alpha": ..., "beta": [...]}')
-    alpha = _matrix(cfg["alpha"], "alpha")
-    sections = cfg["beta"]
-    if not isinstance(sections, list):
-        raise ConfigError("beta must be a list of sections")
-    beta = np.stack([_matrix(s, "beta section") for s in sections])
+    alpha = _array(cfg["alpha"], "alpha", 2)
+    if not isinstance(cfg["beta"], list) or not cfg["beta"]:
+        raise ConfigError("beta must be a non-empty list of sections")
+    beta = _array(cfg["beta"], "beta section", 3)
     try:
         return model.structure_constants(alpha, beta), False
     except ValueError as e:
@@ -87,9 +94,9 @@ def _system(cfg, name):
         if key not in cfg:
             raise ConfigError("system %r is missing %r" % (name, key))
     constants, is_pauli = _constants(cfg["constants"])
-    energy = _vector(cfg["E"], "E")
-    coupling = _matrix(cfg["M"], "M")
-    offset = _vector(cfg["N"], "N") if "N" in cfg else None
+    energy = _array(cfg["E"], "E", 1)
+    coupling = _array(cfg["M"], "M", 2)
+    offset = _array(cfg["N"], "N", 1) if "N" in cfg else None
     try:
         spec = qsde.system_spec(constants, energy, coupling, offset)
     except ValueError as e:
@@ -115,7 +122,7 @@ class Config:
             for s in pair:
                 if s not in self.systems:
                     raise ConfigError("composite %r references unknown system %r" % (name, s))
-            e12 = _matrix(cfg["E12"], "E12")
+            e12 = _array(cfg["E12"], "E12", 2)
             try:
                 cspec = composite_mod.composite_spec(
                     self.systems[pair[0]]["spec"], self.systems[pair[1]]["spec"], e12
@@ -164,21 +171,22 @@ def _load_config(path):
     return Config(raw, path)
 
 
-def _fmt(v):
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
+def _cells(column):
+    if not isinstance(column, np.ndarray):
+        return column
+    if column.dtype.kind == "f":
+        return map("%.17g".__mod__, column.tolist())
+    return map(str, column.tolist())
 
 
-def _write_csv(out_dir, name, header, rows):
+def _write_csv(out_dir, name, header, columns):
+    """Write a table given column by column: a list of strings as it is, a
+    float array as %.17g and an integer array through str."""
     path = os.path.join(out_dir, name)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        w.writerows(zip(*map(_cells, columns)))
     return path
 
 
@@ -235,41 +243,39 @@ def _real_mu(cfg, n):
     mu0 = cfg.analysis.get("mu0")
     if mu0 is None:
         return np.zeros(n)
-    vec = _vector(mu0, "mu0")
-    if vec.shape != (n,) or np.iscomplexobj(vec):
-        raise ConfigError("mu0 must be a real vector of length %d" % n)
-    return vec.astype(float)
+    vec = _array(mu0, "mu0", 1)
+    if vec.shape != (n,) or np.iscomplexobj(vec) or not np.all(np.isfinite(vec)):
+        raise ConfigError("mu0 must be a finite real vector of length %d" % n)
+    return vec
 
 
 def cmd_validate(cfg, args, out_dir):
     tol = args.tol if args.tol is not None else 1e-10
-    rows = []
-    ok = True
+    reports = []
     for name, entry in cfg.systems.items():
         rep = model.validate(entry["spec"].constants, tol=tol)
-        rows.append(
-            (name, int(rep.passed), len(rep.violations), int(rep.alpha_psd), int(rep.independence_assumed))
-        )
-        ok = ok and rep.passed
+        reports.append(rep)
         print(
             "system %s: %s (%d violations, alpha PSD: %s)"
             % (name, "PASS" if rep.passed else "FAIL", len(rep.violations), "yes" if rep.alpha_psd else "no")
         )
-    _write_csv(out_dir, "validate.csv", ["system", "passed", "violations", "alpha_psd", "independence_assumed"], rows)
-    return 0 if ok else 4
+    flags = np.array([(r.passed, len(r.violations), r.alpha_psd, r.independence_assumed) for r in reports], dtype=int)
+    header = ["system", "passed", "violations", "alpha_psd", "independence_assumed"]
+    _write_csv(out_dir, "validate.csv", header, [list(cfg.systems), *flags.T])
+    return 0 if all(r.passed for r in reports) else 4
 
 
 def cmd_coeffs(cfg, args, out_dir):
     name, entry = cfg.system()
     coeffs = qsde.build_coefficients(entry["spec"])
-    rows = []
-    for label, mat in (("a", coeffs.a), ("a0", coeffs.a0), ("atilde", coeffs.atilde)):
-        for i in range(coeffs.n):
-            for j in range(coeffs.n):
-                rows.append((label, i, j, float(np.real(mat[i, j])), float(np.imag(mat[i, j]))))
-    for i in range(coeffs.n):
-        rows.append(("b", i, 0, float(np.real(coeffs.b[i])), float(np.imag(coeffs.b[i]))))
-    path = _write_csv(out_dir, "coeffs.csv", ["block", "row", "col", "re", "im"], rows)
+    n = coeffs.n
+    values = np.concatenate([coeffs.a.ravel(), coeffs.a0.ravel(), coeffs.atilde.ravel(), coeffs.b])
+    blocks = ["a"] * n * n + ["a0"] * n * n + ["atilde"] * n * n + ["b"] * n
+    flat = np.arange(3 * n * n)
+    rows = np.concatenate([flat // n % n, np.arange(n)])
+    cols = np.concatenate([flat % n, np.zeros(n, dtype=int)])
+    columns = [blocks, rows, cols, values.real, values.imag]
+    path = _write_csv(out_dir, "coeffs.csv", ["block", "row", "col", "re", "im"], columns)
     print("system %s: drift abscissa %.6g, wrote %s" % (name, qsde.spectral_abscissa(coeffs.a), path))
     return 0
 
@@ -279,10 +285,9 @@ def cmd_mean_flow(cfg, args, out_dir):
     coeffs = qsde.build_coefficients(entry["spec"])
     times = _grid(args, cfg)
     mu0 = _real_mu(cfg, coeffs.n)
-    flow = qsde.mean_flow(coeffs, mu0, times)
+    flow = np.real(qsde.mean_flow(coeffs, mu0, times))
     header = ["t"] + ["mu_%d" % (j + 1) for j in range(coeffs.n)]
-    rows = [(float(t),) + tuple(float(np.real(v)) for v in flow[i]) for i, t in enumerate(times)]
-    path = _write_csv(out_dir, "mean_flow.csv", header, rows)
+    path = _write_csv(out_dir, "mean_flow.csv", header, [times, *flow.T])
     print("system %s: %d grid points, wrote %s" % (name, len(times), path))
     return 0
 
@@ -293,8 +298,7 @@ def cmd_steady(cfg, args, out_dir):
     coeffs = qsde.build_coefficients(entry["spec"])
     mu = qsde.steady_mean(coeffs)
     resid = float(np.linalg.norm(coeffs.a @ mu + coeffs.b))
-    rows = [(j + 1, float(mu[j])) for j in range(coeffs.n)]
-    _write_csv(out_dir, "steady.csv", ["component", "value"], rows)
+    _write_csv(out_dir, "steady.csv", ["component", "value"], [np.arange(1, coeffs.n + 1), mu])
     print("system %s: steady mean %s, residual %.3g" % (name, np.array2string(mu, precision=8), resid))
     return 0 if resid <= tol else 4
 
@@ -305,17 +309,13 @@ def cmd_qcf(cfg, args, out_dir):
     constants = entry["spec"].constants
     mu = qsde.steady_mean(coeffs)
     us = cfg.analysis.get("qcf_u")
-    if us is None:
-        vectors = [np.eye(coeffs.n)[j] for j in range(coeffs.n)]
-    else:
-        vectors = [_vector(u, "qcf_u entry").astype(float) for u in us]
-    rows = []
-    for u in vectors:
-        val = qsde.qcf(constants, mu, u)
-        rows.append(tuple(float(x) for x in u) + (val.real, val.imag))
+    vectors = np.eye(coeffs.n) if us is None else _array(us, "qcf_u", 2)
+    if np.iscomplexobj(vectors):
+        raise ConfigError("qcf_u entries must be real")
+    vals = np.array([qsde.qcf(constants, mu, u) for u in vectors])
     header = ["u_%d" % (j + 1) for j in range(coeffs.n)] + ["re", "im"]
-    path = _write_csv(out_dir, "qcf.csv", header, rows)
-    print("system %s: %d characteristic values, wrote %s" % (name, len(rows), path))
+    path = _write_csv(out_dir, "qcf.csv", header, [*vectors.T, vals.real, vals.imag])
+    print("system %s: %d characteristic values, wrote %s" % (name, len(vals), path))
     return 0
 
 
@@ -327,22 +327,19 @@ def cmd_spectrum(cfg, args, out_dir):
     op = second_moment.lambda_operator(coeffs)
     sa = qsde.spectral_abscissa(coeffs.a)
     herm = second_moment.lambda_hermitian_abscissa(op)
-    rows = []
-    for i, ev in enumerate(np.linalg.eigvals(coeffs.a)):
-        rows.append(("drift", i, float(ev.real), float(ev.imag)))
-    for i, ev in enumerate(np.linalg.eigvals(second_moment.lambda_matrix(op))):
-        rows.append(("second-moment", i, float(ev.real), float(ev.imag)))
-    _write_csv(out_dir, "spectrum.csv", ["kind", "index", "re", "im"], rows)
+    drift = np.linalg.eigvals(coeffs.a)
+    moment = np.linalg.eigvals(second_moment.lambda_matrix(op))
+    ev = np.concatenate([drift, moment])
+    kinds = ["drift"] * len(drift) + ["second-moment"] * len(moment)
+    index = np.concatenate([np.arange(len(drift)), np.arange(len(moment))])
+    _write_csv(out_dir, "spectrum.csv", ["kind", "index", "re", "im"], [kinds, index, ev.real, ev.imag])
 
     flow = second_moment.pi_trace_flow(op, times)
-    frows = []
-    worst = 0.0
     props = qsde.propagate(coeffs.a, np.eye(coeffs.n), times)
-    for t, tr, prop in zip(times, flow, props):
-        lower = float(np.linalg.norm(prop) ** 2)
-        worst = max(worst, lower - tr)
-        frows.append((float(t), float(tr), lower))
-    _write_csv(out_dir, "spectrum_flow.csv", ["t", "trace", "squared_norm_lower"], frows)
+    # squared per matrix: squaring the array of norms differs in the last bit
+    lower = np.array([np.linalg.norm(prop) ** 2 for prop in props])
+    worst = np.max(lower - flow, initial=0.0)
+    _write_csv(out_dir, "spectrum_flow.csv", ["t", "trace", "squared_norm_lower"], [times, flow, lower])
     print(
         "system %s: abscissa %.6g, restricted abscissa %.6g, sandwich slack %.3g"
         % (name, sa, herm, worst)
@@ -356,13 +353,10 @@ def cmd_modes(cfg, args, out_dir):
     coeffs = qsde.build_coefficients(entry["spec"])
     md = modes_mod.eigenmodes(coeffs.a0, entry["spec"].constants.alpha)
     period = modes_mod.oscillation_period(md)
-    rows = []
-    for k in range(len(md.omegas)):
-        for c in range(len(md.omegas)):
-            rows.append(
-                (k, c, float(md.omegas[k]), float(md.vectors[c, k].real), float(md.vectors[c, k].imag))
-            )
-    path = _write_csv(out_dir, "modes.csv", ["mode", "component", "omega", "vec_re", "vec_im"], rows)
+    k = len(md.omegas)
+    vec = md.vectors.T.ravel()
+    columns = [np.repeat(np.arange(k), k), np.tile(np.arange(k), k), np.repeat(md.omegas, k), vec.real, vec.imag]
+    path = _write_csv(out_dir, "modes.csv", ["mode", "component", "omega", "vec_re", "vec_im"], columns)
     print(
         "system %s: frequencies %s, period %s, wrote %s"
         % (name, np.array2string(md.omegas, precision=8), "none" if period is None else "%.8g" % period, path)
@@ -378,13 +372,10 @@ def cmd_decoherence(cfg, args, out_dir):
     tau = deco_mod.tau_star(coeffs.a, ccr)
     budget = int(cfg.analysis.get("budget", 64))
     search = deco_mod.optimize_tau_bound(coeffs.a, ccr, budget=budget, seed=_seed(args, cfg))
-    rows = [(tau, search.bound, search.lam, search.k_label, search.seed, search.evaluations)]
-    _write_csv(
-        out_dir,
-        "decoherence.csv",
-        ["tau_star", "best_bound", "lam", "k_label", "seed", "evaluations"],
-        rows,
-    )
+    floats = np.array([[tau], [search.bound], [search.lam]])
+    ints = np.array([[search.seed], [search.evaluations]])
+    header = ["tau_star", "best_bound", "lam", "k_label", "seed", "evaluations"]
+    _write_csv(out_dir, "decoherence.csv", header, [*floats, [search.k_label], *ints])
     print(
         "system %s: tau* = %.8g, certified bound %.8g (lam %.6g, %s, seed %d)"
         % (name, tau, search.bound, search.lam, search.k_label, search.seed)
@@ -402,50 +393,45 @@ def cmd_weak(cfg, args, out_dir):
     eps_list = _eps_list(args, cfg)
     table = weak_mod.eigenvalue_asymptotics_check(shape, md, eps_list)
 
-    rows = [
-        ("nu_%d" % (k + 1), float(result.nu[k].real), float(result.nu[k].imag))
-        for k in range(len(result.nu))
-    ]
-    rows.append(("stable_for_small_eps", float(result.stable_for_small_eps), 0.0))
-    rows.append(("abscissa_coefficient", result.abscissa_coefficient, 0.0))
-    if result.tau_hat_coefficient is not None:
-        rows.append(("tau_hat_coefficient", result.tau_hat_coefficient, 0.0))
-    if result.eps_hat is not None:
-        rows.append(("eps_hat", result.eps_hat, 0.0))
-    if result.eps_tilde is not None:
-        rows.append(("eps_tilde", result.eps_tilde, 0.0))
+    scalars = {
+        "stable_for_small_eps": float(result.stable_for_small_eps),
+        "abscissa_coefficient": result.abscissa_coefficient,
+        "tau_hat_coefficient": result.tau_hat_coefficient,
+        "eps_hat": result.eps_hat,
+        "eps_tilde": result.eps_tilde,
+    }
+    scalars = {label: v for label, v in scalars.items() if v is not None}
     try:
         limit = weak_mod.invariant_mean_limit(shape, md)
-        for j in range(len(limit)):
-            rows.append(("invariant_limit_%d" % (j + 1), float(limit[j]), 0.0))
     except ValueError as e:
         print("invariant-mean limit not applicable: %s" % e)
-    _write_csv(out_dir, "weak.csv", ["quantity", "value", "imag"], rows)
+        limit = np.zeros(0)
+    labels = ["nu_%d" % (k + 1) for k in range(len(result.nu))] + list(scalars)
+    labels += ["invariant_limit_%d" % (j + 1) for j in range(len(limit))]
+    values = np.concatenate([result.nu, list(scalars.values()), limit])
+    _write_csv(out_dir, "weak.csv", ["quantity", "value", "imag"], [labels, values.real, values.imag])
 
-    arows = []
-    for row in table:
-        for k in range(len(row.residuals)):
-            arows.append(
-                (
-                    row.eps,
-                    k,
-                    float(row.matched[k].real),
-                    float(row.matched[k].imag),
-                    float(row.residuals[k]),
-                    int(row.ambiguous),
-                )
-            )
-    path = _write_csv(
-        out_dir,
-        "weak_asymptotics.csv",
-        ["eps", "mode", "eig_re", "eig_im", "scaled_residual", "ambiguous"],
-        arows,
-    )
+    counts = [len(row.residuals) for row in table]
+    matched = np.concatenate([row.matched for row in table])
+    eps = np.repeat([row.eps for row in table], counts)
+    mode = np.concatenate([np.arange(c) for c in counts])
+    residuals = np.concatenate([row.residuals for row in table])
+    ambiguous = np.repeat([int(row.ambiguous) for row in table], counts)
+    header = ["eps", "mode", "eig_re", "eig_im", "scaled_residual", "ambiguous"]
+    columns = [eps, mode, matched.real, matched.imag, residuals, ambiguous]
+    path = _write_csv(out_dir, "weak_asymptotics.csv", header, columns)
     print(
         "system %s: max Re nu = %.8g, stable for small eps: %s, wrote %s"
         % (name, result.abscissa_coefficient, result.stable_for_small_eps, path)
     )
     return 0
+
+
+def _check_table(out_dir, name, checks):
+    """CSV of (label, residual, bar, pass) rows; returns its path."""
+    labels, resid, bars = zip(*checks)
+    resid, bars = np.array(resid), np.array(bars)
+    return _write_csv(out_dir, name, ["check", "residual", "tol", "pass"], [labels, resid, bars, (resid <= bars) * 1])
 
 
 def cmd_composite(cfg, args, out_dir):
@@ -462,14 +448,13 @@ def cmd_composite(cfg, args, out_dir):
     disp_generic = qsde.dispersion(generic, x)
 
     checks = [
-        ("drift", float(np.max(np.abs(block.a - generic.a)))),
-        ("drift_isolated", float(np.max(np.abs(block.a0 - generic.a0)))),
-        ("affine", float(np.max(np.abs(block.b - generic.b)))),
-        ("dispersion", float(np.max(np.abs(disp_block - disp_generic)))),
+        ("drift", float(np.max(np.abs(block.a - generic.a))), tol),
+        ("drift_isolated", float(np.max(np.abs(block.a0 - generic.a0))), tol),
+        ("affine", float(np.max(np.abs(block.b - generic.b))), tol),
+        ("dispersion", float(np.max(np.abs(disp_block - disp_generic))), tol),
     ]
-    rows = [(label, resid, tol, int(resid <= tol)) for label, resid in checks]
-    path = _write_csv(out_dir, "composite.csv", ["check", "residual", "tol", "pass"], rows)
-    worst = max(r for _, r in checks)
+    path = _check_table(out_dir, "composite.csv", checks)
+    worst = max(r for _, r, _ in checks)
     print("composite %s: worst path residual %.3g, wrote %s" % (name, worst, path))
     return 0 if worst <= tol else 4
 
@@ -512,8 +497,7 @@ def cmd_oracle(cfg, args, out_dir):
             rhs = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, tau)
             checks.append(("two_point_tau_%g" % tau, float(np.max(np.abs(lhs - rhs))), tol))
 
-    rows = [(label, resid, bar, int(resid <= bar)) for label, resid, bar in checks]
-    path = _write_csv(out_dir, "oracle.csv", ["check", "residual", "tol", "pass"], rows)
+    path = _check_table(out_dir, "oracle.csv", checks)
     worst_fail = [label for label, resid, bar in checks if resid > bar]
     print("oracle vs %s: %s, wrote %s" % (name, "all pass" if not worst_fail else "FAIL %s" % worst_fail, path))
     return 0 if not worst_fail else 4
@@ -534,25 +518,23 @@ COMMANDS = {
 }
 
 
-def _parser():
-    p = argparse.ArgumentParser(prog="quasilin", description=__doc__)
-    p.add_argument("command", choices=sorted(COMMANDS))
-    p.add_argument("--config", required=True, help="path to the JSON config")
-    p.add_argument("--out", default=".", help="directory for CSV output")
-    p.add_argument("--seed", type=int, default=None, help="override analysis.seed")
-    p.add_argument("--tol", type=float, default=None, help="override analysis.tol")
-    p.add_argument("--eps", default=None, help="comma separated strengths for weak analysis")
-    p.add_argument("--grid", default=None, help="time grid T0:T1:STEPS")
-    p.add_argument(
-        "--composite",
-        action="store_true",
-        help="run the oracle against the configured composite instead of a single system",
-    )
-    return p
+_PARSER = argparse.ArgumentParser(prog="quasilin", description=__doc__)
+_PARSER.add_argument("command", choices=sorted(COMMANDS))
+_PARSER.add_argument("--config", required=True, help="path to the JSON config")
+_PARSER.add_argument("--out", default=".", help="directory for CSV output")
+_PARSER.add_argument("--seed", type=int, default=None, help="override analysis.seed")
+_PARSER.add_argument("--tol", type=float, default=None, help="override analysis.tol")
+_PARSER.add_argument("--eps", default=None, help="comma separated strengths for weak analysis")
+_PARSER.add_argument("--grid", default=None, help="time grid T0:T1:STEPS")
+_PARSER.add_argument(
+    "--composite",
+    action="store_true",
+    help="run the oracle against the configured composite instead of a single system",
+)
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     cfg = _load_config(args.config)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)

@@ -19,7 +19,7 @@ from .model import (
     structure_constants,
     validate,
 )
-from .qsde import QsdeCoefficients, SystemSpec, build_coefficients, dispersion, system_spec
+from .qsde import QsdeCoefficients, SystemSpec, _finite_array, build_coefficients, dispersion, system_spec
 
 __all__ = [
     "CompositeSpec",
@@ -51,7 +51,7 @@ class CompositeSpec:
 
 
 def composite_spec(sys1: SystemSpec, sys2: SystemSpec, direct_coupling) -> CompositeSpec:
-    e12 = np.array(direct_coupling, dtype=float)
+    e12 = _finite_array(direct_coupling, "direct coupling", real=True)
     if e12.shape != (sys1.constants.n, sys2.constants.n):
         raise ValueError(
             "direct coupling must be %d x %d, got %r"

@@ -85,13 +85,25 @@ class SystemSpec:
         return self.coupling.shape[0]
 
 
+def _finite_array(x, what, real=False) -> np.ndarray:
+    """x as a new array with finite entries; with `real`, a float array, and
+    a non-zero imaginary part is refused."""
+    x = np.array(x)
+    if real and np.any(np.imag(x) != 0):
+        raise ValueError("%s must be real" % what)
+    x = np.array(np.real(x), dtype=float) if real else x
+    if not np.all(np.isfinite(x)):
+        raise ValueError("%s must be finite" % what)
+    return x
+
+
 def system_spec(constants, energy, coupling, offset=None) -> SystemSpec:
-    """Validate shapes and wrap (constants, E, M, N) as a SystemSpec."""
+    """Validate shapes and wrap (constants, E, M, N) as a SystemSpec; E must be real, E, M and N finite."""
     n = constants.n
-    energy = np.asarray(energy, dtype=float)
+    energy = _finite_array(energy, "energy vector", real=True)
     if energy.shape != (n,):
         raise ValueError("energy vector has shape %r, expected (%d,)" % (energy.shape, n))
-    coupling = np.array(coupling)
+    coupling = _finite_array(coupling, "coupling")
     if coupling.ndim != 2 or coupling.shape[1] != n:
         raise ValueError("coupling must be m x %d, got %r" % (n, coupling.shape))
     m = coupling.shape[0]
@@ -99,7 +111,7 @@ def system_spec(constants, energy, coupling, offset=None) -> SystemSpec:
         raise ValueError("coupling needs an even number >= 2 of rows, got %d" % m)
     if offset is None:
         offset = np.zeros(m)
-    offset = np.array(offset)
+    offset = _finite_array(offset, "offset")
     if offset.shape != (m,):
         raise ValueError("offset has shape %r, expected (%d,)" % (offset.shape, m))
     energy.setflags(write=False)
