@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    StructureConstants,
-    middle_index_slices,
-    structure_constants,
-    validate,
-)
+from .model import StructureConstants, structure_constants, validate
 from .qsde import QsdeCoefficients, SystemSpec, _finite_array, build_coefficients, dispersion, system_spec
 
 __all__ = [
@@ -27,7 +22,6 @@ __all__ = [
     "augment_constants",
     "augment_energy",
     "augmented_system",
-    "commutation_permutation",
     "composite_coefficients",
     "composite_dispersion",
     "composite_spec",
@@ -61,84 +55,42 @@ def composite_spec(sys1: SystemSpec, sys2: SystemSpec, direct_coupling) -> Compo
     return CompositeSpec(sys1=sys1, sys2=sys2, direct_coupling=e12)
 
 
-def commutation_permutation(n1: int, n2: int) -> np.ndarray:
-    """Permutation P with P (u (x) v) = v (x) u for u of length n1.
+def _unital(c: StructureConstants) -> np.ndarray:
+    """Structure tensor u[l, j, k] over (I, X_1..X_n): Y_j Y_k = sum_l u[l, j, k] Y_l."""
+    n = c.n
+    u = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
+    u[0, 1:, 1:] = c.alpha
+    u[1:, 1:, 1:] = c.beta
+    u[0, 0, 0] = 1.0
+    i = np.arange(1, n + 1)
+    u[i, 0, i] = u[i, i, 0] = 1.0
+    return u
 
-    Equivalently vec(K) = P vec(K^T) for n1 x n2 matrices K (column-major
-    vec).  P is symmetric and involutive.
+
+def _tensor_constants(c1: StructureConstants, c2: StructureConstants) -> StructureConstants:
+    """Unvalidated constants of (X1, X2, X1 (x) X2), read off u1 (x) u2.
+
+    The product (Y1_j (x) Y2_l)(Y1_k (x) Y2_m) has coefficient
+    u1[a, j, k] u2[b, l, m] on Y1_a (x) Y2_b.  The variables are the pairs
+    (i, 0), (0, i') and (i, i'), j-outer; the (0, 0) section is alpha.
     """
-    p = np.zeros((n1 * n2, n1 * n2))
-    for i in range(n1):
-        for j in range(n2):
-            p[j * n1 + i, i * n2 + j] = 1.0
-    p.setflags(write=False)
-    return p
+    n1, n2 = c1.n, c2.n
+    w = n2 + 1
+    u12 = np.einsum("ajk,blm->abjlkm", _unital(c1), _unital(c2)).reshape((w * (n1 + 1),) * 3)
+    first = w * np.arange(1, n1 + 1)
+    idx = np.concatenate([first, np.arange(1, w), (first[:, None] + np.arange(1, w)).ravel()])
+    sel = u12[:, idx][:, :, idx]
+    return structure_constants(sel[0].real, sel[idx])
 
 
 def augment_constants(c1: StructureConstants, c2: StructureConstants) -> StructureConstants:
     """Structure constants of the stacked set (X1, X2, X1 (x) X2).
 
-    alpha is block diagonal (alpha1, alpha2, alpha1 (x) alpha2); beta is
-    assembled case by case from the factor products.  The result is
-    validated before being returned.
+    alpha is block diagonal (alpha1, alpha2, alpha1 (x) alpha2); beta is the
+    tensor product of the two unital structure tensors restricted to the
+    stacked variables.  The result is validated before being returned.
     """
-    n1, n2 = c1.n, c2.n
-    n = n1 + n2 + n1 * n2
-    a1, a2 = np.real(c1.alpha), np.real(c2.alpha)
-    b1, b2 = c1.beta, c2.beta
-
-    alpha = np.zeros((n, n))
-    alpha[:n1, :n1] = a1
-    alpha[n1 : n1 + n2, n1 : n1 + n2] = a2
-    alpha[n1 + n2 :, n1 + n2 :] = np.kron(a1, a2)
-
-    def t(j, k):
-        return n1 + n2 + j * n2 + k
-
-    beta = np.zeros((n, n, n), dtype=complex)
-    beta[:n1, :n1, :n1] = b1
-    beta[n1 : n1 + n2, n1 : n1 + n2, n1 : n1 + n2] = b2
-
-    for j in range(n1):
-        for k in range(n2):
-            # X1_j X2_k and X2_k X1_j are both the product variable
-            beta[t(j, k), j, n1 + k] = 1.0
-            beta[t(j, k), n1 + k, j] = 1.0
-
-    for j in range(n1):
-        for p in range(n1):
-            for q in range(n2):
-                # X1_j X12_(p,q) = alpha1_jp X2_q + sum_l beta1_jpl X12_(l,q)
-                beta[n1 + q, j, t(p, q)] += a1[j, p]
-                beta[n1 + q, t(p, q), j] += a1[p, j]
-                for l in range(n1):
-                    beta[t(l, q), j, t(p, q)] += b1[l, j, p]
-                    beta[t(l, q), t(p, q), j] += b1[l, p, j]
-
-    for k in range(n2):
-        for p in range(n1):
-            for q in range(n2):
-                # X2_k X12_(p,q) = alpha2_kq X1_p + sum_l beta2_kql X12_(p,l)
-                beta[p, n1 + k, t(p, q)] += a2[k, q]
-                beta[p, t(p, q), n1 + k] += a2[q, k]
-                for l in range(n2):
-                    beta[t(p, l), n1 + k, t(p, q)] += b2[l, k, q]
-                    beta[t(p, l), t(p, q), n1 + k] += b2[l, q, k]
-
-    for p in range(n1):
-        for q in range(n2):
-            for r in range(n1):
-                for s in range(n2):
-                    # X12_(p,q) X12_(r,s): identity part sits in alpha already
-                    for j in range(n1):
-                        beta[j, t(p, q), t(r, s)] += a2[q, s] * b1[j, p, r]
-                    for k in range(n2):
-                        beta[n1 + k, t(p, q), t(r, s)] += a1[p, r] * b2[k, q, s]
-                    for j in range(n1):
-                        for k in range(n2):
-                            beta[t(j, k), t(p, q), t(r, s)] += b1[j, p, r] * b2[k, q, s]
-
-    out = structure_constants(alpha, beta)
+    out = _tensor_constants(c1, c2)
     report = validate(out)
     if not report.passed:
         raise ValueError(
@@ -206,38 +158,35 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
     """Drift of the composite assembled block by block.
 
     Blocks: subsystem drifts on the diagonal; direct-coupling feeds
-    F1 = 2 [theta1_j E12]_j and F2 = 2 [theta2_k E12^T]_k P into the factor
-    rows; the product row carries P (b2 (x) I) + G1 and (b1 (x) I) + G2 and
-    the Kronecker sum A1 (+) A2 + G12, with G blocks linear in vec(E12^T).
+    F1[i, (j, k)] = 2 (theta1_j E12)_ik and F2[i, (j, k)] = 2 (theta2_k E12^T)_ij
+    into the factor rows; the product row carries (I1 (x) b2) + G1,
+    (b1 (x) I2) + G2 and the Kronecker sum A1 (+) A2 + G12, with the G blocks
+    linear in E12.
     """
     co1 = build_coefficients(spec.sys1)
     co2 = build_coefficients(spec.sys2)
     c1, c2 = spec.sys1.constants, spec.sys2.constants
     n1, n2 = c1.n, c2.n
+    n12 = n1 * n2
     th1, th2 = c1.theta, c2.theta
-    rb1, rb2 = c1.beta.real, c2.beta.real
     e12 = np.asarray(spec.direct_coupling, dtype=float)
-    e21 = e12.T
-    vec_e21 = e21.flatten(order="F")
-    p = commutation_permutation(n1, n2)
     i1, i2 = np.eye(n1), np.eye(n2)
 
-    f1 = 2.0 * np.hstack([th1[j] @ e12 for j in range(n1)])
-    f2 = 2.0 * np.hstack([th2[k] @ e21 for k in range(n2)]) @ p
-    g1 = 2.0 * np.column_stack([np.kron(th1[j], np.real(c2.alpha)) @ vec_e21 for j in range(n1)])
-    g2 = 2.0 * np.column_stack([np.kron(np.real(c1.alpha), th2[k]) @ vec_e21 for k in range(n2)])
-    g12 = 2.0 * np.column_stack(
-        [
-            (np.kron(th1[j], rb2[k]) + np.kron(rb1[j], th2[k])) @ vec_e21
-            for j in range(n1)
-            for k in range(n2)
-        ]
-    )
+    f1 = 2.0 * np.einsum("jip,pk->ijk", th1, e12).reshape(n1, n12)
+    f2 = 2.0 * np.einsum("kiq,jq->ijk", th2, e12).reshape(n2, n12)
+    # factor 1's theta and Re(beta) sections with their last index contracted into E12
+    th1e = np.einsum("jip,pq->jiq", th1, e12)
+    rb1e = np.einsum("jip,pq->jiq", c1.beta.real, e12)
+    g1 = 2.0 * np.einsum("jiq,kq->ikj", th1e, np.real(c2.alpha)).reshape(n12, n1)
+    g2 = 2.0 * np.einsum("ip,pq,lkq->ikl", np.real(c1.alpha), e12, th2).reshape(n12, n2)
+    g12 = 2.0 * (
+        np.einsum("jiq,lkq->ikjl", th1e, c2.beta.real) + np.einsum("jiq,lkq->ikjl", rb1e, th2)
+    ).reshape(n12, n12)
 
     ksum = np.kron(co1.a, i2) + np.kron(i1, co2.a)
     ksum0 = np.kron(co1.a0, i2) + np.kron(i1, co2.a0)
-    a31 = p @ np.kron(co2.b.reshape(-1, 1), i1) + g1
-    a32 = np.kron(co1.b.reshape(-1, 1), i2) + g2
+    a31 = np.kron(i1, co2.b[:, None]) + g1
+    a32 = np.kron(co1.b[:, None], i2) + g2
 
     z12 = np.zeros((n1, n2))
     a = np.block(
@@ -254,16 +203,14 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
             [g1, g2, ksum0 + g12],
         ]
     )
-    b = np.concatenate([co1.b, co2.b, np.zeros(n1 * n2)])
+    b = np.concatenate([co1.b, co2.b, np.zeros(n12)])
 
-    c_aug = augment_constants(c1, c2)
     m_stack, _ = stacked_coupling(spec)
     order = paired_channel_order(spec.sys1.m, spec.sys2.m)
-    m_perm = m_stack[order]
     for arr in (a, a0, b):
         arr.setflags(write=False)
     return QsdeCoefficients(
-        a=a, a0=a0, atilde=a - a0, b=b, theta=c_aug.theta, coupling=m_perm
+        a=a, a0=a0, atilde=a - a0, b=b, theta=_tensor_constants(c1, c2).theta, coupling=m_stack[order]
     )
 
 
@@ -271,9 +218,9 @@ def composite_dispersion(spec: CompositeSpec, x_full) -> np.ndarray:
     """Dispersion matrix from subsystem blocks, stacked channel order.
 
     Rows: [B1(x1), 0], [0, B2(x2)], [frak1(xi), frak2(xi)] where xi is the
-    product block of the coefficient vector and
-    frak1(xi) = 2 [ (theta1 middle-slice k (x) I) xi ]_k M1^T, and
-    symmetrically for frak2.
+    product block of the coefficient vector, read as the n1 x n2 matrix
+    Xi[l, a], and frak1(xi)[(j, a), k] = 2 sum_l theta1[l, j, k] Xi[l, a],
+    times M1^T; symmetrically for frak2.
     """
     c1, c2 = spec.sys1.constants, spec.sys2.constants
     n1, n2 = c1.n, c2.n
@@ -282,23 +229,12 @@ def composite_dispersion(spec: CompositeSpec, x_full) -> np.ndarray:
         raise ValueError("coefficient vector has wrong length")
     x1 = x_full[:n1]
     x2 = x_full[n1 : n1 + n2]
-    xi = x_full[n1 + n2 :]
+    xi = x_full[n1 + n2 :].reshape(n1, n2)
 
-    co1 = build_coefficients(spec.sys1)
-    co2 = build_coefficients(spec.sys2)
-    top = dispersion(co1, x1)
-    mid = dispersion(co2, x2)
-
-    m1t = spec.sys1.coupling.T
-    m2t = spec.sys2.coupling.T
-    mid1 = middle_index_slices(c1.theta)
-    mid2 = middle_index_slices(c2.theta)
-    frak1 = 2.0 * np.column_stack(
-        [np.kron(mid1[k], np.eye(n2)) @ xi for k in range(n1)]
-    ) @ m1t
-    frak2 = 2.0 * np.column_stack(
-        [np.kron(np.eye(n1), mid2[k]) @ xi for k in range(n2)]
-    ) @ m2t
+    top = dispersion(build_coefficients(spec.sys1), x1)
+    mid = dispersion(build_coefficients(spec.sys2), x2)
+    frak1 = 2.0 * np.einsum("ljk,la->jak", c1.theta, xi).reshape(n1 * n2, n1) @ spec.sys1.coupling.T
+    frak2 = 2.0 * np.einsum("bak,jb->jak", c2.theta, xi).reshape(n1 * n2, n2) @ spec.sys2.coupling.T
 
     m1, m2 = spec.sys1.m, spec.sys2.m
     out = np.zeros((n1 + n2 + n1 * n2, m1 + m2), dtype=np.result_type(top, mid, frak1, frak2))
@@ -344,7 +280,7 @@ def composite_weak(spec: CompositeSpec, eps: float) -> CompositeWeakData:
     The subsystem couplings in spec are the unit-strength shapes.  a0 keeps
     every direct-coupling block (F and G enter at order one); only the
     field-induced parts scale, quadratically.  sa has the block form with
-    P (sb2 (x) I) and (sb1 (x) I) in the product row and the Kronecker sum
+    (I (x) sb2) and (sb1 (x) I) in the product row and the Kronecker sum
     of the subsystem quadratic parts on its diagonal.
     """
     unit = composite_coefficients(spec)

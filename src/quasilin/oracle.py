@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .composite import augment_constants
+from .composite import _tensor_constants
 from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, pauli_constants
 from .qsde import ito_structure
 
@@ -70,7 +70,9 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
 
     Variable order: the first factor's variables (tensored with identity),
     the second factor's, then all cross products kron(X1_j, X2_k) with j
-    outermost.  Matches the index convention of composite.augment_constants.
+    outermost.  Matches the index convention of composite.augment_constants;
+    the constants are not validated here, since representation_check tests
+    them against these explicit matrices.
     """
     d = rep1.dim * rep2.dim
     if d > MAX_DIM:
@@ -83,38 +85,61 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
     return HilbertRep(
         dim=d,
         variables=_freeze_mats(mats),
-        constants=augment_constants(rep1.constants, rep2.constants),
+        constants=_tensor_constants(rep1.constants, rep2.constants),
     )
 
 
 def representation_check(rep: HilbertRep) -> float:
     """Largest Frobenius residual of the multiplication table in this rep."""
-    alpha, beta = rep.constants.alpha, rep.constants.beta
-    n, d = rep.constants.n, rep.dim
-    eye = np.eye(d)
-    worst = 0.0
-    for j in range(n):
-        for k in range(n):
-            lin = np.tensordot(beta[:, j, k], np.stack(rep.variables), axes=1)
-            resid = rep.variables[j] @ rep.variables[k] - alpha[j, k] * eye - lin
-            worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
-
-
-def _gksl_terms(rep: HilbertRep, spec):
-    """Hamiltonian, coupling operators and Ito matrix for a system spec."""
     mats = np.stack(rep.variables)
-    h = np.tensordot(spec.energy, mats, axes=1)
+    resid = np.einsum("jab,kbc->jkac", mats, mats)
+    resid -= np.einsum("jk,ac->jkac", rep.constants.alpha, np.eye(rep.dim))
+    resid -= np.einsum("ljk,lac->jkac", rep.constants.beta, mats)
+    return float(np.max(np.linalg.norm(resid, axis=(2, 3))))
+
+
+def heisenberg_superoperator(rep: HilbertRep, spec) -> np.ndarray:
+    """Matrix of the Heisenberg generator on column-major vectorized matrices.
+
+    G(xi) = i[H, xi] + sum_jk Omega_jk L_j xi L_k - (1/2){K, xi} with
+    K = sum_jk Omega_jk L_j L_k, that is sum_t P_t xi Q_t over the pairs
+    (iH - K/2, I), (I, -iH - K/2) and (W_k, L_k) with W_k = sum_j Omega_jk L_j.
+    By vec(P xi Q) = (Q^T (x) P) vec(xi) the matrix is sum_t Q_t^T (x) P_t.
+    """
     m, n = spec.coupling.shape
     if n != rep.constants.n:
         raise ValueError("coupling width %d does not match representation" % n)
-    eye = np.eye(rep.dim)
-    ls = [
-        np.tensordot(spec.coupling[r], mats, axes=1) + spec.offset[r] * eye
-        for r in range(m)
-    ]
-    omega = ito_structure(m).omega
-    return h, ls, omega
+    d = rep.dim
+    eye = np.eye(d)
+    flat = np.reshape(rep.variables, (n, d * d))
+    h = (spec.energy @ flat).reshape(d, d)
+    ls = (spec.coupling @ flat).reshape(m, d, d) + spec.offset[:, None, None] * eye
+    wls = (ito_structure(m).omega.T @ ls.reshape(m, d * d)).reshape(m, d, d)
+    half_k = 0.5 * np.einsum("kab,kbc->ac", wls, ls)
+    left = np.concatenate([[1j * h - half_k, eye], wls])
+    right = np.concatenate([[eye, -1j * h - half_k], ls])
+    return np.einsum("tqp,trs->prqs", right, left).reshape(d * d, d * d)
+
+
+def _vec(mats) -> np.ndarray:
+    """Column-major vec of each matrix in a (count, d, d) stack, one per row."""
+    mats = np.asarray(mats)
+    return mats.transpose(0, 2, 1).reshape(len(mats), -1)
+
+
+def _apply(sup, xis) -> np.ndarray:
+    """Heisenberg generator with matrix sup applied to a (count, d, d) stack.
+
+    Each output of a Hermitian input is checked Hermitian (ConsistencyError).
+    """
+    xis = np.asarray(xis, dtype=complex)
+    out = (_vec(xis) @ sup.T).reshape(xis.shape).transpose(0, 2, 1)
+    hermitian = np.max(np.abs(xis - xis.conj().transpose(0, 2, 1)), axis=(1, 2)) <= 1e-12
+    scale = np.maximum(1.0, np.max(np.abs(out), axis=(1, 2)))
+    skew = np.max(np.abs(out - out.conj().transpose(0, 2, 1)), axis=(1, 2))
+    if np.any(hermitian & ~(skew <= 1e-12 * scale)):
+        raise ConsistencyError("GKSL output of a Hermitian input is not Hermitian")
+    return out
 
 
 def gksl_apply(rep: HilbertRep, spec, xi) -> np.ndarray:
@@ -123,70 +148,7 @@ def gksl_apply(rep: HilbertRep, spec, xi) -> np.ndarray:
     i[H, xi] + (1/2) sum_jk Omega_jk ([L_j, xi] L_k + L_j [xi, L_k]).
     When xi is Hermitian the output is checked Hermitian (ConsistencyError).
     """
-    xi = np.asarray(xi, dtype=complex)
-    h, ls, omega = _gksl_terms(rep, spec)
-    out = 1j * (h @ xi - xi @ h)
-    m = len(ls)
-    for j in range(m):
-        for k in range(m):
-            w = omega[j, k]
-            if w == 0:
-                continue
-            out += 0.5 * w * ((ls[j] @ xi - xi @ ls[j]) @ ls[k] + ls[j] @ (xi @ ls[k] - ls[k] @ xi))
-    if np.max(np.abs(xi - xi.conj().T)) <= 1e-12:
-        scale = max(1.0, float(np.max(np.abs(out))))
-        if not np.max(np.abs(out - out.conj().T)) <= 1e-12 * scale:
-            raise ConsistencyError("GKSL output of a Hermitian input is not Hermitian")
-    return out
-
-
-_SUPEROP_CACHE: dict = {}
-
-
-def _cache_key(rep: HilbertRep, spec):
-    parts = [np.asarray(x).tobytes() for x in rep.variables]
-    parts += [
-        np.asarray(spec.energy).tobytes(),
-        np.asarray(spec.coupling).tobytes(),
-        np.asarray(spec.offset).tobytes(),
-    ]
-    return (rep.dim,) + tuple(parts)
-
-
-def heisenberg_superoperator(rep: HilbertRep, spec) -> np.ndarray:
-    """Matrix of the Heisenberg generator on column-major vectorized matrices.
-
-    Column c is vec(G(E_rc)) for the matrix unit with 1 in row c % d,
-    column c // d.  Cached on the numerical content of (rep, spec).
-    """
-    key = _cache_key(rep, spec)
-    hit = _SUPEROP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    d = rep.dim
-    h, ls, omega = _gksl_terms(rep, spec)
-
-    def apply(xi):
-        out = 1j * (h @ xi - xi @ h)
-        for j in range(len(ls)):
-            for k in range(len(ls)):
-                w = omega[j, k]
-                if w == 0:
-                    continue
-                out += 0.5 * w * (
-                    (ls[j] @ xi - xi @ ls[j]) @ ls[k]
-                    + ls[j] @ (xi @ ls[k] - ls[k] @ xi)
-                )
-        return out
-
-    sup = np.zeros((d * d, d * d), dtype=complex)
-    for col in range(d * d):
-        unit = np.zeros((d, d), dtype=complex)
-        unit[col % d, col // d] = 1.0
-        sup[:, col] = apply(unit).flatten(order="F")
-    sup.setflags(write=False)
-    _SUPEROP_CACHE[key] = sup
-    return sup
+    return _apply(heisenberg_superoperator(rep, spec), [xi])[0]
 
 
 def state_superoperator(rep: HilbertRep, spec) -> np.ndarray:
@@ -207,17 +169,12 @@ def _check_state(rho, d):
     return rho
 
 
-def lindblad_propagate(rep: HilbertRep, spec, rho0, t: float):
-    """Propagate a density matrix for time t >= 0.
-
-    Returns (rho_t, trace_residual) where the residual is |Tr rho_t - 1|
-    before renormalization; the returned state is renormalized.
-    """
-    d = rep.dim
+def _propagate(state_sup, d: int, rho0, t: float):
+    """lindblad_propagate on a state-picture generator that is already built."""
     rho0 = _check_state(rho0, d)
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
-    flow = expm(float(t) * state_superoperator(rep, spec))
+    flow = expm(float(t) * state_sup)
     rho_t = (flow @ rho0.flatten(order="F")).reshape((d, d), order="F")
     tr = complex(np.trace(rho_t))
     residual = abs(tr - 1.0)
@@ -226,19 +183,39 @@ def lindblad_propagate(rep: HilbertRep, spec, rho0, t: float):
     return rho_t / tr, residual
 
 
+def lindblad_propagate(rep: HilbertRep, spec, rho0, t: float):
+    """Propagate a density matrix for time t >= 0.
+
+    Returns (rho_t, trace_residual) where the residual is |Tr rho_t - 1|
+    before renormalization; the returned state is renormalized.
+    """
+    return _propagate(state_superoperator(rep, spec), rep.dim, rho0, t)
+
+
 def moments(rep: HilbertRep, rho) -> np.ndarray:
     """First moments Tr(rho X_j) of a state in this representation."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.array([np.trace(rho @ x) for x in rep.variables])
+    return np.einsum("ab,jba->j", np.asarray(rho, dtype=complex), np.stack(rep.variables))
 
 
 def stationary_state(rep: HilbertRep, spec) -> np.ndarray:
-    """Invariant density matrix, from the kernel of the state-picture generator."""
+    """Invariant density matrix, from the kernel of the state-picture generator.
+
+    The kernel is read off an SVD.  More than one singular value at or below
+    1e-10 sigma_max means the stationary state is not unique, and that is
+    refused (ValueError) rather than answered with an arbitrary element.
+    """
     d = rep.dim
     sup = state_superoperator(rep, spec)
-    w, v = np.linalg.eig(sup)
-    vec = v[:, int(np.argmin(np.abs(w)))]
-    rho = vec.reshape((d, d), order="F")
+    _, sv, vh = np.linalg.svd(sup)
+    tol = 1e-10 * sv[0]
+    kernel = int(np.sum(sv <= tol))
+    if kernel > 1:
+        gap = sv[-kernel - 1] if kernel < len(sv) else 0.0
+        raise ValueError(
+            "stationary state is not unique: generator kernel dimension %d "
+            "(singular value gap %.3g at tolerance %.3g)" % (kernel, gap, tol)
+        )
+    rho = vh[-1].conj().reshape((d, d), order="F")
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho)
     resid = np.linalg.norm((sup @ rho.flatten(order="F")))
@@ -256,26 +233,18 @@ def two_point_commutator(rep: HilbertRep, spec, rho0, s: float, t: float) -> np.
     """
     if t < s:
         raise ValueError("need t >= s")
-    d = rep.dim
-    rho_s, _ = lindblad_propagate(rep, spec, rho0, s)
-    flow = expm((float(t) - float(s)) * state_superoperator(rep, spec))
-    n = rep.constants.n
-    out = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        comm = rep.variables[k] @ rho_s - rho_s @ rep.variables[k]
-        prop = (flow @ comm.flatten(order="F")).reshape((d, d), order="F")
-        for j in range(n):
-            out[j, k] = np.trace(rep.variables[j] @ prop)
-    return out
+    sup = state_superoperator(rep, spec)
+    rho_s, _ = _propagate(sup, rep.dim, rho0, s)
+    flow = expm((float(t) - float(s)) * sup)
+    mats = np.stack(rep.variables)
+    comms = mats @ rho_s - rho_s @ mats
+    # Tr(X P) is the row-major flattening of X dotted with vec(P)
+    return mats.reshape(len(mats), -1) @ (flow @ _vec(comms).T)
 
 
 def generator_identity_check(rep: HilbertRep, spec, coeffs) -> float:
     """Largest residual of G(X_j) = sum_k A_jk X_k + b_j I over j."""
     mats = np.stack(rep.variables)
-    eye = np.eye(rep.dim)
-    worst = 0.0
-    for j in range(rep.constants.n):
-        lhs = gksl_apply(rep, spec, rep.variables[j])
-        rhs = np.tensordot(coeffs.a[j], mats, axes=1) + coeffs.b[j] * eye
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+    lhs = _apply(heisenberg_superoperator(rep, spec), mats)
+    rhs = np.tensordot(coeffs.a, mats, axes=1) + np.multiply.outer(coeffs.b, np.eye(rep.dim))
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))))

@@ -1,3 +1,6 @@
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,17 @@ from quasilin import model, qsde
 ACCEPTANCE_LINES = []
 
 
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "quasilin")
+
+
 def pytest_terminal_summary(terminalreporter):
+    # the package size, tracked from run to run alongside the test results
+    modules = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    lines = 0
+    for path in modules:
+        with open(path) as f:
+            lines += sum(1 for _ in f)
+    terminalreporter.write_line("src/quasilin: %d lines in %d modules" % (lines, len(modules)))
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
@@ -51,9 +64,8 @@ def random_stable_pauli_spec(rng, m=2, margin=1e-3, max_tries=200):
     raise RuntimeError("no Hurwitz sample found")
 
 
-def gell_mann_constants(d):
-    # generalized Gell-Mann matrices, Tr(X_j X_k) = 2 delta_jk, and their exact
-    # constants alpha_jk = Tr(X_j X_k) / d, beta_ljk = Tr(X_l X_j X_k) / 2
+def gell_mann_matrices(d):
+    # generalized Gell-Mann matrices, Tr(X_j X_k) = 2 delta_jk
     mats = []
     for j in range(d):
         for k in range(j + 1, d):
@@ -66,7 +78,13 @@ def gell_mann_constants(d):
         diag = np.zeros(d)
         diag[:l], diag[l] = 1.0, -l
         mats.append(np.diag(diag * np.sqrt(2.0 / (l * (l + 1)))).astype(complex))
-    x = np.array(mats)
+    return np.array(mats)
+
+
+def gell_mann_constants(d):
+    # exact constants of the Gell-Mann matrices: alpha_jk = Tr(X_j X_k) / d,
+    # beta_ljk = Tr(X_l X_j X_k) / 2
+    x = gell_mann_matrices(d)
     alpha = np.einsum("jab,kba->jk", x, x).real / d
     beta = np.einsum("lab,jbc,kca->ljk", x, x, x) / 2.0
     return model.structure_constants(alpha, beta)

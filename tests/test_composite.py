@@ -1,8 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
-from quasilin import composite, model, modes, oracle, qsde, weak
-from conftest import random_pauli_spec
+from quasilin import cli, composite, model, modes, oracle, qsde, weak
+from conftest import gell_mann_constants, gell_mann_matrices, random_pauli_spec
+
+REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
+PAULI = model.pauli_constants()
+QUTRIT = gell_mann_constants(3)
+TRIVIAL = model.structure_constants([[1.0]], [[[1.0]]])
 
 
 def random_composite(rng, m1=2, m2=2, e12_scale=1.0):
@@ -29,6 +36,78 @@ def test_augmented_trivial_factor_constants(pauli):
     assert model.validate(aug).passed
 
 
+def loop_augment_constants(c1, c2):
+    """Reference: the stacked (X1, X2, X1 (x) X2) constants product by product."""
+    n1, n2 = c1.n, c2.n
+    n = n1 + n2 + n1 * n2
+    a1, a2 = np.real(c1.alpha), np.real(c2.alpha)
+    b1, b2 = c1.beta, c2.beta
+
+    alpha = np.zeros((n, n))
+    alpha[:n1, :n1] = a1
+    alpha[n1 : n1 + n2, n1 : n1 + n2] = a2
+    alpha[n1 + n2 :, n1 + n2 :] = np.kron(a1, a2)
+
+    def t(j, k):
+        return n1 + n2 + j * n2 + k
+
+    beta = np.zeros((n, n, n), dtype=complex)
+    beta[:n1, :n1, :n1] = b1
+    beta[n1 : n1 + n2, n1 : n1 + n2, n1 : n1 + n2] = b2
+
+    for j in range(n1):
+        for k in range(n2):
+            # X1_j X2_k and X2_k X1_j are both the product variable
+            beta[t(j, k), j, n1 + k] = 1.0
+            beta[t(j, k), n1 + k, j] = 1.0
+
+    for j in range(n1):
+        for p in range(n1):
+            for q in range(n2):
+                # X1_j X12_(p,q) = alpha1_jp X2_q + sum_l beta1_jpl X12_(l,q)
+                beta[n1 + q, j, t(p, q)] += a1[j, p]
+                beta[n1 + q, t(p, q), j] += a1[p, j]
+                for l in range(n1):
+                    beta[t(l, q), j, t(p, q)] += b1[l, j, p]
+                    beta[t(l, q), t(p, q), j] += b1[l, p, j]
+
+    for k in range(n2):
+        for p in range(n1):
+            for q in range(n2):
+                # X2_k X12_(p,q) = alpha2_kq X1_p + sum_l beta2_kql X12_(p,l)
+                beta[p, n1 + k, t(p, q)] += a2[k, q]
+                beta[p, t(p, q), n1 + k] += a2[q, k]
+                for l in range(n2):
+                    beta[t(p, l), n1 + k, t(p, q)] += b2[l, k, q]
+                    beta[t(p, l), t(p, q), n1 + k] += b2[l, q, k]
+
+    for p in range(n1):
+        for q in range(n2):
+            for r in range(n1):
+                for s in range(n2):
+                    # X12_(p,q) X12_(r,s): identity part sits in alpha already
+                    for j in range(n1):
+                        beta[j, t(p, q), t(r, s)] += a2[q, s] * b1[j, p, r]
+                    for k in range(n2):
+                        beta[n1 + k, t(p, q), t(r, s)] += a1[p, r] * b2[k, q, s]
+                    for j in range(n1):
+                        for k in range(n2):
+                            beta[t(j, k), t(p, q), t(r, s)] += b1[j, p, r] * b2[k, q, s]
+    return alpha, beta
+
+
+@pytest.mark.parametrize(
+    "c1, c2",
+    [(PAULI, PAULI), (PAULI, QUTRIT), (QUTRIT, PAULI), (QUTRIT, QUTRIT), (PAULI, TRIVIAL), (TRIVIAL, PAULI)],
+    ids=["PxP", "PxG3", "G3xP", "G3xG3", "Pxtrivial", "trivialxP"],
+)
+def test_augment_constants_matches_product_loop(c1, c2):
+    alpha, beta = loop_augment_constants(c1, c2)
+    aug = composite.augment_constants(c1, c2)
+    assert np.array_equal(aug.alpha, alpha)
+    assert np.array_equal(aug.beta, beta)
+
+
 def test_augment_energy_tail_convention():
     e12 = np.outer(np.eye(3)[0], np.eye(3)[0])
     e = composite.augment_energy(np.zeros(3), np.zeros(3), e12)
@@ -36,16 +115,6 @@ def test_augment_energy_tail_convention():
     assert e[6] == 1.0 and np.count_nonzero(e) == 1
     # round trip
     np.testing.assert_array_equal(e[6:].reshape(3, 3), e12)
-
-
-def test_commutation_permutation_swaps_factors():
-    rng = np.random.default_rng(0)
-    for n1, n2 in ((3, 3), (2, 5), (4, 1)):
-        p = composite.commutation_permutation(n1, n2)
-        u = rng.normal(size=n1)
-        v = rng.normal(size=n2)
-        np.testing.assert_allclose(p @ np.kron(u, v), np.kron(v, u), atol=1e-14)
-        np.testing.assert_allclose(p @ p.T, np.eye(n1 * n2), atol=1e-14)
 
 
 def test_block_assembly_matches_generic_path(pauli):
@@ -66,6 +135,71 @@ def test_block_assembly_matches_generic_path(pauli):
             qsde.dispersion(generic, x),
             atol=1e-10,
         )
+
+
+def random_spec(rng, constants, coupled=True):
+    n = constants.n
+    scale = 1.0 if coupled else 0.0
+    return qsde.system_spec(
+        constants, rng.uniform(-1.0, 1.0, n), scale * rng.uniform(-1.0, 1.0, (2, n)), scale * rng.uniform(-1.0, 1.0, 2)
+    )
+
+
+@pytest.mark.parametrize("c1, c2", [(PAULI, QUTRIT), (QUTRIT, PAULI)], ids=["PxG3", "G3xP"])
+@pytest.mark.parametrize("coupled", [(True, True), (True, False), (False, True)], ids=["both", "first", "second"])
+def test_block_assembly_unequal_factors(c1, c2, coupled):
+    """Factors of different size: block drift, offset and dispersion against
+    the generic path, with both factors coupled and with one at M = N = 0."""
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        s1 = random_spec(rng, c1, coupled[0])
+        s2 = random_spec(rng, c2, coupled[1])
+        spec = composite.composite_spec(s1, s2, rng.uniform(-1.0, 1.0, (c1.n, c2.n)))
+        blocks = composite.composite_coefficients(spec)
+        generic = qsde.build_coefficients(composite.augmented_system(spec))
+        np.testing.assert_allclose(blocks.a, generic.a, atol=1e-12)
+        np.testing.assert_allclose(blocks.a0, generic.a0, atol=1e-12)
+        np.testing.assert_allclose(blocks.b, generic.b, atol=1e-12)
+        x = rng.uniform(-1.0, 1.0, blocks.n)
+        perm = composite.paired_channel_order(2, 2)
+        np.testing.assert_allclose(
+            composite.composite_dispersion(spec, x)[:, perm], qsde.dispersion(generic, x), atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("qubit_first", [True, False], ids=["PxG3", "G3xP"])
+def test_tensor_oracle_on_qubit_qutrit_composite(qubit_first):
+    """Generator identity on the d = 6 representation built from explicit
+    Pauli and Gell-Mann matrices."""
+    qubit = oracle.pauli_representation()
+    qutrit = oracle.HilbertRep(dim=3, variables=tuple(gell_mann_matrices(3)), constants=QUTRIT)
+    rep1, rep2 = (qubit, qutrit) if qubit_first else (qutrit, qubit)
+    trep = oracle.tensor_representation(rep1, rep2)
+    assert trep.dim == 6 and trep.constants.n == 35
+    assert oracle.representation_check(trep) < 1e-12
+    rng = np.random.default_rng(12)
+    for coupled in ((True, True), (True, False), (False, True)):
+        s1 = random_spec(rng, rep1.constants, coupled[0])
+        s2 = random_spec(rng, rep2.constants, coupled[1])
+        spec = composite.composite_spec(s1, s2, rng.uniform(-1.0, 1.0, (rep1.constants.n, rep2.constants.n)))
+        co = composite.composite_coefficients(spec)
+        assert oracle.generator_identity_check(trep, composite.augmented_system(spec), co) < 1e-10
+
+
+@pytest.mark.parametrize("argv", [["composite"], ["oracle", "--composite"]], ids=["composite", "oracle-composite"])
+def test_composite_commands_validate_augmented_constants_once(argv, tmp_path, monkeypatch):
+    calls = []
+    real = model.validate
+
+    def counting(constants, *args, **kwargs):
+        if constants.n == 15:
+            calls.append(constants.n)
+        return real(constants, *args, **kwargs)
+
+    monkeypatch.setattr(model, "validate", counting)
+    monkeypatch.setattr(composite, "validate", counting)
+    assert cli.main([argv[0], "--config", REPO_CONFIG, "--out", str(tmp_path)] + argv[1:]) == 0
+    assert len(calls) == 1
 
 
 def test_decoupled_composite_is_block_diagonal(pauli):

@@ -1,8 +1,101 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from quasilin import model, oracle, qsde
+from quasilin import composite, model, oracle, qsde
 from conftest import random_pauli_spec
+
+
+def loop_superoperator(rep, spec):
+    """Reference: the Heisenberg generator applied column by column to matrix units."""
+    d = rep.dim
+    mats = np.stack(rep.variables)
+    h = np.tensordot(spec.energy, mats, axes=1)
+    ls = [np.tensordot(row, mats, axes=1) + off * np.eye(d) for row, off in zip(spec.coupling, spec.offset)]
+    omega = qsde.ito_structure(spec.m).omega
+
+    def apply(xi):
+        out = 1j * (h @ xi - xi @ h)
+        for j in range(len(ls)):
+            for k in range(len(ls)):
+                out += 0.5 * omega[j, k] * ((ls[j] @ xi - xi @ ls[j]) @ ls[k] + ls[j] @ (xi @ ls[k] - ls[k] @ xi))
+        return out
+
+    sup = np.zeros((d * d, d * d), dtype=complex)
+    for col in range(d * d):
+        unit = np.zeros((d, d), dtype=complex)
+        unit[col % d, col // d] = 1.0
+        sup[:, col] = apply(unit).flatten(order="F")
+    return sup
+
+
+def loop_representation_check(rep):
+    alpha, beta = rep.constants.alpha, rep.constants.beta
+    worst = 0.0
+    for j in range(rep.constants.n):
+        for k in range(rep.constants.n):
+            lin = np.tensordot(beta[:, j, k], np.stack(rep.variables), axes=1)
+            resid = rep.variables[j] @ rep.variables[k] - alpha[j, k] * np.eye(rep.dim) - lin
+            worst = max(worst, float(np.linalg.norm(resid)))
+    return worst
+
+
+def loop_two_point_commutator(rep, spec, rho0, s, t):
+    d, n = rep.dim, rep.constants.n
+    sup = loop_superoperator(rep, spec).conj().T
+    rho_s = (expm(s * sup) @ rho0.flatten(order="F")).reshape((d, d), order="F")
+    rho_s = rho_s / np.trace(rho_s)
+    flow = expm((t - s) * sup)
+    out = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        comm = rep.variables[k] @ rho_s - rho_s @ rep.variables[k]
+        prop = (flow @ comm.flatten(order="F")).reshape((d, d), order="F")
+        for j in range(n):
+            out[j, k] = np.trace(rep.variables[j] @ prop)
+    return out
+
+
+def random_cases(rng, count):
+    """Random (rep, spec) pairs on the Pauli and Pauli (x) Pauli representations."""
+    qubit = oracle.pauli_representation()
+    pair = oracle.tensor_representation(qubit, qubit)
+    for i in range(count):
+        if i % 2:
+            yield qubit, random_pauli_spec(rng, m=2 if i % 4 == 1 else 4)
+        else:
+            s1, s2 = random_pauli_spec(rng, m=2), random_pauli_spec(rng, m=2)
+            spec = composite.composite_spec(s1, s2, rng.uniform(-1.0, 1.0, (3, 3)))
+            yield pair, composite.augmented_system(spec)
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def test_superoperator_matches_column_loop():
+    for rep, spec in random_cases(np.random.default_rng(30), 20):
+        assert _rel(oracle.heisenberg_superoperator(rep, spec), loop_superoperator(rep, spec)) <= 1e-14
+
+
+def test_representation_check_matches_index_loop():
+    qubit = oracle.pauli_representation()
+    pair = oracle.tensor_representation(qubit, qubit)
+    assert oracle.representation_check(qubit) == loop_representation_check(qubit) == 0.0
+    # a perturbed table, so the residual compared is not zero
+    bent = oracle.HilbertRep(
+        dim=4,
+        variables=pair.variables,
+        constants=model.structure_constants(pair.constants.alpha * 1.01, pair.constants.beta),
+    )
+    got, want = oracle.representation_check(bent), loop_representation_check(bent)
+    assert want > 0.0 and abs(got - want) <= 1e-14 * want
+
+
+def test_two_point_commutator_matches_index_loop():
+    for rep, spec in random_cases(np.random.default_rng(31), 8):
+        rho0 = np.eye(rep.dim, dtype=complex) / rep.dim
+        got = oracle.two_point_commutator(rep, spec, rho0, 0.6, 1.7)
+        assert _rel(got, loop_two_point_commutator(rep, spec, rho0, 0.6, 1.7)) <= 1e-14
 
 
 def test_pauli_representation_is_exact():
@@ -34,14 +127,6 @@ def test_state_picture_is_the_adjoint(worked):
     sup_state = oracle.state_superoperator(rep, spec)
     grho = (sup_state @ rho.flatten(order="F")).reshape((2, 2), order="F")
     assert abs(np.trace(gx @ rho) - np.trace(x @ grho)) < 1e-12
-
-
-def test_superoperator_cache_returns_same_object(worked):
-    spec, _ = worked
-    rep = oracle.pauli_representation()
-    s1 = oracle.heisenberg_superoperator(rep, spec)
-    s2 = oracle.heisenberg_superoperator(rep, spec)
-    assert s1 is s2
 
 
 def test_propagation_preserves_state(worked):
@@ -112,6 +197,31 @@ def test_stationary_state_degenerate_kernel(pauli):
         return
     v = rho.flatten(order="F")
     assert np.linalg.norm(sup @ v) <= 1e-8 * max(1.0, np.linalg.norm(v))
+
+
+@pytest.mark.parametrize(
+    "energy, coupling, kernel",
+    [
+        ([0.0, 0.0, 1.0], np.zeros((2, 3)), 2),
+        ([0.0, 0.0, 1.0], [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 2),
+        ([0.0, 0.0, 0.0], np.zeros((2, 3)), 4),
+    ],
+    ids=["zero-coupling", "pure-dephasing", "zero-generator"],
+)
+def test_stationary_state_refuses_degenerate_kernel(pauli, energy, coupling, kernel):
+    # the first two keep every state diagonal in the sigma_z basis stationary
+    spec = qsde.system_spec(pauli, energy, coupling, np.zeros(2))
+    with pytest.raises(ValueError, match="kernel dimension %d" % kernel):
+        oracle.stationary_state(oracle.pauli_representation(), spec)
+
+
+def test_two_point_commutator_checks_the_state(worked):
+    spec, _ = worked
+    rep = oracle.pauli_representation()
+    with pytest.raises(ValueError, match="trace"):
+        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex), 0.5, 1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, -0.5, 1.0)
 
 
 def test_tensor_representation_dim_limit():
