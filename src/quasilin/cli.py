@@ -325,10 +325,9 @@ def cmd_spectrum(cfg, args, out_dir):
     times = _grid(args, cfg)
     coeffs = qsde.build_coefficients(entry["spec"])
     op = second_moment.lambda_operator(coeffs)
-    sa = qsde.spectral_abscissa(coeffs.a)
-    herm = second_moment.lambda_hermitian_abscissa(op)
     drift = np.linalg.eigvals(coeffs.a)
-    moment = np.linalg.eigvals(second_moment.lambda_matrix(op))
+    moment = np.linalg.eigvals(op.matrix)
+    sa, herm = float(np.max(drift.real)), float(np.max(moment.real))
     ev = np.concatenate([drift, moment])
     kinds = ["drift"] * len(drift) + ["second-moment"] * len(moment)
     index = np.concatenate([np.arange(len(drift)), np.arange(len(moment))])
@@ -482,8 +481,7 @@ def cmd_oracle(cfg, args, out_dir):
     checks = [("representation", oracle_mod.representation_check(rep), 1e-12)]
     checks.append(("generator_identity", oracle_mod.generator_identity_check(rep, spec, coeffs), 1e-10))
 
-    sa = qsde.spectral_abscissa(coeffs.a)
-    if sa < -1e-10:
+    if qsde.spectral_abscissa(coeffs.a) < -qsde._HURWITZ_MARGIN:
         mu = qsde.steady_mean(coeffs)
         rho = oracle_mod.stationary_state(rep, spec)
         resid = float(np.max(np.abs(oracle_mod.moments(rep, rho).real - mu)))

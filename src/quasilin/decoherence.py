@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dtrsyl
 
-from .qsde import _hurwitz_abscissa
+from .qsde import _hurwitz_abscissa, propagate
 
 __all__ = [
     "TauBoundSearch",
@@ -32,9 +32,10 @@ def tau_star(a, ccr_matrix, horizon_factor: float = 10.0) -> float:
     """First time the CCR matrix norm drops to 1/e of its initial value.
 
     Scans a 400-point grid on [0, horizon_factor / |sigma(A)|] for the first
-    sign change of ||e^{tau A} Z0||_F - ||Z0||_F / e, then bisects to a
-    relative width of 1e-10.  Dips narrower than the grid step can be
-    missed; the result is the first crossing the grid resolves.
+    sign change of ||e^{tau A} Z0||_F - ||Z0||_F / e, stepping along it with
+    `qsde.propagate` only as far as that change, then bisects to a relative
+    width of 1e-10.  Dips narrower than the grid step can be missed; the
+    result is the first crossing the grid resolves.
     """
     a = np.asarray(a)
     sa = _hurwitz_abscissa(a)
@@ -49,11 +50,8 @@ def tau_star(a, ccr_matrix, horizon_factor: float = 10.0) -> float:
 
     horizon = horizon_factor / abs(sa)
     grid = np.linspace(0.0, horizon, GRID_POINTS)
-    hit = None
-    for i in range(1, GRID_POINTS):
-        if excess(grid[i]) <= 0.0:
-            hit = i
-            break
+    norms = (float(np.linalg.norm(z)) for z in propagate(a, z0, grid))
+    hit = next((i for i, norm in enumerate(norms) if i > 0 and norm - target <= 0.0), None)
     if hit is None:
         raise ValueError(
             "no decay to 1/e on [0, %.6g]; tau* exceeds this horizon" % horizon
@@ -69,8 +67,15 @@ def tau_star(a, ccr_matrix, horizon_factor: float = 10.0) -> float:
 
 
 def _schur_drift(a):
-    """Float drift, its Hurwitz abscissa and real Schur pair (T, Q) with A = Q T Q^T."""
-    a = np.asarray(a, dtype=float)
+    """Float drift, its Hurwitz abscissa and real Schur pair (T, Q) with A = Q T Q^T.
+
+    The bounds are certified for a real drift only: a non-zero imaginary
+    part is refused, not discarded.
+    """
+    a = np.asarray(a)
+    if np.any(np.imag(a) != 0):
+        raise ValueError("drift must be real (max imag %g)" % float(np.max(np.abs(np.imag(a)))))
+    a = np.asarray(np.real(a), dtype=float)
     return a, _hurwitz_abscissa(a), *schur(a, output="real")
 
 

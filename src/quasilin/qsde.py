@@ -239,9 +239,13 @@ def mean_flow(coeffs: QsdeCoefficients, mu0, times) -> np.ndarray:
     return out
 
 
+# a drift is Hurwitz when its spectral abscissa is below -_HURWITZ_MARGIN
+_HURWITZ_MARGIN = 1e-10
+
+
 def _hurwitz_abscissa(a_matrix, reason: str = "") -> float:
     sa = spectral_abscissa(a_matrix)
-    if sa >= -1e-10:
+    if sa >= -_HURWITZ_MARGIN:
         raise ValueError("drift is not Hurwitz (spectral abscissa %.6e)%s" % (sa, reason))
     return sa
 

@@ -1,11 +1,14 @@
 """Second-moment flow of quasilinear models and its spectrum.
 
-The matrix of symmetrized second moments evolves linearly: Pi' = Lambda(Pi)
-with Lambda(Z) = A Z + Z A^T + U(Z), where the noise term U is built from
-the CCR sections, the coupling matrix and the Ito matrix.  The flow is
-realized both as a direct map on matrices and as an n^2 x n^2 matrix acting
-on column-major vectorizations; the two routes are kept separate so they
-can check each other.
+The matrix of symmetrized second moments is Hermitian and evolves linearly:
+Pi' = Lambda(Pi) with Lambda(Z) = A Z + Z A^T + U(Z), where the noise term U
+is built from the CCR sections, the coupling matrix and the Ito matrix.
+Hermitian matrices are carried in real form: Z -> R = Re Z + Im Z is an
+isometry from the Hermitian onto the real n x n matrices, with inverse
+Z = sym(R) + i skew(R); it fixes the identity and Tr Z = Tr R.  The
+generator is the real n^2 x n^2 matrix of Lambda in this form, acting on
+column-major vec(R).  `apply_lambda` applies Lambda to complex matrices
+directly; the two routes are kept separate so they can check each other.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from .qsde import QsdeCoefficients, ito_structure, propagate, spectral_abscissa
 __all__ = [
     "LambdaOperator",
     "apply_lambda",
-    "hermitian_basis",
     "lambda_hermitian_abscissa",
-    "lambda_matrix",
     "lambda_operator",
     "pi_trace_flow",
     "spectral_abscissa",
@@ -31,11 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LambdaOperator:
-    """Second-moment generator Z -> A Z + Z A^T + U(Z).
+    """Second-moment generator Z -> A Z + Z A^T + U(Z) on Hermitian Z.
 
-    cross = M^T Omega M; matrix is the generator on column-major vec(Z),
-    I (x) A + A (x) I + Psi, with Psi column k*n + j equal to
-    -4 vec(theta_j cross theta_k).
+    cross = M^T Omega M; matrix is the real generator on column-major
+    vec(R), R = Re Z + Im Z.  For real A and Hermitian cross it is
+    I (x) A + A (x) I - 4 (Psi(Re cross) + Psi(Im cross) P), where column
+    k*n + j of Psi(C) is vec(theta_j C theta_k) and P is the permutation
+    with vec(R^T) = P vec(R).
     """
 
     a: np.ndarray
@@ -48,20 +51,41 @@ class LambdaOperator:
         return self.a.shape[0]
 
 
+def _kron_part(a, theta, cross) -> np.ndarray:
+    """I (x) a + a (x) I - 4 Psi(cross) for real a and cross."""
+    n = len(a)
+    eye = np.eye(n)
+    # (theta_j cross theta_k)[p, s] indexed (j, p, k, s), moved to row s*n + p
+    # and column k*n + j
+    psi = (theta @ cross).reshape(n * n, n) @ theta.transpose(1, 0, 2).reshape(n, n * n)
+    psi = psi.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+    return np.kron(eye, a) + np.kron(a, eye) - 4.0 * psi
+
+
 def lambda_operator(coeffs: QsdeCoefficients) -> LambdaOperator:
-    """Assemble the second-moment generator for a coefficient set."""
+    """Assemble the real second-moment generator for a coefficient set.
+
+    Lambda is re + i im on complex vec(Z), with re and im real.  The unit
+    inputs R = E_jk stand for Z = sym(R) + i skew(R); their images must be
+    Hermitian, and a larger defect than 1e-8 is an error.
+    """
     n = coeffs.n
     if n > MAX_DIM:
         raise CapabilityLimit("dimension %d exceeds %d" % (n, MAX_DIM))
     omega = ito_structure(coeffs.coupling.shape[0]).omega
     cross = coeffs.coupling.T @ omega @ coeffs.coupling
     theta = coeffs.theta
-    eye = np.eye(n)
-    matrix = np.kron(eye, coeffs.a).astype(complex) + np.kron(coeffs.a, eye)
-    # (theta_j cross theta_k)[p, s] indexed (j, p, k, s), moved to row s*n + p
-    # and column k*n + j
-    psi = (theta @ cross).reshape(n * n, n) @ theta.transpose(1, 0, 2).reshape(n, n * n)
-    matrix += -4.0 * psi.reshape(n, n, n, n).transpose(3, 1, 2, 0).reshape(n * n, n * n)
+    re = _kron_part(np.real(coeffs.a), theta, cross.real)
+    im = _kron_part(np.imag(coeffs.a), theta, cross.imag)
+    perm = np.arange(n * n).reshape(n, n).T.ravel()  # vec(R^T) = vec(R)[perm]
+    re_t, im_t = re[:, perm], im[:, perm]
+    # column c is Lambda(Z) = y_re + i y_im for the unit input vec(R) = e_c
+    y_re = (re + re_t - im + im_t) / 2.0
+    y_im = (im + im_t + re - re_t) / 2.0
+    defect = float(np.max(np.hypot(y_re - y_re[perm], y_im + y_im[perm])))
+    if defect > 1e-8:
+        raise ValueError("restriction to Hermitian matrices is not real (max imag %g)" % defect)
+    matrix = re + im_t  # = y_re + y_im, the real form of Lambda(Z)
     matrix.setflags(write=False)
     cross.setflags(write=False)
     return LambdaOperator(a=coeffs.a, theta=theta, cross=cross, matrix=matrix)
@@ -74,52 +98,9 @@ def apply_lambda(op: LambdaOperator, z) -> np.ndarray:
     return op.a @ z + z @ op.a.T + noise
 
 
-def lambda_matrix(op: LambdaOperator) -> np.ndarray:
-    """The generator as an n^2 x n^2 matrix on column-major vec(Z)."""
-    return op.matrix
-
-
-def hermitian_basis(n: int):
-    """Orthonormal basis of Hermitian n x n matrices (Hilbert-Schmidt).
-
-    Diagonal units first, then for each j < k the symmetric and the
-    antisymmetric-imaginary combination, both normalized by sqrt(2).
-    """
-    mats = []
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        mats.append(e)
-    r = 1.0 / np.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = r
-            e[k, j] = r
-            mats.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = 1j * r
-            e[k, j] = -1j * r
-            mats.append(e)
-    return mats
-
-
 def lambda_hermitian_abscissa(op: LambdaOperator) -> float:
-    """Largest real part of the generator restricted to Hermitian matrices.
-
-    The restriction is computed in an orthonormal Hermitian basis, where its
-    matrix must be real; residual imaginary parts above 1e-8 are an error.
-    """
-    n = op.n
-    basis = hermitian_basis(n)
-    w = np.column_stack([b.flatten(order="F") for b in basis])
-    restricted = w.conj().T @ op.matrix @ w
-    if float(np.max(np.abs(restricted.imag))) > 1e-8:
-        raise ValueError(
-            "restriction to Hermitian matrices is not real (max imag %g)"
-            % float(np.max(np.abs(restricted.imag)))
-        )
-    return float(np.max(np.linalg.eigvals(restricted.real).real))
+    """Largest real part of the generator restricted to Hermitian matrices."""
+    return spectral_abscissa(op.matrix)
 
 
 def pi_trace_flow(op: LambdaOperator, times) -> np.ndarray:
@@ -129,11 +110,10 @@ def pi_trace_flow(op: LambdaOperator, times) -> np.ndarray:
     growth rate between 2 sigma(A) and the Hermitian-restricted abscissa.
     """
     n = op.n
-    vec0 = np.eye(n).flatten(order="F").astype(complex)
     out = np.empty(len(times))
-    for i, vec in enumerate(propagate(op.matrix, vec0, times)):
-        tr = complex(np.trace(vec.reshape((n, n), order="F")))
-        if not (abs(tr.imag) <= 1e-9 and tr.real >= -1e-9):  # NaN fails too
+    for i, vec in enumerate(propagate(op.matrix, np.eye(n).flatten(order="F"), times)):
+        tr = float(np.trace(vec.reshape((n, n), order="F")))
+        if not tr >= -1e-9:  # NaN fails too
             raise ValueError("trace flow left the real nonnegative axis: %r" % tr)
-        out[i] = tr.real
+        out[i] = tr
     return out

@@ -99,6 +99,25 @@ def test_capability_limit_exits_three(tmp_path):
     assert cli.main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_complex_coupling_refused_by_spectrum_and_decoherence(tmp_path, capsys):
+    # a complex M gives a complex drift and a generator that does not keep
+    # Hermitian matrices Hermitian; both commands refuse and write nothing
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["systems"]["qubit"]["M"] = [[[1, 0.3], 0, 0], [0, 1, [0, 0.2]]]
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(cfg))
+    refusals = {
+        "spectrum": "restriction to Hermitian matrices is not real (max imag 4.8)",
+        "decoherence": "drift must be real (max imag 1.2)",
+    }
+    for command, message in refusals.items():
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
+
 def test_numeric_failure_exits_four(tmp_path):
     cfg = {
         "systems": {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from quasilin import composite, decoherence, qsde
 from conftest import random_pauli_spec, random_stable_pauli_spec
@@ -29,6 +30,54 @@ def test_tau_star_zero_ccr_and_refusals(worked):
     assert decoherence.tau_star(coeffs.a, np.zeros((3, 3))) == 0.0
     with pytest.raises(ValueError):
         decoherence.tau_star(coeffs.a0, steady_ccr(coeffs))  # not Hurwitz
+
+
+def scan_tau_star(a, z0, horizon_factor=10.0):
+    # reference: one expm per grid point up to the first hit, then the same
+    # bisection as tau_star
+    sa = qsde.spectral_abscissa(a)
+    base = float(np.linalg.norm(z0))
+    target = base / np.e
+
+    def excess(tau):
+        return float(np.linalg.norm(expm(tau * a) @ z0)) - target
+
+    grid = np.linspace(0.0, horizon_factor / abs(sa), decoherence.GRID_POINTS)
+    hit = next(i for i in range(1, len(grid)) if excess(grid[i]) <= 0.0)
+    lo, hi = grid[hit - 1], grid[hit]
+    while (hi - lo) > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if excess(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
+def test_tau_star_matches_per_point_scan():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        coeffs = qsde.build_coefficients(random_stable_pauli_spec(rng, m=2))
+        z0 = steady_ccr(coeffs)
+        if np.linalg.norm(z0) == 0.0:
+            continue
+        assert decoherence.tau_star(coeffs.a, z0) == scan_tau_star(coeffs.a, z0)
+
+
+def test_tau_star_takes_first_of_several_crossings(monkeypatch):
+    # an elliptic rotation with slow decay: ||e^{tau A} e1|| dips below 1/e
+    # near a quarter period, rises above it again and crosses many times
+    a = np.array([[-0.05, 5.0], [-0.2, -0.05]])
+    z0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    grid = np.linspace(0.0, 10.0 / 0.05, decoherence.GRID_POINTS)
+    below = [np.linalg.norm(expm(t * a) @ z0) <= 1.0 / np.e for t in grid[:12]]
+    assert below[3] and not below[4] and below[9]
+    calls = []
+    monkeypatch.setattr(qsde, "expm", lambda mat: calls.append(mat) or expm(mat))
+    ts = decoherence.tau_star(a, z0)
+    assert grid[2] < ts <= grid[3]
+    assert ts == scan_tau_star(a, z0)
+    assert len(calls) == 1  # the scan forms one step exponential
 
 
 def test_uniform_decay_bound_closed_form():
@@ -171,6 +220,17 @@ def test_search_and_lyapunov_refusals(worked):
         decoherence.lyapunov_G(coeffs.a, 0.5, asym)
     with pytest.raises(ValueError, match="K must be positive definite"):
         decoherence.lyapunov_G(coeffs.a, 0.5, np.diag([1.0, -1.0, 1.0]))
+
+
+def test_complex_drift_refused_not_discarded():
+    a = np.array([[-1.0, 0.3j], [0.0, -2.0]])
+    for call in (
+        lambda: decoherence.lyapunov_G(a, 0.5, np.eye(2)),
+        lambda: decoherence.tau_upper_bound(a, np.eye(2), 0.5, np.eye(2)),
+        lambda: decoherence.optimize_tau_bound(a, np.eye(2)),
+    ):
+        with pytest.raises(ValueError, match=r"drift must be real \(max imag 0.3\)"):
+            call()
 
 
 def test_lyapunov_refuses_perturbed_sylvester_solve():

@@ -1,43 +1,84 @@
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from quasilin import model, qsde, second_moment
 from conftest import gell_mann_constants, random_pauli_spec
 
 
-def test_apply_matches_matrix_route(worked):
-    _, coeffs = worked
+def real_form(z):
+    # the isometry Z -> Re Z + Im Z from Hermitian onto real matrices
+    return z.real + z.imag
+
+
+def random_hermitian(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return z + z.conj().T
+
+
+def check_apply_matches_matrix(coeffs, rng):
+    # matrix @ vec(R) is the real form of apply_lambda(Z), which is Hermitian
     op = second_moment.lambda_operator(coeffs)
-    mat = second_moment.lambda_matrix(op)
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    n = coeffs.n
+    assert op.matrix.dtype == np.float64 and op.matrix.shape == (n * n, n * n)
+    for _ in range(4):
+        z = random_hermitian(rng, n)
         direct = second_moment.apply_lambda(op, z)
-        via = (mat @ z.flatten(order="F")).reshape((3, 3), order="F")
-        np.testing.assert_allclose(direct, via, atol=1e-12)
+        np.testing.assert_allclose(direct, direct.conj().T, atol=1e-12)
+        via = (op.matrix @ real_form(z).flatten(order="F")).reshape((n, n), order="F")
+        np.testing.assert_allclose(via, real_form(direct), atol=1e-12 * np.abs(direct).max())
+
+
+def test_apply_matches_matrix_route(worked):
+    check_apply_matches_matrix(worked[1], np.random.default_rng(0))
 
 
 def test_apply_matches_matrix_route_random_specs():
     rng = np.random.default_rng(1)
+    check_apply_matches_matrix(gell_mann_coeffs(), rng)
     for _ in range(5):
-        coeffs = qsde.build_coefficients(random_pauli_spec(rng, m=4))
-        op = second_moment.lambda_operator(coeffs)
-        mat = second_moment.lambda_matrix(op)
-        z = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        direct = second_moment.apply_lambda(op, z)
-        via = (mat @ z.flatten(order="F")).reshape((3, 3), order="F")
-        np.testing.assert_allclose(direct, via, atol=1e-12)
+        check_apply_matches_matrix(qsde.build_coefficients(random_pauli_spec(rng, m=4)), rng)
+
+
+def hermitian_basis(n):
+    # orthonormal Hermitian basis (Hilbert-Schmidt): diagonal units first,
+    # then for each j < k the symmetric and the antisymmetric-imaginary pair
+    mats = []
+    for k in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[k, k] = 1.0
+        mats.append(e)
+    r = 1.0 / np.sqrt(2.0)
+    for j in range(n):
+        for k in range(j + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[j, k] = r
+            e[k, j] = r
+            mats.append(e)
+            e = np.zeros((n, n), dtype=complex)
+            e[j, k] = 1j * r
+            e[k, j] = -1j * r
+            mats.append(e)
+    return mats
 
 
 def test_hermitian_basis_orthonormal():
-    basis = second_moment.hermitian_basis(4)
+    # the reference basis is orthonormal, and its real forms are an
+    # orthonormal basis of the real matrices: Z -> Re Z + Im Z is an isometry
+    basis = hermitian_basis(4)
     assert len(basis) == 16
     for p, bp in enumerate(basis):
         np.testing.assert_allclose(bp, bp.conj().T, atol=1e-15)
         for q, bq in enumerate(basis):
             ip = np.trace(bp.conj().T @ bq)
             assert abs(ip - (1.0 if p == q else 0.0)) < 1e-14
+    real = np.column_stack([real_form(b).flatten(order="F") for b in basis])
+    np.testing.assert_allclose(real.T @ real, np.eye(16), atol=1e-14)
+    # the identity is its own real form, and traces agree
+    z = random_hermitian(np.random.default_rng(3), 4)
+    assert abs(np.trace(real_form(z)) - np.trace(z)) < 1e-14
+    np.testing.assert_array_equal(real_form(np.eye(4, dtype=complex)), np.eye(4))
 
 
 def test_reference_hermitian_abscissa(worked):
@@ -73,19 +114,6 @@ def test_capability_limit_on_large_systems():
         second_moment.lambda_operator(coeffs)
 
 
-def test_hermitian_abscissa_rejects_non_real_restriction(worked):
-    _, coeffs = worked
-    op = second_moment.lambda_operator(coeffs)
-    skew = second_moment.LambdaOperator(
-        a=op.a + 1j * np.eye(3),
-        theta=op.theta,
-        cross=op.cross,
-        matrix=op.matrix + 1j * np.eye(9),
-    )
-    with pytest.raises(ValueError):
-        second_moment.lambda_hermitian_abscissa(skew)
-
-
 def gell_mann_coeffs(seed=0):
     # qutrit (n = 8) with a Hurwitz drift drawn on [-1, 1]
     rng = np.random.default_rng(seed)
@@ -100,7 +128,7 @@ def gell_mann_coeffs(seed=0):
 
 
 def column_loop_lambda(coeffs):
-    # the generator filled one column k*n + j at a time
+    # the complex generator on vec(Z), filled one column k*n + j at a time
     n = coeffs.n
     cross = coeffs.coupling.T @ qsde.ito_structure(coeffs.coupling.shape[0]).omega @ coeffs.coupling
     th = coeffs.theta
@@ -111,13 +139,89 @@ def column_loop_lambda(coeffs):
     return matrix
 
 
-def test_lambda_operator_matches_column_loop(worked):
+def projected_restriction(coeffs):
+    # w^H Lambda w in the orthonormal Hermitian basis; it must be real
+    w = np.column_stack([b.flatten(order="F") for b in hermitian_basis(coeffs.n)])
+    restricted = w.conj().T @ column_loop_lambda(coeffs) @ w
+    if np.abs(restricted.imag).max() > 1e-8:
+        raise ValueError("restriction to Hermitian matrices is not real")
+    return restricted.real
+
+
+def reference_cases(worked):
     rng = np.random.default_rng(4)
     cases = [worked[1], gell_mann_coeffs()]
-    cases += [qsde.build_coefficients(random_pauli_spec(rng, m=4)) for _ in range(3)]
-    for coeffs in cases:
+    return cases + [qsde.build_coefficients(random_pauli_spec(rng, m=4)) for _ in range(3)]
+
+
+def matched_distance(got, want):
+    # largest distance between two eigenvalue multisets paired optimally
+    assert len(got) == len(want)
+    cost = np.abs(got[:, None] - want[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].max()
+
+
+def test_lambda_operator_matches_column_loop(worked):
+    # column e_c of the real generator is the real form of the column-loop
+    # Lambda applied to Z = sym(E_c) + i skew(E_c)
+    for coeffs in reference_cases(worked):
+        n = coeffs.n
+        units = [e.reshape((n, n), order="F") for e in np.eye(n * n)]
+        herm = np.column_stack([((e + e.T) / 2 + 1j * (e - e.T) / 2).flatten(order="F") for e in units])
+        images = column_loop_lambda(coeffs) @ herm
+        want = images.real + images.imag
         op = second_moment.lambda_operator(coeffs)
-        np.testing.assert_array_equal(op.matrix, column_loop_lambda(coeffs))
+        np.testing.assert_allclose(op.matrix, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_spectrum_matches_complex_and_projected_references(worked):
+    for i, coeffs in enumerate(reference_cases(worked)):
+        op = second_moment.lambda_operator(coeffs)
+        got = np.linalg.eigvals(op.matrix)
+        proj = projected_restriction(coeffs)
+        scale = np.abs(got).max()
+        # the worked qubit's spectrum has 2 x 2 Jordan blocks (-4, -6 +- 2i),
+        # whose computed eigenvalues move by O(sqrt(eps)) under any rounding:
+        # the complex and projected references differ by 2e-8 there
+        tol = 1e-7 if i == 0 else 1e-12
+        assert matched_distance(got, np.linalg.eigvals(column_loop_lambda(coeffs))) <= tol * scale
+        assert matched_distance(got, np.linalg.eigvals(proj)) <= tol * scale
+        ref = qsde.spectral_abscissa(proj)
+        assert abs(second_moment.lambda_hermitian_abscissa(op) - ref) <= 1e-12 * abs(ref)
+
+
+def test_real_trace_flow_matches_complex_flow(worked):
+    times = np.linspace(0.0, 5.0, 41)
+    for coeffs in reference_cases(worked):
+        n = coeffs.n
+        flow = expm(5.0 / 40 * column_loop_lambda(coeffs))
+        vec = np.eye(n).flatten(order="F").astype(complex)
+        want = []
+        for _ in times:
+            want.append(np.trace(vec.reshape((n, n), order="F")))
+            vec = flow @ vec
+        want = np.array(want)
+        assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
+        got = second_moment.pi_trace_flow(second_moment.lambda_operator(coeffs), times)
+        assert np.abs(got - want.real).max() <= 1e-12 * np.abs(want).max()
+
+
+def complex_coupling_coeffs():
+    # M with complex entries: Lambda no longer maps Hermitian matrices to
+    # Hermitian ones
+    spec = qsde.system_spec(
+        model.pauli_constants(), [0.0, 0.0, 1.0], [[1.0 + 0.3j, 0.0, 0.0], [0.0, 1.0, 0.2j]], [0.0, 0.0]
+    )
+    return qsde.build_coefficients(spec)
+
+
+def test_hermitian_abscissa_rejects_non_real_restriction():
+    coeffs = complex_coupling_coeffs()
+    with pytest.raises(ValueError, match=r"not real \(max imag 4.8\)"):
+        second_moment.lambda_operator(coeffs)
+    with pytest.raises(ValueError, match="not real"):
+        projected_restriction(coeffs)
 
 
 @pytest.mark.parametrize("times", [np.linspace(0.0, 5.0, 41), [0.0, 0.3, 1.1, 2.7], [2.7, 0.3, 1.1], [-0.4, 0.5], [1.0, 1.0], [0.8], []])
