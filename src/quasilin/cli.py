@@ -385,12 +385,11 @@ def cmd_decoherence(cfg, args, out_dir):
 def cmd_weak(cfg, args, out_dir):
     name, entry = cfg.system()
     spec = entry["spec"]
-    shape = weak_mod.coupling_shape(spec.constants, spec.energy, spec.coupling, spec.offset)
-    a0, _, _ = weak_mod.shape_drift(shape)
-    md = modes_mod.eigenmodes(a0, spec.constants.alpha)
-    result = weak_mod.stability_and_thresholds(shape, md)
+    coeffs = qsde.build_coefficients(spec)
+    md = modes_mod.eigenmodes(coeffs.a0, spec.constants.alpha)
+    result = weak_mod.stability_and_thresholds(coeffs, md)
     eps_list = _eps_list(args, cfg)
-    table = weak_mod.eigenvalue_asymptotics_check(shape, md, eps_list)
+    table = weak_mod.eigenvalue_asymptotics_check(coeffs, md, eps_list)
 
     scalars = {
         "stable_for_small_eps": float(result.stable_for_small_eps),
@@ -401,7 +400,7 @@ def cmd_weak(cfg, args, out_dir):
     }
     scalars = {label: v for label, v in scalars.items() if v is not None}
     try:
-        limit = weak_mod.invariant_mean_limit(shape, md)
+        limit = weak_mod.invariant_mean_limit(coeffs, md)
     except ValueError as e:
         print("invariant-mean limit not applicable: %s" % e)
         limit = np.zeros(0)

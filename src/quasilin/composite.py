@@ -18,16 +18,13 @@ from .qsde import QsdeCoefficients, SystemSpec, _finite_array, build_coefficient
 
 __all__ = [
     "CompositeSpec",
-    "CompositeWeakData",
     "augment_constants",
     "augment_energy",
     "augmented_system",
     "composite_coefficients",
     "composite_dispersion",
     "composite_spec",
-    "composite_weak",
     "paired_channel_order",
-    "scaled_composite",
 ]
 
 
@@ -243,53 +240,3 @@ def composite_dispersion(spec: CompositeSpec, x_full) -> np.ndarray:
     out[n1 + n2 :, :m1] = frak1
     out[n1 + n2 :, m1:] = frak2
     return out
-
-
-def scaled_composite(spec: CompositeSpec, eps: float) -> CompositeSpec:
-    """Composite with both field couplings scaled by eps (E12 untouched)."""
-    s1 = system_spec(
-        spec.sys1.constants,
-        spec.sys1.energy,
-        eps * spec.sys1.coupling,
-        eps * spec.sys1.offset,
-    )
-    s2 = system_spec(
-        spec.sys2.constants,
-        spec.sys2.energy,
-        eps * spec.sys2.coupling,
-        eps * spec.sys2.offset,
-    )
-    return CompositeSpec(sys1=s1, sys2=s2, direct_coupling=spec.direct_coupling)
-
-
-@dataclass(frozen=True)
-class CompositeWeakData:
-    """Weak-coupling split of a composite drift: A(eps) = a0 + eps^2 sa."""
-
-    a0: np.ndarray
-    sa: np.ndarray
-    sb: np.ndarray
-    a_eps: np.ndarray
-    b_eps: np.ndarray
-    eps: float
-
-
-def composite_weak(spec: CompositeSpec, eps: float) -> CompositeWeakData:
-    """Split the composite drift for field couplings of strength eps.
-
-    The subsystem couplings in spec are the unit-strength shapes.  a0 keeps
-    every direct-coupling block (F and G enter at order one); only the
-    field-induced parts scale, quadratically.  sa has the block form with
-    (I (x) sb2) and (sb1 (x) I) in the product row and the Kronecker sum
-    of the subsystem quadratic parts on its diagonal.
-    """
-    unit = composite_coefficients(spec)
-    sa, sb = unit.atilde, unit.b
-    return CompositeWeakData(
-        a0=unit.a0,
-        sa=sa,
-        sb=sb,
-        a_eps=unit.a0 + eps**2 * sa,
-        b_eps=eps**2 * sb,
-        eps=float(eps),
-    )

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dtrsyl
 
+from .modes import _pd_sqrt
 from .qsde import _hurwitz_abscissa, propagate
 
 __all__ = [
@@ -117,11 +118,6 @@ def lyapunov_G(a, lam: float, k_matrix) -> np.ndarray:
     """
     a, sa, t, q = _schur_drift(a)
     return _shifted_lyapunov(a, sa, t, q, lam, _schur_k(q, k_matrix))[0]
-
-
-def _pd_sqrt(w, v):
-    r = np.sqrt(np.maximum(w, 1e-14))
-    return (v * r) @ v.T, (v / r) @ v.T
 
 
 def _bound(z0, lam: float, w, v) -> float:

@@ -34,8 +34,14 @@ class EigenModes:
     zero_tol: float
 
 
-def _sqrt_pd(alpha):
-    """(sqrt, inverse sqrt) of a symmetric positive definite matrix."""
+def _pd_sqrt(w, v):
+    """(sqrt, inverse sqrt) of the PD matrix v diag(w) v^T from its eigh pair (w, v)."""
+    r = np.sqrt(np.maximum(w, 1e-14))
+    return (v * r) @ v.T, (v / r) @ v.T
+
+
+def _alpha_roots(alpha):
+    """(sqrt, inverse sqrt) of alpha, refusing a non-symmetric, complex or indefinite alpha."""
     alpha = np.asarray(alpha)
     scale = max(1.0, float(np.max(np.abs(alpha))))
     if np.max(np.abs(alpha - alpha.T)) > 1e-10 * scale or np.max(np.abs(np.imag(alpha))) > 0:
@@ -43,19 +49,20 @@ def _sqrt_pd(alpha):
     w, q = np.linalg.eigh(np.real(alpha))
     if w[0] <= 1e-12 * max(1.0, w[-1]):
         raise ValueError("alpha is not positive definite (min eigenvalue %g)" % w[0])
-    root = q @ np.diag(np.sqrt(w)) @ q.T
-    iroot = q @ np.diag(1.0 / np.sqrt(w)) @ q.T
-    return root, iroot
+    return _pd_sqrt(w, q)
+
+
+def _solve_upsilon(a0, alpha) -> np.ndarray:
+    ups = np.linalg.solve(np.real(np.asarray(alpha)), np.asarray(a0))
+    if np.max(np.abs(ups + ups.T)) > 1e-10:
+        raise ValueError("alpha^-1 A0 is not antisymmetric; A0 is not Hamiltonian-only")
+    return ups
 
 
 def upsilon(a0, alpha) -> np.ndarray:
     """Solve alpha Upsilon = A0 and check antisymmetry of the result."""
-    a0 = np.asarray(a0)
-    _sqrt_pd(alpha)
-    ups = np.linalg.solve(np.real(np.asarray(alpha)), a0)
-    if np.max(np.abs(ups + ups.T)) > 1e-10:
-        raise ValueError("alpha^-1 A0 is not antisymmetric; A0 is not Hamiltonian-only")
-    return ups
+    _alpha_roots(alpha)
+    return _solve_upsilon(a0, alpha)
 
 
 def eigenmodes(a0, alpha) -> EigenModes:
@@ -68,8 +75,8 @@ def eigenmodes(a0, alpha) -> EigenModes:
     """
     a0 = np.asarray(a0, dtype=float)
     n = a0.shape[0]
-    ups = upsilon(a0, alpha)
-    root, iroot = _sqrt_pd(alpha)
+    root, iroot = _alpha_roots(alpha)
+    ups = _solve_upsilon(a0, alpha)
     herm = -1j * root @ ups @ root
     herm = (herm + herm.conj().T) / 2.0
     w, v = np.linalg.eigh(herm)
@@ -139,7 +146,7 @@ def mode_coordinates(modes: EigenModes, alpha):
     the isolated flow as a clockwise rotation at rate omega; for kind
     "static" a single frozen row.
     """
-    _, iroot = _sqrt_pd(alpha)
+    _, iroot = _alpha_roots(alpha)
     out = []
     for k, om in enumerate(modes.omegas):
         if om > modes.zero_tol:

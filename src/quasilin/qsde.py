@@ -84,6 +84,10 @@ class SystemSpec:
     def m(self) -> int:
         return self.coupling.shape[0]
 
+    def at_strength(self, eps: float) -> SystemSpec:
+        """The same model with the field coupling scaled to eps M, eps N."""
+        return system_spec(self.constants, self.energy, eps * self.coupling, eps * self.offset)
+
 
 def _finite_array(x, what, real=False) -> np.ndarray:
     """x as a new array with finite entries; with `real`, a float array, and

@@ -26,7 +26,6 @@ __all__ = [
     "lambda_hermitian_abscissa",
     "lambda_operator",
     "pi_trace_flow",
-    "spectral_abscissa",
 ]
 
 

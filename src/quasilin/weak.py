@@ -1,10 +1,12 @@
 """Small-coupling asymptotics of the drift spectrum.
 
 Couplings enter the drift quadratically: scaling (M, N) by eps turns
-A into A0 + eps^2 sA and b into eps^2 sb.  For pairwise distinct
-eigenfrequencies of A0 the drift eigenvalues move as
-lambda_k = i omega_k + eps^2 nu_k + o(eps^2) with
-nu_k = (Sigma^{-1} sA Sigma)_kk, which yields stability criteria,
+A into A0 + eps^2 sA and b into eps^2 sb.  The unit-strength coefficients
+of a single system (`build_coefficients`) or of a composite
+(`composite_coefficients`) carry this split as (a0, atilde, b), and every
+routine here reads it from them.  For pairwise distinct eigenfrequencies of
+A0 the drift eigenvalues move as lambda_k = i omega_k + eps^2 nu_k + o(eps^2)
+with nu_k = (Sigma^{-1} sA Sigma)_kk, which yields stability criteria,
 decoherence time scales and the invariant-mean limit.
 """
 
@@ -14,92 +16,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PAULI_THETA, ConsistencyError, StructureConstants
+from .model import PAULI_THETA, ConsistencyError
 from .modes import EigenModes
-from .qsde import SystemSpec, build_coefficients, system_spec
+from .qsde import QsdeCoefficients, SystemSpec, build_coefficients
 
 __all__ = [
     "AsymptoticsRow",
-    "CouplingShape",
     "PauliGammaResult",
     "PerturbationResult",
-    "coupling_shape",
     "eigenvalue_asymptotics_check",
-    "invariant_limit_from_drift",
     "invariant_mean_limit",
-    "nu_from_drift",
     "nu_values",
     "pauli_gamma",
     "scaled_coefficients",
-    "shape_drift",
     "stability_and_thresholds",
 ]
 
 _RATE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
-class CouplingShape:
-    """Coupling data at unit strength; the model at strength eps uses eps*M, eps*N."""
-
-    constants: StructureConstants
-    energy: np.ndarray
-    coupling: np.ndarray
-    offset: np.ndarray
-
-    def at_strength(self, eps: float) -> SystemSpec:
-        return system_spec(
-            self.constants, self.energy, eps * self.coupling, eps * self.offset
-        )
-
-
-def coupling_shape(constants, energy, coupling, offset=None) -> CouplingShape:
-    """Validate and wrap a unit-strength coupling shape."""
-    sp = system_spec(constants, energy, coupling, offset)
-    return CouplingShape(
-        constants=constants, energy=sp.energy, coupling=sp.coupling, offset=sp.offset
-    )
-
-
-def shape_drift(shape: CouplingShape):
-    """(a0, sa, sb): drift split at unit strength, so A(eps) = a0 + eps^2 sa."""
-    coeffs = build_coefficients(shape.at_strength(1.0))
-    return coeffs.a0, coeffs.atilde, coeffs.b
-
-
-def scaled_coefficients(shape: CouplingShape, eps: float):
+def scaled_coefficients(spec: SystemSpec, eps: float):
     """Coefficients at strength eps, checking exact quadratic homogeneity."""
-    coeffs = build_coefficients(shape.at_strength(eps))
-    _, sa, sb = shape_drift(shape)
-    scale = max(1.0, float(np.max(np.abs(sa))))
-    if np.max(np.abs(coeffs.atilde - eps**2 * sa)) > 1e-12 * scale:
+    coeffs = build_coefficients(spec.at_strength(eps))
+    unit = build_coefficients(spec)
+    scale = max(1.0, float(np.max(np.abs(unit.atilde))))
+    if np.max(np.abs(coeffs.atilde - eps**2 * unit.atilde)) > 1e-12 * scale:
         raise ConsistencyError("coupling drift failed quadratic homogeneity")
-    if np.max(np.abs(coeffs.b - eps**2 * sb)) > 1e-12 * scale:
+    if np.max(np.abs(coeffs.b - eps**2 * unit.b)) > 1e-12 * scale:
         raise ConsistencyError("affine drift failed quadratic homogeneity")
     return coeffs
 
 
+def _pair_gaps(x):
+    """|x_j - x_k| over the pairs j < k in lexicographic order, and the pairs (j, k)."""
+    j, k = np.triu_indices(len(x), 1)
+    return np.abs(x[j] - x[k]), j, k
+
+
 def _check_distinct(omegas):
-    n = len(omegas)
-    for j in range(n):
-        for k in range(j + 1, n):
-            if abs(omegas[j] - omegas[k]) <= 1e-9:
-                raise ValueError(
-                    "eigenfrequencies %d and %d are not distinct (%.12g vs %.12g)"
-                    % (j, k, omegas[j], omegas[k])
-                )
+    gaps, j, k = _pair_gaps(omegas)
+    close = np.flatnonzero(gaps <= 1e-9)
+    if len(close):
+        j, k = j[close[0]], k[close[0]]
+        raise ValueError(
+            "eigenfrequencies %d and %d are not distinct (%.12g vs %.12g)"
+            % (j, k, omegas[j], omegas[k])
+        )
 
 
-def nu_from_drift(sa, modes: EigenModes) -> np.ndarray:
-    """First-order eigenvalue rates nu_k = (Sigma^{-1} sA Sigma)_kk."""
+def nu_values(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndarray:
+    """First-order eigenvalue rates nu_k = (Sigma^{-1} sA Sigma)_kk, sA = coeffs.atilde.
+
+    modes are those of coeffs.a0; the frequencies must be pairwise distinct.
+    """
     _check_distinct(modes.omegas)
-    return np.diag(modes.sigma_inv @ np.asarray(sa) @ modes.sigma).copy()
-
-
-def nu_values(shape: CouplingShape, modes: EigenModes) -> np.ndarray:
-    """Eigenvalue rates of a coupling shape on the modes of its own A0."""
-    _, sa, _ = shape_drift(shape)
-    return nu_from_drift(sa, modes)
+    return np.diag(modes.sigma_inv @ coeffs.atilde @ modes.sigma).copy()
 
 
 @dataclass(frozen=True)
@@ -112,25 +83,22 @@ class AsymptoticsRow:
     ambiguous: bool
 
 
-def eigenvalue_asymptotics_check(shape: CouplingShape, modes: EigenModes, eps_list):
+def eigenvalue_asymptotics_check(coeffs: QsdeCoefficients, modes: EigenModes, eps_list):
     """Residuals |lambda_k(eps) - i omega_k - eps^2 nu_k| / eps^2 per strength.
 
     Eigenvalues of A0 + eps^2 sA are matched to the predictions greedily,
     smallest distance first.  A row is flagged ambiguous when two
     predictions are closer than half the minimal frequency gap of A0.
     """
-    a0, sa, _ = shape_drift(shape)
-    nu = nu_from_drift(sa, modes)
+    nu = nu_values(coeffs, modes)
     om = modes.omegas
     n = len(om)
-    gaps = [abs(om[j] - om[k]) for j in range(n) for k in range(j + 1, n)]
-    gap0 = min(gaps) if gaps else np.inf
+    gap0 = _pair_gaps(om)[0].min(initial=np.inf)
 
     rows = []
     for eps in eps_list:
         eps = float(eps)
-        a_eps = a0 + eps**2 * sa
-        eigs = np.linalg.eigvals(a_eps)
+        eigs = np.linalg.eigvals(coeffs.a0 + eps**2 * coeffs.atilde)
         preds = 1j * om + eps**2 * nu
         dist = np.abs(eigs[None, :] - preds[:, None])
         matched = np.zeros(n, dtype=complex)
@@ -148,10 +116,7 @@ def eigenvalue_asymptotics_check(shape: CouplingShape, modes: EigenModes, eps_li
             residuals = np.abs(matched - preds) / eps**2
         else:
             residuals = np.abs(matched - 1j * om)
-        pred_gaps = [
-            abs(preds[j] - preds[k]) for j in range(n) for k in range(j + 1, n)
-        ]
-        ambiguous = bool(pred_gaps and min(pred_gaps) < 0.5 * gap0)
+        ambiguous = bool(_pair_gaps(preds)[0].min(initial=np.inf) < 0.5 * gap0)
         rows.append(
             AsymptoticsRow(eps=eps, matched=matched, residuals=residuals, ambiguous=ambiguous)
         )
@@ -175,7 +140,7 @@ class PerturbationResult:
         return self.tau_hat_coefficient / eps**2
 
 
-def stability_and_thresholds(shape: CouplingShape, modes: EigenModes) -> PerturbationResult:
+def stability_and_thresholds(coeffs: QsdeCoefficients, modes: EigenModes) -> PerturbationResult:
     """Stability for small eps and the slow/fast threshold strengths.
 
     Stability holds for small eps iff max Re nu < 0, with spectral abscissa
@@ -184,7 +149,7 @@ def stability_and_thresholds(shape: CouplingShape, modes: EigenModes) -> Perturb
     slowest and the per-mode oscillation periods respectively, with
     eps_tilde <= eps_hat always.
     """
-    nu = nu_values(shape, modes)
+    nu = nu_values(coeffs, modes)
     re = nu.real
     max_re = float(np.max(re))
     max_abs = float(np.max(np.abs(re)))
@@ -217,8 +182,14 @@ def stability_and_thresholds(shape: CouplingShape, modes: EigenModes) -> Perturb
     )
 
 
-def invariant_limit_from_drift(sa, sb, modes: EigenModes) -> np.ndarray:
-    """Invariant-mean limit from drift split data (see invariant_mean_limit)."""
+def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndarray:
+    """Limit of the stationary mean as the coupling strength goes to zero.
+
+    Requires odd dimension with a simple zero frequency whose rate has
+    negative real part; then lim mu*(eps) =
+    -(1/nu_k0) sqrt(alpha) v_k0 v_k0^T alpha^{-1/2} sb, independent of eps
+    and invariant under rescaling the unit-strength coupling.
+    """
     om = modes.omegas
     n = len(om)
     if n % 2 == 0:
@@ -228,7 +199,7 @@ def invariant_limit_from_drift(sa, sb, modes: EigenModes) -> np.ndarray:
         raise ValueError(
             "need exactly one zero eigenfrequency, found %d" % len(zero_idx)
         )
-    nu = nu_from_drift(sa, modes)
+    nu = nu_values(coeffs, modes)
     k0 = int(zero_idx[0])
     nu0 = complex(nu[k0])
     if abs(nu0.imag) > 1e-10 * max(1.0, abs(nu0)):
@@ -246,20 +217,8 @@ def invariant_limit_from_drift(sa, sb, modes: EigenModes) -> np.ndarray:
     iroot = modes.vectors @ modes.sigma_inv
     if max(float(np.max(np.abs(root.imag))), float(np.max(np.abs(iroot.imag)))) > 1e-9:
         raise ValueError("alpha square roots came out non-real")
-    limit = -(1.0 / nu0.real) * root.real @ np.outer(v0, v0) @ iroot.real @ np.asarray(sb)
+    limit = -(1.0 / nu0.real) * root.real @ np.outer(v0, v0) @ iroot.real @ coeffs.b
     return np.real_if_close(limit, tol=1000).astype(float)
-
-
-def invariant_mean_limit(shape: CouplingShape, modes: EigenModes) -> np.ndarray:
-    """Limit of the stationary mean as the coupling strength goes to zero.
-
-    Requires odd dimension with a simple zero frequency whose rate has
-    negative real part; then lim mu*(eps) =
-    -(1/nu_k0) sqrt(alpha) v_k0 v_k0^T alpha^{-1/2} sb, independent of eps
-    and invariant under rescaling the shape.
-    """
-    _, sa, sb = shape_drift(shape)
-    return invariant_limit_from_drift(sa, sb, modes)
 
 
 @dataclass(frozen=True)

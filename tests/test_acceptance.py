@@ -85,18 +85,17 @@ def test_criterion_02_reference_qubit_values():
     checks.append(("sigma(A)", abs(qsde.spectral_abscissa(coeffs.a) - (-2.0)) <= 1e-12))
 
     md = _reference_modes(coeffs)
-    shape = weak.coupling_shape(PAULI, spec.energy, spec.coupling, spec.offset)
-    nu = weak.nu_values(shape, md)
+    nu = weak.nu_values(coeffs, md)
     nu_sorted = np.sort_complex(nu)
     checks.append(("nu", np.abs(nu_sorted - np.array([-4.0, -2.0, -2.0])).max() <= 1e-12))
 
-    res = weak.stability_and_thresholds(shape, md)
+    res = weak.stability_and_thresholds(coeffs, md)
     checks.append(("tau_hat", abs(res.tau_hat_coefficient - 0.25) <= 1e-12))
     eps_ref = np.sqrt(1.0 / (2.0 * np.pi))
     checks.append(("eps_hat", abs(res.eps_hat - eps_ref) <= 1e-9))
     checks.append(("eps_tilde", abs(res.eps_tilde - eps_ref) <= 1e-9))
 
-    limit = weak.invariant_mean_limit(shape, md)
+    limit = weak.invariant_mean_limit(coeffs, md)
     checks.append(("limit", np.abs(limit - [0.0, 0.0, 1.0]).max() <= 1e-12))
 
     # oracle reproduction: stationary state moments and exact eigensolve
@@ -108,7 +107,7 @@ def test_criterion_02_reference_qubit_values():
     checks.append(("eigensolve sigma", abs(ev.real.max() - (-2.0)) <= 1e-10))
     # A = A0 + sA with commuting blocks, so lambda = i omega + nu exactly
     # and the matched eigensolve residual vanishes already at strength 1
-    row = weak.eigenvalue_asymptotics_check(shape, md, [1.0])[0]
+    row = weak.eigenvalue_asymptotics_check(coeffs, md, [1.0])[0]
     checks.append(("eigensolve nu", max(row.residuals) <= 1e-10))
 
     failed = [name for name, ok in checks if not ok]
@@ -197,9 +196,8 @@ def test_criterion_05_isolated_spectrum():
 
 def test_criterion_06_perturbation_asymptotics():
     spec, coeffs = _reference()
-    shape = weak.coupling_shape(PAULI, spec.energy, spec.coupling, spec.offset)
     md = _reference_modes(coeffs)
-    ref_rows = weak.eigenvalue_asymptotics_check(shape, md, [0.2, 0.1, 0.05])
+    ref_rows = weak.eigenvalue_asymptotics_check(coeffs, md, [0.2, 0.1, 0.05])
     ref_worst = max(max(r.residuals) for r in ref_rows)
 
     rng = np.random.default_rng(6)
@@ -209,9 +207,9 @@ def test_criterion_06_perturbation_asymptotics():
     while shapes < 20 and tries < 400:
         tries += 1
         sp = random_pauli_spec(rng, m=2 if tries % 2 else 4)
-        sh = weak.coupling_shape(PAULI, sp.energy, sp.coupling, sp.offset)
+        sh = qsde.build_coefficients(sp)
         try:
-            md_r = modes.eigenmodes(qsde.build_coefficients(sh.at_strength(0.0)).a0, PAULI.alpha)
+            md_r = modes.eigenmodes(sh.a0, PAULI.alpha)
             rows = weak.eigenvalue_asymptotics_check(sh, md_r, [0.2, 0.1, 0.05])
         except ValueError:
             continue
@@ -298,12 +296,12 @@ def test_criterion_09_invariant_mean_limit():
     refusals = 0
     for i in range(5):
         cspec = _random_composite(rng_c, 2, 2)
-        data = composite.composite_weak(cspec, 0.1)
+        cco = composite.composite_coefficients(cspec)
         aug = composite.augment_constants(PAULI, PAULI)
-        md = modes.eigenmodes(data.a0, aug.alpha)
+        md = modes.eigenmodes(cco.a0, aug.alpha)
         zero_count = int(np.sum(np.abs(md.omegas) <= md.zero_tol))
         try:
-            weak.invariant_limit_from_drift(data.sa, data.sb, md)
+            weak.invariant_mean_limit(cco, md)
         except ValueError:
             if zero_count == 3:
                 refusals += 1
@@ -318,13 +316,14 @@ def test_criterion_09_invariant_mean_limit():
         m = 2 if tries % 2 else 4
         sm = 0.02 * rng.uniform(-1.0, 1.0, (m, 3))
         sn = 0.02 * rng.uniform(-1.0, 1.0, m)
-        shape = weak.coupling_shape(PAULI, e, sm, sn)
+        shape = qsde.system_spec(PAULI, e, sm, sn)
         try:
-            md = modes.eigenmodes(qsde.build_coefficients(shape.at_strength(0.0)).a0, PAULI.alpha)
-            res = weak.stability_and_thresholds(shape, md)
+            unit = qsde.build_coefficients(shape)
+            md = modes.eigenmodes(unit.a0, PAULI.alpha)
+            res = weak.stability_and_thresholds(unit, md)
             if not res.stable_for_small_eps:
                 continue
-            limit = weak.invariant_mean_limit(shape, md)
+            limit = weak.invariant_mean_limit(unit, md)
             mu = qsde.steady_mean(weak.scaled_coefficients(shape, 0.01))
         except ValueError:
             continue
@@ -342,15 +341,14 @@ def test_criterion_09_invariant_mean_limit():
 
 def test_criterion_10_closed_form_rate_discrepancy():
     spec, coeffs = _reference()
-    shape = weak.coupling_shape(PAULI, spec.energy, spec.coupling, spec.offset)
     md = _reference_modes(coeffs)
-    nu = weak.nu_values(shape, md)
+    nu = weak.nu_values(coeffs, md)
     normative = float(nu[0].real)
 
     # exact eigensolve at finite strength: the reference blocks commute, so
     # Re lambda_1(eps)/eps^2 is the pair rate with no truncation error
     eps = 0.5
-    ev = np.linalg.eigvals(weak.scaled_coefficients(shape, eps).a)
+    ev = np.linalg.eigvals(weak.scaled_coefficients(spec, eps).a)
     rotating = ev[np.argmax(ev.imag)]
     eigensolve = float(rotating.real / eps**2)
 

@@ -244,16 +244,22 @@ def test_tensor_oracle_on_composite(pauli):
 def test_composite_weak_split(pauli):
     rng = np.random.default_rng(5)
     spec = random_composite(rng)
+    unit = composite.composite_coefficients(spec)
+
+    def at_strength(eps):
+        # field couplings scaled by eps, E12 untouched
+        scaled = composite.composite_spec(spec.sys1.at_strength(eps), spec.sys2.at_strength(eps), spec.direct_coupling)
+        return composite.composite_coefficients(scaled)
+
     for eps in (0.1, 0.5):
-        data = composite.composite_weak(spec, eps)
-        scaled = composite.composite_coefficients(composite.scaled_composite(spec, eps))
-        np.testing.assert_allclose(data.a_eps, scaled.a, atol=1e-12)
-        np.testing.assert_allclose(data.b_eps, scaled.b, atol=1e-12)
-        np.testing.assert_allclose(data.a_eps, data.a0 + eps**2 * data.sa, atol=1e-12)
+        scaled = at_strength(eps)
+        a_eps = unit.a0 + eps**2 * unit.atilde
+        np.testing.assert_allclose(a_eps, scaled.a, atol=1e-12)
+        np.testing.assert_allclose(eps**2 * unit.b, scaled.b, atol=1e-12)
+        np.testing.assert_allclose(scaled.a0 + scaled.atilde, a_eps, atol=1e-12)
     # the direct coupling lives in the isolated part, not the scaled part
-    data = composite.composite_weak(spec, 0.0)
-    np.testing.assert_allclose(data.a_eps, data.a0, atol=1e-14)
-    assert np.abs(data.a0[:3, 6:]).max() > 0.0
+    np.testing.assert_allclose(at_strength(0.0).a, unit.a0, atol=1e-14)
+    assert np.abs(unit.a0[:3, 6:]).max() > 0.0
 
 
 def test_composite_zero_frequency_multiplicity_is_three(pauli):
@@ -273,12 +279,12 @@ def test_composite_zero_frequency_multiplicity_is_three(pauli):
             s2 = qsde.system_spec(triv, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, (2, 1)))
             e12 = rng.uniform(-1.0, 1.0, (3, 1))
         spec = composite.composite_spec(s1, s2, e12)
-        data = composite.composite_weak(spec, 0.1)
-        md = modes.eigenmodes(data.a0, aug.alpha)
+        coeffs = composite.composite_coefficients(spec)
+        md = modes.eigenmodes(coeffs.a0, aug.alpha)
         zero_count = int(np.sum(np.abs(md.omegas) <= md.zero_tol))
         assert zero_count == 3
         with pytest.raises(ValueError, match="multiplicity|zero"):
-            weak.invariant_limit_from_drift(data.sa, data.sb, md)
+            weak.invariant_mean_limit(coeffs, md)
 
 
 def test_composite_spec_shape_errors(pauli):

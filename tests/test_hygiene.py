@@ -26,3 +26,23 @@ def test_every_exported_name_exists():
         missing += ["%s.%s" % (path.stem, name) for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert missing == []
+
+
+def test_submodules_export_only_their_own_names():
+    # re-exports belong in the package __init__, not in a submodule's __all__
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        module = importlib.import_module("quasilin." + path.stem)
+        foreign += ["%s.%s" % (path.stem, name) for name in getattr(module, "__all__", []) if name not in defined]
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert foreign == []

@@ -88,6 +88,26 @@ def test_upsilon_antisymmetric_and_refusals(worked, pauli):
         modes.eigenmodes(coeffs.a0, np.diag([1.0, 1.0, 0.0]))
 
 
+def test_eigenmodes_factors_alpha_once_and_keeps_refusals(worked, pauli, monkeypatch):
+    _, coeffs = worked
+    real = np.linalg.eigh
+    factored = []
+
+    def counting(x, *args, **kwargs):
+        factored.append(np.array_equal(x, pauli.alpha))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    modes.eigenmodes(coeffs.a0, pauli.alpha)
+    assert factored.count(True) == 1
+    with pytest.raises(ValueError, match="^alpha must be real symmetric$"):
+        modes.eigenmodes(coeffs.a0, np.triu(np.ones((3, 3))))
+    with pytest.raises(ValueError, match="^alpha is not positive definite"):
+        modes.eigenmodes(coeffs.a0, np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        modes.eigenmodes(coeffs.a, pauli.alpha)
+
+
 def test_no_positive_frequency_has_no_period(pauli):
     spec = qsde.system_spec(pauli, np.zeros(3), np.zeros((2, 3)), np.zeros(2))
     md = modes.eigenmodes(qsde.build_coefficients(spec).a0, pauli.alpha)

@@ -1,34 +1,38 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from quasilin import model, modes, qsde, weak
+from quasilin import cli, model, modes, qsde, weak
 from conftest import random_stable_pauli_spec
 
+REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
 M_REF = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 @pytest.fixture()
-def reference_shape(pauli):
-    shape = weak.coupling_shape(pauli, [0.0, 0.0, 1.0], M_REF, [0.0, 0.0])
-    a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
-    return shape, modes.eigenmodes(a0, pauli.alpha)
+def reference(pauli):
+    spec = qsde.system_spec(pauli, [0.0, 0.0, 1.0], M_REF, [0.0, 0.0])
+    a0 = qsde.build_coefficients(spec.at_strength(0.0)).a0
+    return spec, modes.eigenmodes(a0, pauli.alpha)
 
 
-def test_scaling_homogeneity(reference_shape):
-    shape, _ = reference_shape
-    ref = weak.scaled_coefficients(shape, 1.0)
+def test_scaling_homogeneity(reference):
+    spec, _ = reference
+    ref = weak.scaled_coefficients(spec, 1.0)
     for eps in (0.1, 0.3, 0.5):
-        sc = weak.scaled_coefficients(shape, eps)
+        sc = weak.scaled_coefficients(spec, eps)
         np.testing.assert_allclose(sc.atilde, eps**2 * ref.atilde, atol=1e-12)
         np.testing.assert_allclose(sc.b, eps**2 * ref.b, atol=1e-12)
-    half = weak.scaled_coefficients(shape, 0.5)
+    half = weak.scaled_coefficients(spec, 0.5)
     np.testing.assert_allclose(half.atilde, -0.5 * np.diag([1.0, 1.0, 2.0]), atol=1e-14)
     np.testing.assert_allclose(half.b, [0.0, 0.0, 1.0], atol=1e-14)
 
 
-def test_reference_nu_values(reference_shape):
-    shape, md = reference_shape
-    nu = weak.nu_values(shape, md)
+def test_reference_nu_values(reference):
+    spec, md = reference
+    nu = weak.nu_values(qsde.build_coefficients(spec), md)
     np.testing.assert_allclose(md.omegas, [2.0, 0.0, -2.0], atol=1e-12)
     np.testing.assert_allclose(nu, [-2.0, -4.0, -2.0], atol=1e-12)
 
@@ -37,37 +41,50 @@ def test_nu_conjugation_pairs(pauli):
     rng = np.random.default_rng(21)
     for _ in range(5):
         spec = random_stable_pauli_spec(rng, m=2)
-        shape = weak.coupling_shape(pauli, spec.energy, spec.coupling, spec.offset)
-        a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
+        coeffs = qsde.build_coefficients(spec)
         try:
-            md = modes.eigenmodes(a0, pauli.alpha)
-            nu = weak.nu_values(shape, md)
+            md = modes.eigenmodes(coeffs.a0, pauli.alpha)
+            nu = weak.nu_values(coeffs, md)
         except ValueError:
             continue
         assert abs(nu[0] - np.conj(nu[2])) < 1e-10
         assert abs(nu[1].imag) < 1e-10
 
 
-def test_real_part_sees_only_symmetric_drift(pauli, reference_shape):
-    shape, md = reference_shape
+def test_real_part_sees_only_symmetric_drift(pauli, reference):
+    spec, md = reference
+    coeffs = qsde.build_coefficients(spec)
     rng = np.random.default_rng(33)
     sa = rng.normal(size=(3, 3))
-    nu_full = weak.nu_from_drift(sa, md)
-    nu_sym = weak.nu_from_drift((sa + sa.T) / 2.0, md)
+    nu_full = weak.nu_values(replace(coeffs, atilde=sa), md)
+    nu_sym = weak.nu_values(replace(coeffs, atilde=(sa + sa.T) / 2.0), md)
     np.testing.assert_allclose(nu_full.real, nu_sym.real, atol=1e-12)
 
 
 def test_distinctness_refusal_names_the_pair(pauli):
-    shape = weak.coupling_shape(pauli, np.zeros(3), M_REF, [0.0, 0.0])
-    a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
-    md = modes.eigenmodes(a0, pauli.alpha)
+    coeffs = qsde.build_coefficients(qsde.system_spec(pauli, np.zeros(3), M_REF, [0.0, 0.0]))
+    md = modes.eigenmodes(coeffs.a0, pauli.alpha)
     with pytest.raises(ValueError, match="distinct"):
-        weak.nu_values(shape, md)
+        weak.nu_values(coeffs, md)
 
 
-def test_asymptotics_exact_on_reference(reference_shape):
-    shape, md = reference_shape
-    rows = weak.eigenvalue_asymptotics_check(shape, md, [0.2, 0.1, 0.05])
+def test_pair_gaps_match_loop_reference():
+    # the vectorised scan keeps the loop's values and its lexicographic pair order
+    rng = np.random.default_rng(40)
+    for n in (1, 2, 5):
+        x = rng.choice([-1.0, 0.0, 2.0], size=n) + 1j * rng.choice([0.0, 1.0], size=n)
+        gaps, j, k = weak._pair_gaps(x)
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert list(zip(j, k)) == pairs
+        np.testing.assert_array_equal(gaps, [abs(x[a] - x[b]) for a, b in pairs])
+    omegas = np.array([3.0, 1.0, 2.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match=r"^eigenfrequencies 0 and 4 are not distinct \(3 vs 3\)$"):
+        weak._check_distinct(omegas)
+
+
+def test_asymptotics_exact_on_reference(reference):
+    spec, md = reference
+    rows = weak.eigenvalue_asymptotics_check(qsde.build_coefficients(spec), md, [0.2, 0.1, 0.05])
     for row in rows:
         assert not row.ambiguous
         assert max(row.residuals) < 1e-10
@@ -76,16 +93,15 @@ def test_asymptotics_exact_on_reference(reference_shape):
 def test_asymptotics_residual_decreases(pauli):
     rng = np.random.default_rng(6)
     spec = random_stable_pauli_spec(rng, m=2)
-    shape = weak.coupling_shape(pauli, spec.energy, spec.coupling, spec.offset)
-    a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
-    md = modes.eigenmodes(a0, pauli.alpha)
-    worst = [max(r.residuals) for r in weak.eigenvalue_asymptotics_check(shape, md, [0.2, 0.1, 0.05])]
+    coeffs = qsde.build_coefficients(spec)
+    md = modes.eigenmodes(coeffs.a0, pauli.alpha)
+    worst = [max(r.residuals) for r in weak.eigenvalue_asymptotics_check(coeffs, md, [0.2, 0.1, 0.05])]
     assert worst[0] > worst[1] > worst[2]
 
 
-def test_reference_stability_and_thresholds(reference_shape):
-    shape, md = reference_shape
-    res = weak.stability_and_thresholds(shape, md)
+def test_reference_stability_and_thresholds(reference):
+    spec, md = reference
+    res = weak.stability_and_thresholds(qsde.build_coefficients(spec), md)
     assert res.stable_for_small_eps
     assert abs(res.abscissa_coefficient - (-2.0)) < 1e-12
     assert abs(res.tau_hat_coefficient - 0.25) < 1e-12
@@ -95,21 +111,21 @@ def test_reference_stability_and_thresholds(reference_shape):
     assert abs(res.eps_tilde - ref) < 1e-9
 
 
-def test_zero_coupling_is_not_strictly_stable(pauli, reference_shape):
-    _, md = reference_shape
-    shape = weak.coupling_shape(pauli, [0.0, 0.0, 1.0], np.zeros((2, 3)), np.zeros(2))
-    res = weak.stability_and_thresholds(shape, md)
+def test_zero_coupling_is_not_strictly_stable(pauli, reference):
+    _, md = reference
+    flat = qsde.build_coefficients(qsde.system_spec(pauli, [0.0, 0.0, 1.0], np.zeros((2, 3)), np.zeros(2)))
+    res = weak.stability_and_thresholds(flat, md)
     assert not res.stable_for_small_eps
     np.testing.assert_allclose(res.nu, np.zeros(3), atol=1e-14)
 
 
-def test_reference_invariant_limit(reference_shape):
-    shape, md = reference_shape
-    limit = weak.invariant_mean_limit(shape, md)
+def test_reference_invariant_limit(reference):
+    spec, md = reference
+    limit = weak.invariant_mean_limit(qsde.build_coefficients(spec), md)
     np.testing.assert_allclose(limit, [0.0, 0.0, 1.0], atol=1e-12)
     # for this shape the steady mean sits at the limit for every strength
     for eps in (0.5, 0.1, 0.01):
-        mu = qsde.steady_mean(weak.scaled_coefficients(shape, eps))
+        mu = qsde.steady_mean(weak.scaled_coefficients(spec, eps))
         np.testing.assert_allclose(mu, limit, atol=1e-10)
 
 
@@ -117,55 +133,68 @@ def test_limit_invariant_under_shape_scaling(pauli):
     rng = np.random.default_rng(12)
     while True:
         spec = random_stable_pauli_spec(rng, m=2)
-        shape = weak.coupling_shape(pauli, spec.energy, spec.coupling, spec.offset)
-        a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
-        md = modes.eigenmodes(a0, pauli.alpha)
+        coeffs = qsde.build_coefficients(spec)
+        md = modes.eigenmodes(coeffs.a0, pauli.alpha)
         try:
-            lim = weak.invariant_mean_limit(shape, md)
+            lim = weak.invariant_mean_limit(coeffs, md)
             break
         except ValueError:
             continue
-    tripled = weak.coupling_shape(pauli, shape.energy, 3.0 * shape.coupling, 3.0 * shape.offset)
+    tripled = qsde.build_coefficients(spec.at_strength(3.0))
     np.testing.assert_allclose(weak.invariant_mean_limit(tripled, md), lim, atol=1e-10)
 
 
 def test_limit_converges_from_steady_means(pauli):
     rng = np.random.default_rng(14)
     spec = random_stable_pauli_spec(rng, m=4)
-    shape = weak.coupling_shape(pauli, spec.energy, 0.05 * spec.coupling, 0.05 * spec.offset)
-    a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
-    md = modes.eigenmodes(a0, pauli.alpha)
-    lim = weak.invariant_mean_limit(shape, md)
+    small = spec.at_strength(0.05)
+    coeffs = qsde.build_coefficients(small)
+    md = modes.eigenmodes(coeffs.a0, pauli.alpha)
+    lim = weak.invariant_mean_limit(coeffs, md)
     errs = [
-        np.linalg.norm(qsde.steady_mean(weak.scaled_coefficients(shape, eps)) - lim)
+        np.linalg.norm(qsde.steady_mean(weak.scaled_coefficients(small, eps)) - lim)
         for eps in (0.1, 0.03, 0.01)
     ]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-6
 
 
-def test_limit_refusals(pauli, reference_shape):
-    _, md = reference_shape
+def test_limit_refusals(pauli, reference):
+    _, md = reference
     # vanishing rates: nu at the zero mode is zero when the coupling is zero
-    flat = weak.coupling_shape(pauli, [0.0, 0.0, 1.0], np.zeros((2, 3)), np.zeros(2))
+    flat = qsde.build_coefficients(qsde.system_spec(pauli, [0.0, 0.0, 1.0], np.zeros((2, 3)), np.zeros(2)))
     with pytest.raises(ValueError):
         weak.invariant_mean_limit(flat, md)
     # zero multiplicity three: isolated qubit with E = 0
-    null_shape = weak.coupling_shape(pauli, np.zeros(3), M_REF, [0.0, 0.0])
-    md0 = modes.eigenmodes(qsde.build_coefficients(null_shape.at_strength(0.0)).a0, pauli.alpha)
+    null = qsde.build_coefficients(qsde.system_spec(pauli, np.zeros(3), M_REF, [0.0, 0.0]))
+    md0 = modes.eigenmodes(null.a0, pauli.alpha)
     with pytest.raises(ValueError):
-        weak.invariant_mean_limit(null_shape, md0)
+        weak.invariant_mean_limit(null, md0)
 
 
 def test_scalar_shape_thresholds_absent():
     # one commuting variable: no oscillation, no thresholds, not strictly stable
     constants = model.structure_constants([[1.0]], [[[1.0]]])
-    shape = weak.coupling_shape(constants, [0.5], [[0.3], [0.1]], [0.0, 0.0])
-    a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
-    md = modes.eigenmodes(a0, constants.alpha)
+    coeffs = qsde.build_coefficients(qsde.system_spec(constants, [0.5], [[0.3], [0.1]], [0.0, 0.0]))
+    md = modes.eigenmodes(coeffs.a0, constants.alpha)
     np.testing.assert_allclose(md.omegas, [0.0], atol=1e-14)
-    res = weak.stability_and_thresholds(shape, md)
+    res = weak.stability_and_thresholds(coeffs, md)
     assert res.eps_hat is None and res.eps_tilde is None
+
+
+def test_weak_command_builds_coefficients_once(tmp_path, monkeypatch):
+    # the rates, thresholds, asymptotics and limit all read one unit-strength build
+    calls = []
+    real = qsde.build_coefficients
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(qsde, "build_coefficients", counting)
+    monkeypatch.setattr(weak, "build_coefficients", counting)
+    assert cli.main(["weak", "--config", REPO_CONFIG, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_pauli_gamma_reference():
@@ -195,10 +224,9 @@ def test_pauli_gamma_rates_match_mode_rates(pauli):
     for _ in range(5):
         e = rng.uniform(-1.0, 1.0, 3)
         m = rng.uniform(-1.0, 1.0, (4, 3))
-        shape = weak.coupling_shape(pauli, e, m, np.zeros(4))
-        a0 = qsde.build_coefficients(shape.at_strength(0.0)).a0
-        md = modes.eigenmodes(a0, pauli.alpha)
-        nu = weak.nu_values(shape, md)
+        coeffs = qsde.build_coefficients(qsde.system_spec(pauli, e, m, np.zeros(4)))
+        md = modes.eigenmodes(coeffs.a0, pauli.alpha)
+        nu = weak.nu_values(coeffs, md)
         res = weak.pauli_gamma(m, energy=e)
         assert abs(res.rotating_rate - nu[0].real) < 1e-10
         assert abs(res.static_rate - nu[1].real) < 1e-10
