@@ -438,11 +438,10 @@ def cmd_composite(cfg, args, out_dir):
     cspec = entry["spec"]
     block = composite_mod.composite_coefficients(cspec)
     generic = qsde.build_coefficients(composite_mod.augmented_system(cspec))
-    order = composite_mod.paired_channel_order(cspec.sys1.m, cspec.sys2.m)
 
     rng = np.random.default_rng(_seed(args, cfg))
     x = rng.uniform(-1.0, 1.0, block.n)
-    disp_block = composite_mod.composite_dispersion(cspec, x)[:, order]
+    disp_block = composite_mod.composite_dispersion(cspec, x)
     disp_generic = qsde.dispersion(generic, x)
 
     checks = [

@@ -13,18 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StructureConstants, structure_constants, validate
-from .qsde import QsdeCoefficients, SystemSpec, _finite_array, build_coefficients, dispersion, system_spec
+from .model import StructureConstants, dot_product, structure_constants, validate
+from .qsde import QsdeCoefficients, SystemSpec, _finite_array, build_coefficients, system_spec
 
 __all__ = [
     "CompositeSpec",
     "augment_constants",
-    "augment_energy",
     "augmented_system",
     "composite_coefficients",
     "composite_dispersion",
     "composite_spec",
-    "paired_channel_order",
 ]
 
 
@@ -97,58 +95,33 @@ def augment_constants(c1: StructureConstants, c2: StructureConstants) -> Structu
     return out
 
 
-def augment_energy(e1, e2, e12) -> np.ndarray:
-    """Stacked energy vector (E1, E2, vec of the direct coupling).
+def _paired_coupling(spec: CompositeSpec):
+    """Composite coupling M and offset N in paired channel order.
 
-    The trailing block is E12 flattened row-major, matching the j-outer
-    product index convention.
+    The first halves of both factors' channels come first, then the second
+    halves, so that the standard Ito matrix pairs channel r with r + m/2.
     """
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    e12 = np.asarray(e12, dtype=float)
-    if e12.shape != (len(e1), len(e2)):
-        raise ValueError("direct coupling shape %r does not match energies" % (e12.shape,))
-    return np.concatenate([e1, e2, e12.flatten(order="C")])
-
-
-def paired_channel_order(m1: int, m2: int) -> np.ndarray:
-    """Row order putting stacked (sys1, sys2) channels into paired form.
-
-    The standard Ito matrix pairs channel r with r + m/2.  Taking the first
-    halves of both factors, then the second halves, conjugates the
-    block-diagonal composite Ito matrix into exactly that standard form.
-    """
-    h1, h2 = m1 // 2, m2 // 2
-    first = list(range(h1)) + list(range(m1, m1 + h2))
-    second = list(range(h1, m1)) + list(range(m1 + h2, m1 + m2))
-    return np.array(first + second)
-
-
-def stacked_coupling(spec: CompositeSpec):
-    """Block coupling matrix and offset in stacked (unpermuted) channel order."""
-    m1 = spec.sys1.coupling
-    m2 = spec.sys2.coupling
-    n1, n2 = spec.sys1.constants.n, spec.sys2.constants.n
-    n = n1 + n2 + n1 * n2
-    m = np.zeros((m1.shape[0] + m2.shape[0], n), dtype=np.result_type(m1, m2))
-    m[: m1.shape[0], :n1] = m1
-    m[m1.shape[0] :, n1 : n1 + n2] = m2
-    return m, np.concatenate([spec.sys1.offset, spec.sys2.offset])
+    s1, s2 = spec.sys1, spec.sys2
+    n1, n2 = s1.constants.n, s2.constants.n
+    first = np.arange(s1.m + s2.m) % ((s1.m + s2.m) // 2) < s1.m // 2
+    m = np.zeros((s1.m + s2.m, n1 + n2 + n1 * n2), dtype=np.result_type(s1.coupling, s2.coupling))
+    m[first, :n1] = s1.coupling
+    m[~first, n1 : n1 + n2] = s2.coupling
+    offset = np.zeros(s1.m + s2.m, dtype=np.result_type(s1.offset, s2.offset))
+    offset[first], offset[~first] = s1.offset, s2.offset
+    return m, offset
 
 
 def augmented_system(spec: CompositeSpec) -> SystemSpec:
     """The composite as a single system spec on the augmented constants.
 
-    Channels are reordered into paired form so the standard Ito structure
-    applies; the drift this produces is identical to the block construction
-    (the drift depends on M only through M^T M, M^T J M and M^T J N, all
-    invariant under the reordering).
+    The energy is (E1, E2, E12 flattened row-major), matching the j-outer
+    product index; the channels are in paired order, so the standard Ito
+    structure applies.
     """
     c_aug = augment_constants(spec.sys1.constants, spec.sys2.constants)
-    e_aug = augment_energy(spec.sys1.energy, spec.sys2.energy, spec.direct_coupling)
-    m_stack, off_stack = stacked_coupling(spec)
-    order = paired_channel_order(spec.sys1.m, spec.sys2.m)
-    return system_spec(c_aug, e_aug, m_stack[order], off_stack[order])
+    e_aug = np.concatenate([spec.sys1.energy, spec.sys2.energy, spec.direct_coupling.ravel()])
+    return system_spec(c_aug, e_aug, *_paired_coupling(spec))
 
 
 def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
@@ -202,41 +175,30 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
     )
     b = np.concatenate([co1.b, co2.b, np.zeros(n12)])
 
-    m_stack, _ = stacked_coupling(spec)
-    order = paired_channel_order(spec.sys1.m, spec.sys2.m)
     for arr in (a, a0, b):
         arr.setflags(write=False)
     return QsdeCoefficients(
-        a=a, a0=a0, atilde=a - a0, b=b, theta=_tensor_constants(c1, c2).theta, coupling=m_stack[order]
+        a=a, a0=a0, atilde=a - a0, b=b, theta=_tensor_constants(c1, c2).theta, coupling=_paired_coupling(spec)[0]
     )
 
 
 def composite_dispersion(spec: CompositeSpec, x_full) -> np.ndarray:
-    """Dispersion matrix from subsystem blocks, stacked channel order.
+    """Dispersion matrix K(x) M^T, its columns in the paired channel order of M.
 
-    Rows: [B1(x1), 0], [0, B2(x2)], [frak1(xi), frak2(xi)] where xi is the
-    product block of the coefficient vector, read as the n1 x n2 matrix
-    Xi[l, a], and frak1(xi)[(j, a), k] = 2 sum_l theta1[l, j, k] Xi[l, a],
-    times M1^T; symmetrically for frak2.
+    M is the composite coupling on the factor variables and K(x) has the block
+    rows [2 theta1 . x1, 0], [0, 2 theta2 . x2], [frak1(Xi), frak2(Xi)], with
+    Xi[l, a] the product block of x and frak1(Xi)[(j, a), k] =
+    2 sum_l theta1[l, j, k] Xi[l, a]; symmetrically for frak2.
     """
     c1, c2 = spec.sys1.constants, spec.sys2.constants
     n1, n2 = c1.n, c2.n
     x_full = np.asarray(x_full)
     if x_full.shape != (n1 + n2 + n1 * n2,):
         raise ValueError("coefficient vector has wrong length")
-    x1 = x_full[:n1]
-    x2 = x_full[n1 : n1 + n2]
     xi = x_full[n1 + n2 :].reshape(n1, n2)
-
-    top = dispersion(build_coefficients(spec.sys1), x1)
-    mid = dispersion(build_coefficients(spec.sys2), x2)
-    frak1 = 2.0 * np.einsum("ljk,la->jak", c1.theta, xi).reshape(n1 * n2, n1) @ spec.sys1.coupling.T
-    frak2 = 2.0 * np.einsum("bak,jb->jak", c2.theta, xi).reshape(n1 * n2, n2) @ spec.sys2.coupling.T
-
-    m1, m2 = spec.sys1.m, spec.sys2.m
-    out = np.zeros((n1 + n2 + n1 * n2, m1 + m2), dtype=np.result_type(top, mid, frak1, frak2))
-    out[:n1, :m1] = top
-    out[n1 : n1 + n2, m1:] = mid
-    out[n1 + n2 :, :m1] = frak1
-    out[n1 + n2 :, m1:] = frak2
-    return out
+    top = 2.0 * dot_product(c1.theta, x_full[:n1])
+    mid = 2.0 * dot_product(c2.theta, x_full[n1 : n1 + n2])
+    frak1 = 2.0 * np.einsum("ljk,la->jak", c1.theta, xi).reshape(n1 * n2, n1)
+    frak2 = 2.0 * np.einsum("bak,jb->jak", c2.theta, xi).reshape(n1 * n2, n2)
+    k = np.block([[top, np.zeros((n1, n2))], [np.zeros((n2, n1)), mid], [frak1, frak2]])
+    return k @ _paired_coupling(spec)[0][:, : n1 + n2].T

@@ -27,12 +27,13 @@ __all__ = [
 ]
 
 GRID_POINTS = 400
+HORIZON_FACTOR = 10.0
 
 
-def tau_star(a, ccr_matrix, horizon_factor: float = 10.0) -> float:
+def tau_star(a, ccr_matrix) -> float:
     """First time the CCR matrix norm drops to 1/e of its initial value.
 
-    Scans a 400-point grid on [0, horizon_factor / |sigma(A)|] for the first
+    Scans a 400-point grid on [0, HORIZON_FACTOR / |sigma(A)|] for the first
     sign change of ||e^{tau A} Z0||_F - ||Z0||_F / e, stepping along it with
     `qsde.propagate` only as far as that change, then bisects to a relative
     width of 1e-10.  Dips narrower than the grid step can be missed; the
@@ -49,7 +50,7 @@ def tau_star(a, ccr_matrix, horizon_factor: float = 10.0) -> float:
     def excess(tau):
         return float(np.linalg.norm(expm(tau * a) @ z0)) - target
 
-    horizon = horizon_factor / abs(sa)
+    horizon = HORIZON_FACTOR / abs(sa)
     grid = np.linspace(0.0, horizon, GRID_POINTS)
     norms = (float(np.linalg.norm(z)) for z in propagate(a, z0, grid))
     hit = next((i for i, norm in enumerate(norms) if i > 0 and norm - target <= 0.0), None)

@@ -3,9 +3,10 @@
 With alpha positive definite, A0 = alpha Upsilon for a real antisymmetric
 Upsilon, so A0 is similar to i * diag(omega) with real omega coming in
 +/- pairs (plus zeros).  The similarity is Sigma = sqrt(alpha) V with V a
-unitary eigenbasis of the Hermitian matrix -i sqrt(alpha) Upsilon
-sqrt(alpha).  The isolated dynamics is then a direct sum of rotations at
-the positive frequencies plus frozen static modes.
+unitary eigenbasis of the real antisymmetric S = sqrt(alpha) Upsilon
+sqrt(alpha), read off its real Schur form.  The isolated dynamics is then a
+direct sum of rotations at the positive frequencies plus frozen static
+modes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import schur
 
 __all__ = [
     "EigenModes",
@@ -68,6 +70,12 @@ def upsilon(a0, alpha) -> np.ndarray:
 def eigenmodes(a0, alpha) -> EigenModes:
     """Diagonalize A0 = i Sigma diag(omega) Sigma^{-1} with alpha > 0.
 
+    The real Schur form of S = sqrt(alpha) Upsilon sqrt(alpha), real
+    antisymmetric, is block diagonal.  A 2 x 2 block [[0, w], [-w, 0]] on
+    Schur vectors (q_p, q_p+1) gives the pair v = (q_p + i sign(w) q_p+1)/sqrt(2)
+    at |w| and its conjugate at -|w|; every other Schur vector, and each block
+    with |w| <= zero_tol, is a real static mode at frequency exactly 0.
+
     Conventions: omegas sorted descending; each eigenvector has its
     largest-magnitude entry real positive; negative-frequency eigenvectors
     are the conjugates of their positive partners; zero-frequency
@@ -76,44 +84,27 @@ def eigenmodes(a0, alpha) -> EigenModes:
     a0 = np.asarray(a0, dtype=float)
     n = a0.shape[0]
     root, iroot = _alpha_roots(alpha)
-    ups = _solve_upsilon(a0, alpha)
-    herm = -1j * root @ ups @ root
-    herm = (herm + herm.conj().T) / 2.0
-    w, v = np.linalg.eigh(herm)
-    order = np.argsort(-w, kind="stable")
-    omegas = w[order]
-    v = v[:, order].astype(complex)
+    s = root @ _solve_upsilon(a0, alpha) @ root
+    t, q = schur((s - s.T) / 2.0, output="real")
+    p = np.flatnonzero(np.diag(t, -1))
+    w = (t[p, p + 1] - t[p + 1, p]) / 2.0
+    zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(w), initial=0.0)))
+    rot = np.abs(w) > zero_tol
+    order = np.argsort(-np.abs(w[rot]), kind="stable")
+    p, w = p[rot][order], w[rot][order]
+    # v = (x + i y)/sqrt(2) times conj(lead)/|lead|, formed in the real plane so
+    # that the lead entry's imaginary part a b - b a is exactly 0
+    x, y = q[:, p], np.sign(w) * q[:, p + 1]
+    mag = np.hypot(x, y)
+    a, b = _lead(mag, x), _lead(mag, y)
+    r = np.sqrt(2.0) * np.hypot(a, b)
+    pairs = (a * x + b * y) / r + 1j * ((a * y - b * x) / r)
+    static = np.delete(q, np.concatenate([p, p + 1]), axis=1)
+    static *= np.sign(_lead(np.abs(static), static))
 
-    zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(omegas))) if n else 1.0)
-
-    for k in range(n):
-        col = v[:, k]
-        lead = col[int(np.argmax(np.abs(col)))]
-        if abs(lead) > 0:
-            v[:, k] = col * (np.conj(lead) / abs(lead))
-
-    # zero block: the eigenspace is conjugation invariant, pick a real basis
-    zero_idx = np.where(np.abs(omegas) <= zero_tol)[0]
-    if len(zero_idx):
-        block = v[:, zero_idx]
-        u, s, _ = np.linalg.svd(np.hstack([block.real, block.imag]), full_matrices=False)
-        real_basis = u[:, : len(zero_idx)]
-        for i, k in enumerate(zero_idx):
-            col = real_basis[:, i]
-            lead = col[int(np.argmax(np.abs(col)))]
-            v[:, k] = col * np.sign(lead) if lead != 0 else col
-
-    # tie negative-frequency vectors to their positive partners by conjugation
-    neg_idx = [int(k) for k in np.where(omegas < -zero_tol)[0]]
-    for k in np.where(omegas > zero_tol)[0]:
-        if not neg_idx:
-            raise ValueError("unpaired positive frequency %g" % omegas[k])
-        j = min(neg_idx, key=lambda i: abs(omegas[i] + omegas[k]))
-        if abs(omegas[j] + omegas[k]) > max(zero_tol, 1e-9 * abs(omegas[k])):
-            raise ValueError("no conjugate partner for frequency %g" % omegas[k])
-        v[:, j] = np.conj(v[:, int(k)])
-        neg_idx.remove(j)
-
+    pos = np.abs(w)
+    omegas = np.concatenate([pos, np.zeros(static.shape[1]), -pos[::-1]])
+    v = np.hstack([pairs, static, np.conj(pairs[:, ::-1])])
     if np.max(np.abs(v.conj().T @ v - np.eye(n))) > 1e-10:
         raise ValueError("eigenbasis lost orthonormality")
     sigma = root @ v
@@ -129,6 +120,11 @@ def eigenmodes(a0, alpha) -> EigenModes:
     )
 
 
+def _lead(magnitude, cols):
+    """Entry of each column of cols where the column of magnitude is largest."""
+    return cols[np.argmax(magnitude, axis=0), np.arange(cols.shape[1])]
+
+
 def oscillation_period(modes: EigenModes):
     """Common period 2 pi / (smallest positive frequency), or None if static."""
     pos = modes.omegas[modes.omegas > modes.zero_tol]
@@ -137,23 +133,20 @@ def oscillation_period(modes: EigenModes):
     return float(2.0 * np.pi / np.min(pos))
 
 
-def mode_coordinates(modes: EigenModes, alpha):
+def mode_coordinates(modes: EigenModes):
     """Real coordinate rows for each rotating pair and static mode.
 
     Returns a list of (kind, omega, rows): for kind "rotating" the rows are
-    the 2 x n coefficient pair (xi_k, eta_k) with xi_k = (Re v_k)^T
-    alpha^{-1/2} and eta_k = -(Im v_k)^T alpha^{-1/2}, which evolve under
-    the isolated flow as a clockwise rotation at rate omega; for kind
-    "static" a single frozen row.
+    the 2 x n coefficient pair (xi_k, eta_k), the real and imaginary parts of
+    row k of Sigma^{-1} (so xi_k = (Re v_k)^T alpha^{-1/2} and
+    eta_k = -(Im v_k)^T alpha^{-1/2}), which evolve under the isolated flow as
+    a clockwise rotation at rate omega; for kind "static" a single frozen row.
     """
-    _, iroot = _alpha_roots(alpha)
     out = []
     for k, om in enumerate(modes.omegas):
+        row = modes.sigma_inv[k]
         if om > modes.zero_tol:
-            vk = modes.vectors[:, k]
-            rows = np.vstack([iroot @ vk.real, -(iroot @ vk.imag)])
-            out.append(("rotating", float(om), rows))
+            out.append(("rotating", float(om), np.vstack([row.real, row.imag])))
         elif abs(om) <= modes.zero_tol:
-            vk = modes.vectors[:, k]
-            out.append(("static", 0.0, (iroot @ vk.real)[None, :]))
+            out.append(("static", 0.0, row.real[None, :]))
     return out

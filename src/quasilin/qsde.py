@@ -43,10 +43,6 @@ __all__ = [
     "system_spec",
 ]
 
-# One quadrature pair: d<W dW^T> = (I + i bJ) dt on each pair of channels.
-BJ = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
 @dataclass(frozen=True)
 class ItoStructure:
     """Ito matrix Omega = I + iJ of m quadrature field channels."""
@@ -59,12 +55,12 @@ class ItoStructure:
 def ito_structure(m: int) -> ItoStructure:
     """Standard Ito structure on m channels (m even, m >= 2).
 
-    J = BJ (x) I_{m/2} pairs channel r with channel r + m/2; Omega = I + iJ
-    is Hermitian PSD with eigenvalues 0 and 2, each of multiplicity m/2.
+    J = [[0, I], [-I, 0]] with I = I_{m/2} pairs channel r with r + m/2;
+    Omega = I + iJ is Hermitian PSD with eigenvalues 0 and 2, each m/2 times.
     """
     if m < 2 or m % 2:
         raise ValueError("channel count must be even and >= 2, got %r" % (m,))
-    j_mat = np.kron(BJ, np.eye(m // 2))
+    j_mat = np.eye(m, k=m // 2) - np.eye(m, k=-(m // 2))
     omega = np.eye(m) + 1j * j_mat
     j_mat.setflags(write=False)
     omega.setflags(write=False)

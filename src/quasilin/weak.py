@@ -208,10 +208,7 @@ def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndar
         raise ValueError("zero-mode rate vanishes, stationary mean does not converge")
     if nu0.real >= 0.0:
         raise ValueError("zero mode does not decay (Re nu = %g)" % nu0.real)
-    v0 = modes.vectors[:, k0]
-    if np.max(np.abs(v0.imag)) > 1e-9:
-        raise ValueError("zero-mode eigenvector is not real")
-    v0 = v0.real
+    v0 = modes.vectors[:, k0].real
     # sqrt(alpha) = Sigma V^*, alpha^{-1/2} = V Sigma^{-1}
     root = modes.sigma @ modes.vectors.conj().T
     iroot = modes.vectors @ modes.sigma_inv

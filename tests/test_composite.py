@@ -110,7 +110,8 @@ def test_augment_constants_matches_product_loop(c1, c2):
 
 def test_augment_energy_tail_convention():
     e12 = np.outer(np.eye(3)[0], np.eye(3)[0])
-    e = composite.augment_energy(np.zeros(3), np.zeros(3), e12)
+    s0 = qsde.system_spec(PAULI, np.zeros(3), np.zeros((2, 3)))
+    e = composite.augmented_system(composite.composite_spec(s0, s0, e12)).energy
     assert e.shape == (15,)
     assert e[6] == 1.0 and np.count_nonzero(e) == 1
     # round trip
@@ -129,9 +130,8 @@ def test_block_assembly_matches_generic_path(pauli):
         np.testing.assert_allclose(blocks.a0, generic.a0, atol=1e-10)
         np.testing.assert_allclose(blocks.b, generic.b, atol=1e-10)
         x = rng.uniform(-1.0, 1.0, 15)
-        perm = composite.paired_channel_order(4, 2)
         np.testing.assert_allclose(
-            composite.composite_dispersion(spec, x)[:, perm],
+            composite.composite_dispersion(spec, x),
             qsde.dispersion(generic, x),
             atol=1e-10,
         )
@@ -161,9 +161,8 @@ def test_block_assembly_unequal_factors(c1, c2, coupled):
         np.testing.assert_allclose(blocks.a0, generic.a0, atol=1e-12)
         np.testing.assert_allclose(blocks.b, generic.b, atol=1e-12)
         x = rng.uniform(-1.0, 1.0, blocks.n)
-        perm = composite.paired_channel_order(2, 2)
         np.testing.assert_allclose(
-            composite.composite_dispersion(spec, x)[:, perm], qsde.dispersion(generic, x), atol=1e-12
+            composite.composite_dispersion(spec, x), qsde.dispersion(generic, x), atol=1e-12
         )
 
 
@@ -202,6 +201,21 @@ def test_composite_commands_validate_augmented_constants_once(argv, tmp_path, mo
     assert len(calls) == 1
 
 
+def test_composite_command_builds_three_coefficient_sets(tmp_path, monkeypatch):
+    """One build per factor for the block path and one for the generic path."""
+    calls = []
+    real = qsde.build_coefficients
+
+    def counting(spec):
+        calls.append(spec.constants.n)
+        return real(spec)
+
+    monkeypatch.setattr(qsde, "build_coefficients", counting)
+    monkeypatch.setattr(composite, "build_coefficients", counting)
+    assert cli.main(["composite", "--config", REPO_CONFIG, "--out", str(tmp_path)]) == 0
+    assert sorted(calls) == [3, 3, 15]
+
+
 def test_decoupled_composite_is_block_diagonal(pauli):
     rng = np.random.default_rng(2)
     e1 = rng.uniform(-1.0, 1.0, 3)
@@ -226,7 +240,7 @@ def test_composite_isolated_spectrum_is_imaginary(pauli):
     co = composite.composite_coefficients(spec)
     ev = np.linalg.eigvals(co.a0)
     assert np.abs(ev.real).max() < 1e-9
-    e_aug = composite.augment_energy(spec.sys1.energy, spec.sys2.energy, spec.direct_coupling)
+    e_aug = composite.augmented_system(spec).energy
     assert np.abs(e_aug @ co.a0).max() < 1e-10
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from quasilin import modes, qsde
+from quasilin import composite, model, modes, qsde
+from conftest import gell_mann_constants
 
 BJ = np.array([[0.0, 1.0], [-1.0, 0.0]])
+PAULI = model.pauli_constants()
+QUTRIT = gell_mann_constants(3)
 
 
 def test_reference_frequencies(worked, pauli):
@@ -66,7 +69,7 @@ def test_mode_rows_rotate_under_isolated_flow(worked, pauli):
     """d/dt rows = -omega BJ rows along dx/dt = A0 x, a clockwise rotation."""
     _, coeffs = worked
     md = modes.eigenmodes(coeffs.a0, pauli.alpha)
-    coords = modes.mode_coordinates(md, pauli.alpha)
+    coords = modes.mode_coordinates(md)
     kinds = [c[0] for c in coords]
     assert kinds.count("rotating") == 1 and kinds.count("static") == 1
     for kind, om, rows in coords:
@@ -113,3 +116,123 @@ def test_no_positive_frequency_has_no_period(pauli):
     md = modes.eigenmodes(qsde.build_coefficients(spec).a0, pauli.alpha)
     np.testing.assert_allclose(md.omegas, np.zeros(3), atol=1e-15)
     assert modes.oscillation_period(md) is None
+
+
+def repair_eigenmodes(a0, alpha):
+    """Reference (omegas, V): a complex eigh of -i sqrt(alpha) Upsilon sqrt(alpha),
+    then the phase, a real static basis and the conjugate partners repaired
+    column by column."""
+    root, iroot = modes._alpha_roots(alpha)
+    ups = modes._solve_upsilon(a0, alpha)
+    herm = -1j * root @ ups @ root
+    herm = (herm + herm.conj().T) / 2.0
+    w, v = np.linalg.eigh(herm)
+    order = np.argsort(-w, kind="stable")
+    omegas = w[order]
+    v = v[:, order].astype(complex)
+    n = len(omegas)
+    zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(omegas))))
+    for k in range(n):
+        col = v[:, k]
+        lead = col[int(np.argmax(np.abs(col)))]
+        v[:, k] = col * (np.conj(lead) / abs(lead))
+    zero_idx = np.where(np.abs(omegas) <= zero_tol)[0]
+    if len(zero_idx):
+        block = v[:, zero_idx]
+        u, _, _ = np.linalg.svd(np.hstack([block.real, block.imag]), full_matrices=False)
+        for i, k in enumerate(zero_idx):
+            col = u[:, i]
+            v[:, k] = col * np.sign(col[int(np.argmax(np.abs(col)))])
+    neg_idx = [int(k) for k in np.where(omegas < -zero_tol)[0]]
+    for k in np.where(omegas > zero_tol)[0]:
+        j = min(neg_idx, key=lambda i: abs(omegas[i] + omegas[k]))
+        v[:, j] = np.conj(v[:, int(k)])
+        neg_idx.remove(j)
+    return omegas, v
+
+
+def _system_a0(constants, energy):
+    spec = qsde.system_spec(constants, energy, np.zeros((2, constants.n)))
+    return qsde.build_coefficients(spec).a0
+
+
+def _composite_a0(rng, c2):
+    s1 = qsde.system_spec(PAULI, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, 2))
+    s2 = qsde.system_spec(c2, rng.uniform(-1, 1, c2.n), rng.uniform(-1, 1, (2, c2.n)), rng.uniform(-1, 1, 2))
+    spec = composite.composite_spec(s1, s2, rng.uniform(-1, 1, (3, c2.n)))
+    return composite.composite_coefficients(spec).a0, composite.augment_constants(PAULI, c2).alpha
+
+
+def _mode_draw(name):
+    """(A0, alpha, number of static modes) of a named draw."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "pauli":
+        return _system_a0(PAULI, rng.uniform(-1, 1, 3)), PAULI.alpha, 1
+    if name == "pauli-E0":
+        return _system_a0(PAULI, np.zeros(3)), PAULI.alpha, 3
+    if name == "gell-mann-3":
+        return _system_a0(QUTRIT, rng.uniform(-1, 1, 8)), QUTRIT.alpha, 2
+    if name == "gell-mann-4":
+        c = gell_mann_constants(4)
+        return _system_a0(c, rng.uniform(-1, 1, 15)), c.alpha, 3
+    if name == "qutrit-repeated":
+        # E on the last diagonal generator only: levels (1, 1, -2), so the two
+        # rotating pairs share one frequency and four modes are static
+        return _system_a0(QUTRIT, 0.7 * np.eye(8)[-1]), QUTRIT.alpha, 4
+    if name == "PxP":
+        return (*_composite_a0(rng, PAULI), 3)
+    return (*_composite_a0(rng, QUTRIT), 5)
+
+
+MODE_DRAWS = ["pauli", "pauli-E0", "gell-mann-3", "gell-mann-4", "qutrit-repeated", "PxP", "PxG3"]
+
+
+@pytest.mark.parametrize("name", MODE_DRAWS)
+def test_schur_modes_match_eigh_reference(name):
+    a0, alpha, _ = _mode_draw(name)
+    md = modes.eigenmodes(a0, alpha)
+    omegas, v = repair_eigenmodes(a0, alpha)
+    scale = max(1.0, float(np.max(np.abs(omegas))))
+    assert np.max(np.abs(md.omegas - omegas)) <= 1e-12 * scale
+    # clusters of equal reference frequency; a simple one must match vector by vector
+    edges = np.flatnonzero(np.diff(omegas) < -1e-9 * scale) + 1
+    for cluster in np.split(np.arange(len(omegas)), edges):
+        ours, ref = md.vectors[:, cluster], v[:, cluster]
+        np.testing.assert_allclose(ours @ ours.conj().T, ref @ ref.conj().T, rtol=0, atol=1e-12)
+        if len(cluster) == 1:
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", MODE_DRAWS)
+def test_mode_conventions_hold_exactly(name):
+    a0, alpha, static_count = _mode_draw(name)
+    md = modes.eigenmodes(a0, alpha)
+    v, om = md.vectors, md.omegas
+    static = om == 0.0
+    assert np.count_nonzero(static) == static_count
+    assert np.all(v[:, static].imag == 0.0)
+    n = len(om)
+    for k in np.flatnonzero(om > 0.0):
+        assert om[n - 1 - k] == -om[k]
+        assert np.array_equal(v[:, n - 1 - k], np.conj(v[:, k]))
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
+    assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
+
+
+@pytest.mark.parametrize("name", MODE_DRAWS)
+def test_mode_coordinates_read_sigma_inverse(name):
+    """The rows equal (alpha^{-1/2} Re v_k, -alpha^{-1/2} Im v_k), formed from alpha."""
+    a0, alpha, _ = _mode_draw(name)
+    md = modes.eigenmodes(a0, alpha)
+    iroot = modes._alpha_roots(alpha)[1]
+    coords = modes.mode_coordinates(md)
+    expected = []
+    for k, om in enumerate(md.omegas):
+        vk = md.vectors[:, k]
+        if om > md.zero_tol:
+            expected.append(("rotating", float(om), np.vstack([iroot @ vk.real, -(iroot @ vk.imag)])))
+        elif abs(om) <= md.zero_tol:
+            expected.append(("static", 0.0, (iroot @ vk.real)[None, :]))
+    assert [c[:2] for c in coords] == [e[:2] for e in expected]
+    for (_, _, rows), (_, _, ref) in zip(coords, expected):
+        np.testing.assert_array_equal(rows, ref)

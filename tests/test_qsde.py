@@ -17,6 +17,11 @@ def test_ito_structure_paired_form():
     np.testing.assert_array_equal(ito.omega, np.eye(2) + 1j * ito.j_mat)
     ito4 = qsde.ito_structure(4)
     np.testing.assert_array_equal(ito4.j_mat[:2, 2:], np.eye(2))
+    # J = [[0, 1], [-1, 0]] (x) I_{m/2}
+    for m in (2, 4, 6, 8):
+        kron = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(m // 2))
+        np.testing.assert_array_equal(qsde.ito_structure(m).j_mat, kron)
+        np.testing.assert_array_equal(qsde.ito_structure(m).omega, np.eye(m) + 1j * kron)
     for m in (1, 3, 0, -2):
         with pytest.raises(ValueError):
             qsde.ito_structure(m)
