@@ -137,27 +137,24 @@ class Config:
         if not isinstance(self.analysis, dict):
             raise ConfigError('"analysis" must be an object')
 
-    def system(self, name=None):
-        name = name or self.analysis.get("system")
-        if name is None:
-            if len(self.systems) == 1:
-                name = next(iter(self.systems))
-            else:
-                raise ConfigError("several systems defined; set analysis.system")
-        if name not in self.systems:
-            raise ConfigError("unknown system %r" % name)
-        return name, self.systems[name]
+    def system(self):
+        return self._pick("system", self.systems, "several systems defined; set analysis.system")
 
-    def composite(self, name=None):
-        name = name or self.analysis.get("composite")
+    def composite(self):
+        return self._pick("composite", self.composites, "set analysis.composite to pick a composite")
+
+    def _pick(self, key, table, ambiguous):
+        """The entry named by analysis[key], or the only entry when it is unset."""
+        name = self.analysis.get(key)
         if name is None:
-            if len(self.composites) == 1:
-                name = next(iter(self.composites))
-            else:
-                raise ConfigError("set analysis.composite to pick a composite")
-        if name not in self.composites:
-            raise ConfigError("unknown composite %r" % name)
-        return name, self.composites[name]
+            if len(table) != 1:
+                raise ConfigError(ambiguous)
+            name = next(iter(table))
+        if not isinstance(name, str):
+            raise ConfigError("analysis.%s must be a string, got %r" % (key, name))
+        if name not in table:
+            raise ConfigError("unknown %s %r" % (key, name))
+        return name, table[name]
 
 
 def _load_config(path):
@@ -203,10 +200,8 @@ def _grid(args, cfg):
         spec = cfg.analysis.get("grid", [0.0, 5.0, 41])
         if not isinstance(spec, list) or len(spec) != 3:
             raise ConfigError("analysis.grid must be [t0, t1, steps]")
-        try:
-            t0, t1, steps = float(spec[0]), float(spec[1]), int(spec[2])
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError("analysis.grid must be [t0, t1, steps] with numeric fields")
+        t0, t1 = (_number(t, "analysis.grid time") for t in spec[:2])
+        steps = _number(spec[2], "analysis.grid steps", integer=True)
     if not (np.isfinite(t0) and np.isfinite(t1)):
         raise ConfigError("grid times must be finite, got %r:%r" % (t0, t1))
     if steps < 2 or t1 <= t0:
@@ -214,14 +209,31 @@ def _grid(args, cfg):
     return np.linspace(t0, t1, steps)
 
 
+def _number(v, what, integer=False, low=None):
+    """A JSON or command-line number as a finite float, or with `integer` as an
+    int (an integral float counts), refused below `low`; booleans and strings
+    are refused too."""
+    if integer:
+        ok = isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    else:
+        ok = isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+    if isinstance(v, bool) or not ok or low is not None and v < low:
+        bound = "" if low is None else " >= %g" % low
+        raise ConfigError("%s must be %s%s, got %r" % (what, "an integer" if integer else "a finite number", bound, v))
+    return int(v) if integer else float(v)
+
+
 def _eps_list(args, cfg):
     if args.eps:
         try:
-            vals = [float(v) for v in args.eps.split(",")]
+            vals = [_number(float(v), "--eps value") for v in args.eps.split(",")]
         except ValueError:
             raise ConfigError("--eps must be a comma separated float list")
     else:
-        vals = [float(v) for v in cfg.analysis.get("eps", [0.2, 0.1, 0.05])]
+        vals = cfg.analysis.get("eps", [0.2, 0.1, 0.05])
+        if not isinstance(vals, list):
+            raise ConfigError("analysis.eps must be a list of numbers, got %r" % (vals,))
+        vals = [_number(v, "analysis.eps value") for v in vals]
     if not vals or any(v <= 0 for v in vals):
         raise ConfigError("eps values must be positive")
     return vals
@@ -229,14 +241,14 @@ def _eps_list(args, cfg):
 
 def _tol(args, cfg):
     if args.tol is not None:
-        return float(args.tol)
-    return float(cfg.analysis.get("tol", 1e-8))
+        return _number(args.tol, "--tol", low=0.0)
+    return _number(cfg.analysis.get("tol", 1e-8), "analysis.tol", low=0.0)
 
 
 def _seed(args, cfg):
     if args.seed is not None:
-        return int(args.seed)
-    return int(cfg.analysis.get("seed", 0))
+        return _number(args.seed, "--seed", integer=True, low=0)
+    return _number(cfg.analysis.get("seed", 0), "analysis.seed", integer=True, low=0)
 
 
 def _real_mu(cfg, n):
@@ -250,7 +262,7 @@ def _real_mu(cfg, n):
 
 
 def cmd_validate(cfg, args, out_dir):
-    tol = args.tol if args.tol is not None else 1e-10
+    tol = 1e-10 if args.tol is None else _tol(args, cfg)
     reports = []
     for name, entry in cfg.systems.items():
         rep = model.validate(entry["spec"].constants, tol=tol)
@@ -312,6 +324,8 @@ def cmd_qcf(cfg, args, out_dir):
     vectors = np.eye(coeffs.n) if us is None else _array(us, "qcf_u", 2)
     if np.iscomplexobj(vectors):
         raise ConfigError("qcf_u entries must be real")
+    if vectors.shape[1] != coeffs.n:
+        raise ConfigError("qcf_u vectors must have length %d, got %d" % (coeffs.n, vectors.shape[1]))
     vals = np.array([qsde.qcf(constants, mu, u) for u in vectors])
     header = ["u_%d" % (j + 1) for j in range(coeffs.n)] + ["re", "im"]
     path = _write_csv(out_dir, "qcf.csv", header, [*vectors.T, vals.real, vals.imag])
@@ -369,7 +383,7 @@ def cmd_decoherence(cfg, args, out_dir):
     mu = qsde.steady_mean(coeffs)
     ccr = model.dot_product(entry["spec"].constants.theta, mu)
     tau = deco_mod.tau_star(coeffs.a, ccr)
-    budget = int(cfg.analysis.get("budget", 64))
+    budget = _number(cfg.analysis.get("budget", 64), "analysis.budget", integer=True, low=1)
     search = deco_mod.optimize_tau_bound(coeffs.a, ccr, budget=budget, seed=_seed(args, cfg))
     floats = np.array([[tau], [search.bound], [search.lam]])
     ints = np.array([[search.seed], [search.evaluations]])
@@ -458,9 +472,8 @@ def cmd_composite(cfg, args, out_dir):
 
 def cmd_oracle(cfg, args, out_dir):
     tol = _tol(args, cfg)
-    comp_name = cfg.analysis.get("composite") if args.composite else None
     if args.composite:
-        name, entry = cfg.composite(comp_name)
+        name, entry = cfg.composite()
         if not entry["pauli_pair"]:
             raise ConfigError("oracle only has representations for pauli-based systems")
         rep = oracle_mod.tensor_representation(

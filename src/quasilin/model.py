@@ -28,8 +28,6 @@ __all__ = [
     "affine_mul",
     "diam_product",
     "dot_product",
-    "first_index_slices",
-    "middle_index_slices",
     "norm_bounds",
     "pauli_constants",
     "quadratic_form",
@@ -201,20 +199,6 @@ def diam_product(sections, u):
     if sections.shape[2] != u.shape[0]:
         raise ValueError("section width %d != vector length %d" % (sections.shape[2], u.shape[0]))
     return np.einsum("ljk,k->jl", sections, u)
-
-
-def first_index_slices(sections):
-    """Reslice so out[l][j, k] carries coefficient indices (l, j, k).
-
-    sections[s, r, c] stores coefficient (row r, col c, linear s); fixing the
-    FIRST coefficient index instead is the axis permutation (1, 2, 0).
-    """
-    return np.transpose(np.asarray(sections), (1, 2, 0))
-
-
-def middle_index_slices(sections):
-    """Reslice so out[k][j, l] carries coefficient indices (j, k, l)."""
-    return np.transpose(np.asarray(sections), (2, 1, 0))
 
 
 def norm_bounds(constants: StructureConstants):

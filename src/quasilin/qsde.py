@@ -16,14 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import (
-    AffineOperator,
-    StructureConstants,
-    diam_product,
-    dot_product,
-    first_index_slices,
-    reduce_monomial,
-)
+from .model import StructureConstants, diam_product, dot_product, reduce_monomial
 
 __all__ = [
     "ItoStructure",
@@ -143,24 +136,24 @@ def build_coefficients(spec: SystemSpec) -> QsdeCoefficients:
     A = 2 theta<>(E + M^T J N)
         + 2 sum_l theta_l M^T (M theta_l.. + J M Re(beta)_l..),
     b = 2 sum_l theta_l M^T J M alpha[:, l],
-    where theta_l.. and Re(beta)_l.. are the first-coefficient-index slices.
-    The Hamiltonian-only part a0 = 2 theta<>E is returned separately since
-    the split drives the weak-coupling analysis.
+    where S_l..[j, k] = S[k, l, j] fixes the first coefficient index of the
+    sections S = theta, Re(beta).  The Hamiltonian-only part a0 = 2 theta<>E
+    is returned separately since the split drives the weak-coupling analysis.
     """
     c = spec.constants
-    th = c.theta
+    th, n = c.theta, c.n
     m_mat = spec.coupling
     jm = ito_structure(spec.m).j_mat
-    fi_th = first_index_slices(th)
-    fi_rb = first_index_slices(c.beta.real)
+    mjm = m_mat.T @ jm @ m_mat
+
+    def coupled(y, sections):
+        # sum_l theta_l M^T y S_l.. as one product over the flattened (l, column) pairs
+        return (th @ m_mat.T @ y).transpose(1, 0, 2).reshape(n, -1) @ sections.reshape(n, -1).T
 
     a0 = 2.0 * diam_product(th, spec.energy)
     a = 2.0 * diam_product(th, spec.energy + m_mat.T @ (jm @ spec.offset))
-    b = np.zeros(c.n, dtype=np.result_type(m_mat, float))
-    mjm = m_mat.T @ jm @ m_mat
-    for l in range(c.n):
-        a = a + 2.0 * th[l] @ m_mat.T @ (m_mat @ fi_th[l] + jm @ m_mat @ fi_rb[l])
-        b = b + 2.0 * th[l] @ (mjm @ c.alpha[:, l])
+    a = a + 2.0 * (coupled(m_mat, th) + coupled(jm @ m_mat, c.beta.real))
+    b = 2.0 * np.einsum("lab,bl->a", th, mjm @ c.alpha)
     atilde = a - a0
     for arr in (a, a0, atilde, b):
         arr.setflags(write=False)

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import MAX_DIM, CapabilityLimit
-from .qsde import QsdeCoefficients, ito_structure, propagate, spectral_abscissa
+from .qsde import QsdeCoefficients, ito_structure, propagate
 
 __all__ = [
     "LambdaOperator",
     "apply_lambda",
-    "lambda_hermitian_abscissa",
     "lambda_operator",
     "pi_trace_flow",
 ]
@@ -95,11 +94,6 @@ def apply_lambda(op: LambdaOperator, z) -> np.ndarray:
     z = np.asarray(z)
     noise = -4.0 * np.einsum("jk,jpq,qr,krs->ps", z, op.theta, op.cross, op.theta)
     return op.a @ z + z @ op.a.T + noise
-
-
-def lambda_hermitian_abscissa(op: LambdaOperator) -> float:
-    """Largest real part of the generator restricted to Hermitian matrices."""
-    return spectral_abscissa(op.matrix)
 
 
 def pi_trace_flow(op: LambdaOperator, times) -> np.ndarray:

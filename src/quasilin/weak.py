@@ -101,17 +101,15 @@ def eigenvalue_asymptotics_check(coeffs: QsdeCoefficients, modes: EigenModes, ep
         eigs = np.linalg.eigvals(coeffs.a0 + eps**2 * coeffs.atilde)
         preds = 1j * om + eps**2 * nu
         dist = np.abs(eigs[None, :] - preds[:, None])
-        matched = np.zeros(n, dtype=complex)
-        free_pred = set(range(n))
-        free_eig = set(range(n))
-        for _ in range(n):
-            best = min(
-                ((k, i) for k in free_pred for i in free_eig),
-                key=lambda ki: dist[ki[0], ki[1]],
-            )
-            matched[best[0]] = eigs[best[1]]
-            free_pred.remove(best[0])
-            free_eig.remove(best[1])
+        # greedy, smallest distance first: one pass over the pairs in sorted
+        # order, ties in (prediction, eigenvalue) order
+        pick = np.full(n, -1)
+        taken = np.zeros(n, dtype=bool)
+        for flat in np.argsort(dist, axis=None, kind="stable").tolist():
+            k, i = divmod(flat, n)
+            if pick[k] < 0 and not taken[i]:
+                pick[k], taken[i] = i, True
+        matched = eigs[pick]
         if eps > 0:
             residuals = np.abs(matched - preds) / eps**2
         else:
@@ -187,7 +185,7 @@ def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndar
 
     Requires odd dimension with a simple zero frequency whose rate has
     negative real part; then lim mu*(eps) =
-    -(1/nu_k0) sqrt(alpha) v_k0 v_k0^T alpha^{-1/2} sb, independent of eps
+    -(1/nu_k0) Sigma e_k0 e_k0^T Sigma^{-1} sb, independent of eps
     and invariant under rescaling the unit-strength coupling.
     """
     om = modes.omegas
@@ -208,13 +206,8 @@ def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndar
         raise ValueError("zero-mode rate vanishes, stationary mean does not converge")
     if nu0.real >= 0.0:
         raise ValueError("zero mode does not decay (Re nu = %g)" % nu0.real)
-    v0 = modes.vectors[:, k0].real
-    # sqrt(alpha) = Sigma V^*, alpha^{-1/2} = V Sigma^{-1}
-    root = modes.sigma @ modes.vectors.conj().T
-    iroot = modes.vectors @ modes.sigma_inv
-    if max(float(np.max(np.abs(root.imag))), float(np.max(np.abs(iroot.imag)))) > 1e-9:
-        raise ValueError("alpha square roots came out non-real")
-    limit = -(1.0 / nu0.real) * root.real @ np.outer(v0, v0) @ iroot.real @ coeffs.b
+    # v_k0 is real, so sqrt(alpha) v v^T alpha^{-1/2} = Sigma e_k0 e_k0^T Sigma^{-1}
+    limit = -(1.0 / nu0.real) * modes.sigma[:, k0].real * (modes.sigma_inv[k0].real @ coeffs.b)
     return np.real_if_close(limit, tol=1000).astype(float)
 
 
@@ -253,9 +246,7 @@ def pauli_gamma(m_matrix, energy=None) -> PauliGammaResult:
     if m.ndim != 2 or m.shape[1] != 3:
         raise ValueError("spin coupling must be m x 3, got %r" % (m.shape,))
     mtm = m.T @ m
-    gamma = np.zeros((3, 3))
-    for l in range(3):
-        gamma -= PAULI_THETA[l] @ mtm @ PAULI_THETA[l]
+    gamma = -np.einsum("lab,bc,lcd->ad", PAULI_THETA, mtm, PAULI_THETA)
     closed = np.trace(mtm) * np.eye(3) - mtm
     residual = float(np.max(np.abs(gamma - closed)))
     if energy is None:

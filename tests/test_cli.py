@@ -220,6 +220,59 @@ def test_analysis_grid_with_non_numeric_field_exits_two(tmp_path):
     assert cli.main(["mean-flow", "--config", cfgpath, "--out", str(tmp_path / "o")]) == 2
 
 
+ANALYSIS_REFUSALS = {
+    "eps scalar": ("weak", {"eps": 0.1}, [], "analysis.eps"),
+    "eps nested": ("weak", {"eps": [[0.1, 0.2]]}, [], "analysis.eps"),
+    "eps string": ("weak", {"eps": ["a"]}, [], "analysis.eps"),
+    "eps nan flag": ("weak", {}, ["--eps", "nan"], "--eps"),
+    "eps inf flag": ("weak", {}, ["--eps", "inf"], "--eps"),
+    "tol null": ("steady", {"tol": None}, [], "analysis.tol"),
+    "tol string": ("steady", {"tol": "abc"}, [], "analysis.tol"),
+    "tol negative": ("steady", {"tol": -1}, [], "analysis.tol"),
+    "tol nan flag": ("steady", {}, ["--tol", "nan"], "--tol"),
+    "validate tol nan flag": ("validate", {}, ["--tol", "nan"], "--tol"),
+    "seed string": ("decoherence", {"seed": "x"}, [], "analysis.seed"),
+    "seed negative": ("decoherence", {"seed": -1}, [], "analysis.seed"),
+    "seed negative flag": ("decoherence", {}, ["--seed", "-1"], "--seed"),
+    "seed fraction": ("decoherence", {"seed": 1.5}, [], "analysis.seed"),
+    "composite seed fraction": ("composite", {"seed": 1.5}, [], "analysis.seed"),
+    "budget null": ("decoherence", {"budget": None}, [], "analysis.budget"),
+    "budget string": ("decoherence", {"budget": "x"}, [], "analysis.budget"),
+    "budget zero": ("decoherence", {"budget": 0}, [], "analysis.budget"),
+    "grid fractional steps": ("mean-flow", {"grid": [0, 1, 2.7]}, [], "analysis.grid"),
+    "system list": ("steady", {"system": ["qubit"]}, [], "analysis.system"),
+    "composite list": ("composite", {"composite": ["pair"]}, [], "analysis.composite"),
+    "qcf_u wrong length": ("qcf", {"qcf_u": [[1.0, 0.0]]}, [], "qcf_u"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYSIS_REFUSALS))
+def test_analysis_value_refusals_exit_two(tmp_path, capsys, case):
+    command, edits, flags, name = ANALYSIS_REFUSALS[case]
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["analysis"].update(edits)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(path), "--out", str(out)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_integral_floats_count_as_integers(tmp_path):
+    cfgpath = qubit_config(tmp_path, seed=41.0, budget=16.0, grid=[0, 1, 5.0])
+    out = tmp_path / "o"
+    assert cli.main(["decoherence", "--config", cfgpath, "--out", str(out)]) == 0
+    assert (out / "decoherence.csv").read_text().splitlines()[1].split(",")[4:] == ["41", "16"]
+    assert cli.main(["mean-flow", "--config", cfgpath, "--out", str(out)]) == 0
+    assert len((out / "mean_flow.csv").read_text().splitlines()) == 6
+    big = qubit_config(tmp_path, seed=2**70)
+    assert cli.main(["decoherence", "--config", big, "--out", str(out)]) == 0
+    assert (out / "decoherence.csv").read_text().splitlines()[1].split(",")[4] == str(2**70)
+
+
 # Reference copies of the per-entry converters the CLI used before it
 # converted whole arrays at once; the new converter must agree with them.
 class _RefError(Exception):
@@ -420,13 +473,12 @@ def test_qcf_u_refusals_exit_two(tmp_path, capsys):
         ([], "qcf_u must be a list of rows"),
         ([[0.0, 0.0, 1.0], [1.0, 0.0]], "qcf_u has ragged rows"),
         ([[0.0, 0.0, True]], "qcf_u must be a number, got a boolean"),
+        ([[0.0, 0.0]], "qcf_u vectors must have length 3, got 2"),
     ):
         cfgpath = qubit_config(tmp_path, qcf_u=qcf_u)
         assert cli.main(["qcf", "--config", cfgpath, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: %s\n" % message
         assert not os.listdir(out)
-    cfgpath = qubit_config(tmp_path, qcf_u=[[0.0, 0.0]])
-    assert cli.main(["qcf", "--config", cfgpath, "--out", str(out)]) == 4
 
 
 # Reference copy of the row-by-row CSV writer the CLI used before it wrote

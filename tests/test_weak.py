@@ -99,6 +99,103 @@ def test_asymptotics_residual_decreases(pauli):
     assert worst[0] > worst[1] > worst[2]
 
 
+def set_scan_match(eigs, preds):
+    """Reference greedy matching: repeatedly the closest free (prediction,
+    eigenvalue) pair by a min over the remaining pairs."""
+    n = len(preds)
+    dist = np.abs(eigs[None, :] - preds[:, None])
+    matched = np.zeros(n, dtype=complex)
+    free_pred = set(range(n))
+    free_eig = set(range(n))
+    for _ in range(n):
+        best = min(
+            ((k, i) for k in free_pred for i in free_eig),
+            key=lambda ki: dist[ki[0], ki[1]],
+        )
+        matched[best[0]] = eigs[best[1]]
+        free_pred.remove(best[0])
+        free_eig.remove(best[1])
+    return matched
+
+
+def matched_for_spectrum(monkeypatch, eigs, omegas, nu):
+    """The `matched` row of eigenvalue_asymptotics_check at eps = 1 when the
+    drift spectrum is `eigs` and the predictions are i omegas + nu."""
+    n = len(omegas)
+    eye = np.eye(n)
+    md = modes.EigenModes(omegas=omegas, vectors=eye, sigma=eye, sigma_inv=eye, zero_tol=1e-9)
+    coeffs = qsde.QsdeCoefficients(
+        a=np.diag(nu), a0=np.zeros((n, n)), atilde=np.diag(nu), b=np.zeros(n), theta=np.zeros((n, n, n)), coupling=np.zeros((2, n))
+    )
+    monkeypatch.setattr(np.linalg, "eigvals", lambda _: eigs)
+    return weak.eigenvalue_asymptotics_check(coeffs, md, [1.0])[0].matched
+
+
+def test_sorted_matching_equals_set_scan_on_random_spectra(monkeypatch):
+    rng = np.random.default_rng(33)
+    for n in range(1, 13):
+        omegas = np.sort(rng.uniform(-3.0, 3.0, n))[::-1]
+        nu = rng.normal(size=n) + 1j * rng.normal(size=n)
+        eigs = 1j * omegas + nu + 0.5 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+        eigs = eigs[rng.permutation(n)]
+        got = matched_for_spectrum(monkeypatch, eigs, omegas, nu)
+        np.testing.assert_array_equal(got, set_scan_match(eigs, 1j * omegas + nu))
+
+
+def test_sorted_matching_equals_set_scan_with_exact_ties(monkeypatch):
+    # integer lattice points: many distances tie exactly (|1 + 2i| = |2 + i|,
+    # repeated eigenvalues); ties go in (prediction, eigenvalue) order
+    rng = np.random.default_rng(34)
+    ties = 0
+    for n in range(1, 13):
+        for _ in range(5):
+            omegas = np.sort(rng.choice(np.arange(-6.0, 7.0), n, replace=False))[::-1]
+            nu = rng.integers(-2, 3, n).astype(float)
+            eigs = rng.integers(-3, 4, n) + 1j * rng.integers(-6, 7, n)
+            preds = 1j * omegas + nu
+            dist = np.abs(eigs[None, :] - preds[:, None])
+            ties += len(np.unique(dist)) < dist.size
+            got = matched_for_spectrum(monkeypatch, eigs, omegas, nu)
+            np.testing.assert_array_equal(got, set_scan_match(eigs, preds))
+    assert ties >= 40
+
+
+def sqrt_alpha_invariant_limit(coeffs, md):
+    """Reference limit -(1/nu_k0) sqrt(alpha) v v^T alpha^{-1/2} sb, with the
+    square roots rebuilt from Sigma V^* and V Sigma^{-1}."""
+    k0 = int(np.flatnonzero(np.abs(md.omegas) <= md.zero_tol)[0])
+    nu0 = weak.nu_values(coeffs, md)[k0].real
+    v0 = md.vectors[:, k0].real
+    root = (md.sigma @ md.vectors.conj().T).real
+    iroot = (md.vectors @ md.sigma_inv).real
+    return -(1.0 / nu0) * root @ np.outer(v0, v0) @ iroot @ coeffs.b
+
+
+def test_invariant_limit_matches_sqrt_alpha_rebuild(pauli):
+    # the qualifying shapes of acceptance criterion 9
+    rng = np.random.default_rng(20260819)
+    compared = 0
+    for tries in range(1, 200):
+        e = rng.uniform(-1.0, 1.0, 3)
+        m = 2 if tries % 2 else 4
+        sm = 0.02 * rng.uniform(-1.0, 1.0, (m, 3))
+        sn = 0.02 * rng.uniform(-1.0, 1.0, m)
+        unit = qsde.build_coefficients(qsde.system_spec(pauli, e, sm, sn))
+        md = modes.eigenmodes(unit.a0, pauli.alpha)
+        if not weak.stability_and_thresholds(unit, md).stable_for_small_eps:
+            continue
+        try:
+            limit = weak.invariant_mean_limit(unit, md)
+        except ValueError:
+            continue
+        ref = sqrt_alpha_invariant_limit(unit, md)
+        assert np.max(np.abs(limit - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+        compared += 1
+        if compared == 10:
+            break
+    assert compared == 10
+
+
 def test_reference_stability_and_thresholds(reference):
     spec, md = reference
     res = weak.stability_and_thresholds(qsde.build_coefficients(spec), md)
