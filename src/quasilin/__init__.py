@@ -7,70 +7,6 @@ finite-dimensional Lindblad oracle used to cross-check all of it.
 """
 
 from . import composite, decoherence, model, modes, oracle, qsde, second_moment, weak
-from .model import (
-    AffineOperator,
-    CapabilityLimit,
-    StructureConstants,
-    ValidationReport,
-    affine_mul,
-    diam_product,
-    dot_product,
-    norm_bounds,
-    pauli_constants,
-    quadratic_form,
-    reduce_monomial,
-    structure_constants,
-    validate,
-)
-from .qsde import (
-    ItoStructure,
-    QsdeCoefficients,
-    SystemSpec,
-    build_coefficients,
-    dispersion,
-    energy_rate,
-    equilibrium_moment,
-    ito_structure,
-    mean_flow,
-    mean_two_point_ccr,
-    qcf,
-    steady_mean,
-    system_spec,
-)
+from .model import validate
 
-__all__ = [
-    "AffineOperator",
-    "CapabilityLimit",
-    "ItoStructure",
-    "QsdeCoefficients",
-    "StructureConstants",
-    "SystemSpec",
-    "ValidationReport",
-    "affine_mul",
-    "build_coefficients",
-    "composite",
-    "decoherence",
-    "diam_product",
-    "dispersion",
-    "dot_product",
-    "energy_rate",
-    "equilibrium_moment",
-    "ito_structure",
-    "mean_flow",
-    "mean_two_point_ccr",
-    "model",
-    "modes",
-    "norm_bounds",
-    "oracle",
-    "pauli_constants",
-    "qcf",
-    "qsde",
-    "quadratic_form",
-    "reduce_monomial",
-    "second_moment",
-    "steady_mean",
-    "structure_constants",
-    "system_spec",
-    "validate",
-    "weak",
-]
+__all__ = ["composite", "decoherence", "model", "modes", "oracle", "qsde", "second_moment", "validate", "weak"]

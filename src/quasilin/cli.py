@@ -73,8 +73,10 @@ def _array(x, what, ndim):
 
 
 def _constants(cfg):
+    """The constants of a config entry and their oracle representation, or None."""
     if cfg == "pauli":
-        return model.pauli_constants(), True
+        rep = oracle_mod.pauli_representation()
+        return rep.constants, rep
     if not isinstance(cfg, dict) or "alpha" not in cfg or "beta" not in cfg:
         raise ConfigError('constants must be "pauli" or {"alpha": ..., "beta": [...]}')
     alpha = _array(cfg["alpha"], "alpha", 2)
@@ -82,7 +84,7 @@ def _constants(cfg):
         raise ConfigError("beta must be a non-empty list of sections")
     beta = _array(cfg["beta"], "beta section", 3)
     try:
-        return model.structure_constants(alpha, beta), False
+        return model.structure_constants(alpha, beta), None
     except ValueError as e:
         raise ConfigError(str(e))
 
@@ -93,7 +95,7 @@ def _system(cfg, name):
     for key in ("constants", "E", "M"):
         if key not in cfg:
             raise ConfigError("system %r is missing %r" % (name, key))
-    constants, is_pauli = _constants(cfg["constants"])
+    constants, rep = _constants(cfg["constants"])
     energy = _array(cfg["E"], "E", 1)
     coupling = _array(cfg["M"], "M", 2)
     offset = _array(cfg["N"], "N", 1) if "N" in cfg else None
@@ -101,7 +103,7 @@ def _system(cfg, name):
         spec = qsde.system_spec(constants, energy, coupling, offset)
     except ValueError as e:
         raise ConfigError("system %r: %s" % (name, e))
-    return {"spec": spec, "is_pauli": is_pauli}
+    return spec, rep
 
 
 class Config:
@@ -123,32 +125,40 @@ class Config:
                 if s not in self.systems:
                     raise ConfigError("composite %r references unknown system %r" % (name, s))
             e12 = _array(cfg["E12"], "E12", 2)
+            (spec1, rep1), (spec2, rep2) = (self.systems[s] for s in pair)
             try:
-                cspec = composite_mod.composite_spec(
-                    self.systems[pair[0]]["spec"], self.systems[pair[1]]["spec"], e12
-                )
+                cspec = composite_mod.composite_spec(spec1, spec2, e12)
             except ValueError as e:
                 raise ConfigError("composite %r: %s" % (name, e))
-            self.composites[name] = {
-                "spec": cspec,
-                "pauli_pair": self.systems[pair[0]]["is_pauli"] and self.systems[pair[1]]["is_pauli"],
-            }
+            self.composites[name] = cspec, None if rep1 is None or rep2 is None else (rep1, rep2)
         self.analysis = raw.get("analysis") or {}
         if not isinstance(self.analysis, dict):
             raise ConfigError('"analysis" must be an object')
 
     def system(self):
-        return self._pick("system", self.systems, "several systems defined; set analysis.system")
+        """The selected system as (name, spec, coefficients, representation or None)."""
+        name, (spec, rep) = self._pick("system", self.systems)
+        return name, spec, qsde.build_coefficients(spec), rep
 
     def composite(self):
-        return self._pick("composite", self.composites, "set analysis.composite to pick a composite")
+        """The selected composite as (name, (spec, factor representations or None))."""
+        return self._pick("composite", self.composites)
 
-    def _pick(self, key, table, ambiguous):
+    def setting(self, args, key, default):
+        """(value, name): the --key flag unless absent or empty, else analysis[key] or `default`."""
+        flag = getattr(args, key)
+        if flag is not None and flag != "":
+            return flag, "--" + key
+        return self.analysis.get(key, default), "analysis." + key
+
+    def _pick(self, key, table):
         """The entry named by analysis[key], or the only entry when it is unset."""
         name = self.analysis.get(key)
         if name is None:
+            if not table:
+                raise ConfigError('config has no "%ss" section' % key)
             if len(table) != 1:
-                raise ConfigError(ambiguous)
+                raise ConfigError("several %ss defined; set analysis.%s" % (key, key))
             name = next(iter(table))
         if not isinstance(name, str):
             raise ConfigError("analysis.%s must be a string, got %r" % (key, name))
@@ -188,22 +198,19 @@ def _write_csv(out_dir, name, header, columns):
 
 
 def _grid(args, cfg):
-    if args.grid:
-        parts = args.grid.split(":")
+    spec, name = cfg.setting(args, "grid", [0.0, 5.0, 41])
+    if name == "--grid":
+        parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError("--grid must be T0:T1:STEPS")
         try:
-            t0, t1, steps = float(parts[0]), float(parts[1]), int(parts[2])
+            spec = [float(parts[0]), float(parts[1]), int(parts[2])]
         except ValueError:
             raise ConfigError("--grid must be T0:T1:STEPS with numeric fields")
-    else:
-        spec = cfg.analysis.get("grid", [0.0, 5.0, 41])
-        if not isinstance(spec, list) or len(spec) != 3:
-            raise ConfigError("analysis.grid must be [t0, t1, steps]")
-        t0, t1 = (_number(t, "analysis.grid time") for t in spec[:2])
-        steps = _number(spec[2], "analysis.grid steps", integer=True)
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ConfigError("grid times must be finite, got %r:%r" % (t0, t1))
+    if not isinstance(spec, list) or len(spec) != 3:
+        raise ConfigError("analysis.grid must be [t0, t1, steps]")
+    t0, t1 = (_number(t, name + " time") for t in spec[:2])
+    steps = _number(spec[2], name + " steps", integer=True)
     if steps < 2 or t1 <= t0:
         raise ConfigError("grid needs t1 > t0 and at least 2 steps")
     return np.linspace(t0, t1, steps)
@@ -224,31 +231,26 @@ def _number(v, what, integer=False, low=None):
 
 
 def _eps_list(args, cfg):
-    if args.eps:
+    vals, name = cfg.setting(args, "eps", [0.2, 0.1, 0.05])
+    if name == "--eps":
         try:
-            vals = [_number(float(v), "--eps value") for v in args.eps.split(",")]
+            vals = [float(v) for v in vals.split(",")]
         except ValueError:
             raise ConfigError("--eps must be a comma separated float list")
-    else:
-        vals = cfg.analysis.get("eps", [0.2, 0.1, 0.05])
-        if not isinstance(vals, list):
-            raise ConfigError("analysis.eps must be a list of numbers, got %r" % (vals,))
-        vals = [_number(v, "analysis.eps value") for v in vals]
+    if not isinstance(vals, list):
+        raise ConfigError("analysis.eps must be a list of numbers, got %r" % (vals,))
+    vals = [_number(v, name + " value") for v in vals]
     if not vals or any(v <= 0 for v in vals):
         raise ConfigError("eps values must be positive")
     return vals
 
 
 def _tol(args, cfg):
-    if args.tol is not None:
-        return _number(args.tol, "--tol", low=0.0)
-    return _number(cfg.analysis.get("tol", 1e-8), "analysis.tol", low=0.0)
+    return _number(*cfg.setting(args, "tol", 1e-8), low=0.0)
 
 
 def _seed(args, cfg):
-    if args.seed is not None:
-        return _number(args.seed, "--seed", integer=True, low=0)
-    return _number(cfg.analysis.get("seed", 0), "analysis.seed", integer=True, low=0)
+    return _number(*cfg.setting(args, "seed", 0), integer=True, low=0)
 
 
 def _real_mu(cfg, n):
@@ -264,8 +266,8 @@ def _real_mu(cfg, n):
 def cmd_validate(cfg, args, out_dir):
     tol = 1e-10 if args.tol is None else _tol(args, cfg)
     reports = []
-    for name, entry in cfg.systems.items():
-        rep = model.validate(entry["spec"].constants, tol=tol)
+    for name, (spec, _) in cfg.systems.items():
+        rep = model.validate(spec.constants, tol=tol)
         reports.append(rep)
         print(
             "system %s: %s (%d violations, alpha PSD: %s)"
@@ -278,8 +280,7 @@ def cmd_validate(cfg, args, out_dir):
 
 
 def cmd_coeffs(cfg, args, out_dir):
-    name, entry = cfg.system()
-    coeffs = qsde.build_coefficients(entry["spec"])
+    name, _, coeffs, _ = cfg.system()
     n = coeffs.n
     values = np.concatenate([coeffs.a.ravel(), coeffs.a0.ravel(), coeffs.atilde.ravel(), coeffs.b])
     blocks = ["a"] * n * n + ["a0"] * n * n + ["atilde"] * n * n + ["b"] * n
@@ -293,8 +294,7 @@ def cmd_coeffs(cfg, args, out_dir):
 
 
 def cmd_mean_flow(cfg, args, out_dir):
-    name, entry = cfg.system()
-    coeffs = qsde.build_coefficients(entry["spec"])
+    name, _, coeffs, _ = cfg.system()
     times = _grid(args, cfg)
     mu0 = _real_mu(cfg, coeffs.n)
     flow = np.real(qsde.mean_flow(coeffs, mu0, times))
@@ -305,9 +305,8 @@ def cmd_mean_flow(cfg, args, out_dir):
 
 
 def cmd_steady(cfg, args, out_dir):
-    name, entry = cfg.system()
+    name, _, coeffs, _ = cfg.system()
     tol = _tol(args, cfg)
-    coeffs = qsde.build_coefficients(entry["spec"])
     mu = qsde.steady_mean(coeffs)
     resid = float(np.linalg.norm(coeffs.a @ mu + coeffs.b))
     _write_csv(out_dir, "steady.csv", ["component", "value"], [np.arange(1, coeffs.n + 1), mu])
@@ -316,9 +315,7 @@ def cmd_steady(cfg, args, out_dir):
 
 
 def cmd_qcf(cfg, args, out_dir):
-    name, entry = cfg.system()
-    coeffs = qsde.build_coefficients(entry["spec"])
-    constants = entry["spec"].constants
+    name, spec, coeffs, _ = cfg.system()
     mu = qsde.steady_mean(coeffs)
     us = cfg.analysis.get("qcf_u")
     vectors = np.eye(coeffs.n) if us is None else _array(us, "qcf_u", 2)
@@ -326,7 +323,7 @@ def cmd_qcf(cfg, args, out_dir):
         raise ConfigError("qcf_u entries must be real")
     if vectors.shape[1] != coeffs.n:
         raise ConfigError("qcf_u vectors must have length %d, got %d" % (coeffs.n, vectors.shape[1]))
-    vals = np.array([qsde.qcf(constants, mu, u) for u in vectors])
+    vals = np.array([qsde.qcf(spec.constants, mu, u) for u in vectors])
     header = ["u_%d" % (j + 1) for j in range(coeffs.n)] + ["re", "im"]
     path = _write_csv(out_dir, "qcf.csv", header, [*vectors.T, vals.real, vals.imag])
     print("system %s: %d characteristic values, wrote %s" % (name, len(vals), path))
@@ -334,10 +331,9 @@ def cmd_qcf(cfg, args, out_dir):
 
 
 def cmd_spectrum(cfg, args, out_dir):
-    name, entry = cfg.system()
+    name, _, coeffs, _ = cfg.system()
     tol = _tol(args, cfg)
     times = _grid(args, cfg)
-    coeffs = qsde.build_coefficients(entry["spec"])
     op = second_moment.lambda_operator(coeffs)
     drift = np.linalg.eigvals(coeffs.a)
     moment = np.linalg.eigvals(op.matrix)
@@ -357,14 +353,12 @@ def cmd_spectrum(cfg, args, out_dir):
         "system %s: abscissa %.6g, restricted abscissa %.6g, sandwich slack %.3g"
         % (name, sa, herm, worst)
     )
-    ok = worst <= tol and 2 * sa <= herm + tol
-    return 0 if ok else 4
+    return 0 if worst <= tol and 2 * sa <= herm + tol else 4
 
 
 def cmd_modes(cfg, args, out_dir):
-    name, entry = cfg.system()
-    coeffs = qsde.build_coefficients(entry["spec"])
-    md = modes_mod.eigenmodes(coeffs.a0, entry["spec"].constants.alpha)
+    name, spec, coeffs, _ = cfg.system()
+    md = modes_mod.eigenmodes(coeffs.a0, spec.constants.alpha)
     period = modes_mod.oscillation_period(md)
     k = len(md.omegas)
     vec = md.vectors.T.ravel()
@@ -378,10 +372,9 @@ def cmd_modes(cfg, args, out_dir):
 
 
 def cmd_decoherence(cfg, args, out_dir):
-    name, entry = cfg.system()
-    coeffs = qsde.build_coefficients(entry["spec"])
+    name, spec, coeffs, _ = cfg.system()
     mu = qsde.steady_mean(coeffs)
-    ccr = model.dot_product(entry["spec"].constants.theta, mu)
+    ccr = model.dot_product(spec.constants.theta, mu)
     tau = deco_mod.tau_star(coeffs.a, ccr)
     budget = _number(cfg.analysis.get("budget", 64), "analysis.budget", integer=True, low=1)
     search = deco_mod.optimize_tau_bound(coeffs.a, ccr, budget=budget, seed=_seed(args, cfg))
@@ -397,9 +390,7 @@ def cmd_decoherence(cfg, args, out_dir):
 
 
 def cmd_weak(cfg, args, out_dir):
-    name, entry = cfg.system()
-    spec = entry["spec"]
-    coeffs = qsde.build_coefficients(spec)
+    name, spec, coeffs, _ = cfg.system()
     md = modes_mod.eigenmodes(coeffs.a0, spec.constants.alpha)
     result = weak_mod.stability_and_thresholds(coeffs, md)
     eps_list = _eps_list(args, cfg)
@@ -447,9 +438,8 @@ def _check_table(out_dir, name, checks):
 
 
 def cmd_composite(cfg, args, out_dir):
-    name, entry = cfg.composite()
+    name, (cspec, _) = cfg.composite()
     tol = _tol(args, cfg)
-    cspec = entry["spec"]
     block = composite_mod.composite_coefficients(cspec)
     generic = qsde.build_coefficients(composite_mod.augmented_system(cspec))
 
@@ -473,21 +463,16 @@ def cmd_composite(cfg, args, out_dir):
 def cmd_oracle(cfg, args, out_dir):
     tol = _tol(args, cfg)
     if args.composite:
-        name, entry = cfg.composite()
-        if not entry["pauli_pair"]:
+        name, (cspec, reps) = cfg.composite()
+        if reps is None:
             raise ConfigError("oracle only has representations for pauli-based systems")
-        rep = oracle_mod.tensor_representation(
-            oracle_mod.pauli_representation(), oracle_mod.pauli_representation()
-        )
-        spec = composite_mod.augmented_system(entry["spec"])
-        coeffs = composite_mod.composite_coefficients(entry["spec"])
+        rep = oracle_mod.tensor_representation(*reps)
+        spec = composite_mod.augmented_system(cspec)
+        coeffs = composite_mod.composite_coefficients(cspec)
     else:
-        name, entry = cfg.system()
-        if not entry["is_pauli"]:
+        name, spec, coeffs, rep = cfg.system()
+        if rep is None:
             raise ConfigError("oracle only has representations for the builtin pauli constants")
-        rep = oracle_mod.pauli_representation()
-        spec = entry["spec"]
-        coeffs = qsde.build_coefficients(spec)
 
     checks = [("representation", oracle_mod.representation_check(rep), 1e-12)]
     checks.append(("generator_identity", oracle_mod.generator_identity_check(rep, spec, coeffs), 1e-10))
@@ -545,9 +530,8 @@ _PARSER.add_argument(
 def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     cfg = _load_config(args.config)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    return COMMANDS[args.command](cfg, args, out_dir)
+    os.makedirs(args.out, exist_ok=True)
+    return COMMANDS[args.command](cfg, args, args.out)
 
 
 def main(argv=None) -> int:

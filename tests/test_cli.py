@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ def test_steady_output_value(tmp_path):
     cfgpath = qubit_config(tmp_path)
     out = str(tmp_path / "out")
     assert cli.main(["steady", "--config", cfgpath, "--out", out]) == 0
-    rows = open(os.path.join(out, "steady.csv")).read().strip().splitlines()
+    rows = pathlib.Path(out, "steady.csv").read_text().strip().splitlines()
     assert rows[0] == "component,value"
     vals = [float(r.split(",")[1]) for r in rows[1:4]]
     np.testing.assert_allclose(vals, [0.0, 0.0, 1.0], atol=1e-12)
@@ -154,7 +155,7 @@ def test_validate_reports_failure(tmp_path):
     path.write_text(json.dumps(cfg))
     out = str(tmp_path / "o")
     assert cli.main(["validate", "--config", str(path), "--out", out]) == 4
-    rows = open(os.path.join(out, "validate.csv")).read().strip().splitlines()
+    rows = pathlib.Path(out, "validate.csv").read_text().strip().splitlines()
     name, passed, violations = rows[1].split(",")[:3]
     assert name == "broken" and passed == "0" and int(violations) > 0
 
@@ -179,7 +180,7 @@ def test_validate_nan_constant_exits_four(tmp_path):
     assert "NaN" in path.read_text()
     out = str(tmp_path / "o")
     assert cli.main(["validate", "--config", str(path), "--out", out]) == 4
-    rows = open(os.path.join(out, "validate.csv")).read().strip().splitlines()
+    rows = pathlib.Path(out, "validate.csv").read_text().strip().splitlines()
     assert rows[1].split(",")[:2] == ["nan", "0"]
 
 
@@ -187,7 +188,7 @@ def test_qcf_direction_option(tmp_path):
     cfgpath = qubit_config(tmp_path, qcf_u=[[0.0, 0.0, 1.0]])
     out = str(tmp_path / "o")
     assert cli.main(["qcf", "--config", cfgpath, "--out", out]) == 0
-    rows = open(os.path.join(out, "qcf.csv")).read().strip().splitlines()
+    rows = pathlib.Path(out, "qcf.csv").read_text().strip().splitlines()
     assert rows[0] == "u_1,u_2,u_3,re,im"
     assert len(rows) == 2
     # along the energy axis at |u| = 1 the steady characteristic value is
@@ -210,7 +211,7 @@ def test_non_finite_grid_exits_two(tmp_path, command, t1):
     assert cli.main(argv) == 2
     assert not os.listdir(out)
     cfgpath = qubit_config(tmp_path, grid=[0.0, float(t1), 5])
-    assert ("NaN" if t1 == "nan" else "Infinity") in open(cfgpath).read()
+    assert ("NaN" if t1 == "nan" else "Infinity") in pathlib.Path(cfgpath).read_text()
     assert cli.main([command, "--config", cfgpath, "--out", str(out)]) == 2
     assert not os.listdir(out)
 
@@ -259,6 +260,80 @@ def test_analysis_value_refusals_exit_two(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and name in err
     assert not out.exists() or os.listdir(out) == []
+
+
+def _without_composites(cfg):
+    del cfg["composites"], cfg["analysis"]["composite"]
+
+
+def _two_composites(cfg):
+    cfg["composites"]["pair_b"] = cfg["composites"]["pair"]
+    del cfg["analysis"]["composite"]
+
+
+def _two_systems(cfg):
+    del cfg["analysis"]["system"]
+
+
+PICK_REFUSALS = {
+    "composite without composites": (["composite"], _without_composites, 'config has no "composites" section'),
+    "oracle without composites": (["oracle", "--composite"], _without_composites, 'config has no "composites" section'),
+    "composite of several": (["composite"], _two_composites, "several composites defined; set analysis.composite"),
+    "oracle of several": (["oracle", "--composite"], _two_composites, "several composites defined; set analysis.composite"),
+    "system of several": (["steady"], _two_systems, "several systems defined; set analysis.system"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PICK_REFUSALS))
+def test_unselected_entries_exit_two(tmp_path, capsys, case):
+    argv, edit, message = PICK_REFUSALS[case]
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    edit(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv,system,message",
+    [
+        (["oracle"], "qubit", "oracle only has representations for the builtin pauli constants"),
+        (["oracle", "--composite"], "qubit_b", "oracle only has representations for pauli-based systems"),
+    ],
+    ids=["system", "composite"],
+)
+def test_oracle_needs_a_representation(tmp_path, capsys, argv, system, message):
+    # Pauli's own values written out as {alpha, beta} carry no representation
+    out = tmp_path / "o"
+    assert cli.main(argv[:1] + ["--config", REPO_CONFIG, "--out", str(out)] + argv[1:]) == 0
+    assert (out / "oracle.csv").exists()
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["systems"][system]["constants"] = {"alpha": np.eye(3).tolist(), "beta": pauli_sections()}
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "explicit"
+    assert cli.main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_empty_flags_fall_back_and_zero_flags_are_honoured(tmp_path):
+    cfgpath = qubit_config(tmp_path, grid=[0, 1, 5], eps=[0.3, 0.15], seed=7)
+    out = tmp_path / "o"
+    assert cli.main(["mean-flow", "--config", cfgpath, "--out", str(out), "--grid", ""]) == 0
+    assert len((out / "mean_flow.csv").read_text().splitlines()) == 6
+    assert cli.main(["weak", "--config", cfgpath, "--out", str(out), "--eps", ""]) == 0
+    eps = {row.split(",")[0] for row in (out / "weak_asymptotics.csv").read_text().splitlines()[1:]}
+    assert eps == {"0.29999999999999999", "0.14999999999999999"}
+    assert cli.main(["decoherence", "--config", cfgpath, "--out", str(out), "--seed", "0"]) == 0
+    assert (out / "decoherence.csv").read_text().splitlines()[1].split(",")[4] == "0"
+    assert cli.main(["composite", "--config", REPO_CONFIG, "--out", str(out), "--tol", "0"]) in (0, 4)
+    assert {row.split(",")[2] for row in (out / "composite.csv").read_text().splitlines()[1:]} == {"0"}
 
 
 def test_integral_floats_count_as_integers(tmp_path):
@@ -516,17 +591,16 @@ def test_column_writer_matches_row_writer(tmp_path):
     header = ["name", "residual", "count", "tol", "pass"]
     ref = _ref_write_csv(str(tmp_path), "ref.csv", header, rows)
     new = cli._write_csv(str(tmp_path), "new.csv", header, [names, floats, ints, tol, passed])
-    expected = open(ref, "rb").read()
-    assert open(new, "rb").read() == expected
+    expected = pathlib.Path(ref).read_bytes()
+    assert pathlib.Path(new).read_bytes() == expected
     assert b'"has,comma and ""quote"""' in expected and b"-0," in expected and b"nan" in expected
     empty = cli._write_csv(str(tmp_path), "empty.csv", header, [[], np.zeros(0), np.zeros(0, dtype=int), [], []])
-    assert open(empty, "rb").read() == b"name,residual,count,tol,pass\r\n"
+    assert pathlib.Path(empty).read_bytes() == b"name,residual,count,tol,pass\r\n"
 
 
 def test_coeffs_and_modes_tables_match_row_loops(tmp_path):
     cfg = cli._load_config(REPO_CONFIG)
-    name, entry = cfg.system()
-    coeffs = qsde.build_coefficients(entry["spec"])
+    name, spec, coeffs, _ = cfg.system()
     rows = []
     for label, mat in (("a", coeffs.a), ("a0", coeffs.a0), ("atilde", coeffs.atilde)):
         for i in range(coeffs.n):
@@ -535,7 +609,7 @@ def test_coeffs_and_modes_tables_match_row_loops(tmp_path):
     for i in range(coeffs.n):
         rows.append(("b", i, 0, float(np.real(coeffs.b[i])), float(np.imag(coeffs.b[i]))))
     ref = _ref_write_csv(str(tmp_path), "coeffs_ref.csv", ["block", "row", "col", "re", "im"], rows)
-    md = modes.eigenmodes(coeffs.a0, entry["spec"].constants.alpha)
+    md = modes.eigenmodes(coeffs.a0, spec.constants.alpha)
     mrows = [
         (k, c, float(md.omegas[k]), float(md.vectors[c, k].real), float(md.vectors[c, k].imag))
         for k in range(len(md.omegas))
@@ -545,8 +619,8 @@ def test_coeffs_and_modes_tables_match_row_loops(tmp_path):
     out = str(tmp_path / "o")
     assert cli.main(["coeffs", "--config", REPO_CONFIG, "--out", out]) == 0
     assert cli.main(["modes", "--config", REPO_CONFIG, "--out", out]) == 0
-    assert open(os.path.join(out, "coeffs.csv"), "rb").read() == open(ref, "rb").read()
-    assert open(os.path.join(out, "modes.csv"), "rb").read() == open(mref, "rb").read()
+    assert pathlib.Path(out, "coeffs.csv").read_bytes() == pathlib.Path(ref).read_bytes()
+    assert pathlib.Path(out, "modes.csv").read_bytes() == pathlib.Path(mref).read_bytes()
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch):
@@ -564,5 +638,5 @@ def test_decoherence_writes_a_seed_beyond_int64(tmp_path):
     out = str(tmp_path / "o")
     seed = 2**70
     assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out, "--seed", str(seed)]) == 0
-    rows = open(os.path.join(out, "decoherence.csv")).read().splitlines()
+    rows = pathlib.Path(out, "decoherence.csv").read_text().splitlines()
     assert rows[1].split(",")[4] == str(seed)

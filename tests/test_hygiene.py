@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pathlib
 
 import quasilin
@@ -68,3 +69,11 @@ def test_no_unused_imports():
         unused += ["%s:%d %s" % (path.name, line, name) for name, line in imported.items() if name not in used]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert unused == []
+
+
+def test_package_exports_its_modules():
+    # names are imported from the submodules; validate stays while
+    # bench/selftest.py still reads it as quasilin.validate
+    names = [name for name in quasilin.__all__ if name != "validate"]
+    modules = [getattr(quasilin, name) for name in names]
+    assert names and all(inspect.ismodule(m) and m.__name__ == "quasilin." + name for name, m in zip(names, modules))
