@@ -114,12 +114,14 @@ class Config:
         if not isinstance(systems, dict) or not systems:
             raise ConfigError('config needs a non-empty "systems" object')
         self.systems = {name: _system(cfg, name) for name, cfg in systems.items()}
-        self.composites = {}
-        for name, cfg in (raw.get("composites") or {}).items():
+        self.composites, composites = {}, raw.get("composites") or {}
+        if not isinstance(composites, dict):
+            raise ConfigError('"composites" must be an object')
+        for name, cfg in composites.items():
             if not isinstance(cfg, dict) or "systems" not in cfg or "E12" not in cfg:
                 raise ConfigError('composite %r needs "systems" and "E12"' % name)
             pair = cfg["systems"]
-            if not isinstance(pair, list) or len(pair) != 2:
+            if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(s, str) for s in pair):
                 raise ConfigError("composite %r must name two systems" % name)
             for s in pair:
                 if s not in self.systems:

@@ -37,9 +37,9 @@ class EigenModes:
 
 
 def _pd_sqrt(w, v):
-    """(sqrt, inverse sqrt) of the PD matrix v diag(w) v^T from its eigh pair (w, v)."""
-    r = np.sqrt(np.maximum(w, 1e-14))
-    return (v * r) @ v.T, (v / r) @ v.T
+    """(sqrt, inverse sqrt) of the PD matrix v diag(w) v^T from its eigh pair (w, v), or of a stack of them."""
+    r, vt = np.sqrt(np.maximum(w, 1e-14))[..., None, :], v.swapaxes(-1, -2)
+    return (v * r) @ vt, (v / r) @ vt
 
 
 def _alpha_roots(alpha):

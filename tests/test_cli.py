@@ -438,7 +438,8 @@ def pauli_sections():
 
 def pair_config(**changes):
     """Two explicit-constant qubits coupled by E12; `changes` maps a path such
-    as "qubit.E" or "E12" or "mu0" to a replacement value."""
+    as "qubit.E", "E12", "mu0", "pair.systems" or "composites" to a
+    replacement value."""
     def system(energy):
         return {
             "constants": {"alpha": np.eye(3).tolist(), "beta": pauli_sections()},
@@ -457,6 +458,10 @@ def pair_config(**changes):
             cfg["composites"]["pair"]["E12"] = value
         elif path == "mu0":
             cfg["analysis"]["mu0"] = value
+        elif path == "pair.systems":
+            cfg["composites"]["pair"]["systems"] = value
+        elif path == "composites":
+            cfg["composites"] = value
         else:
             name, key = path.split(".")
             target = cfg["systems"][name]
@@ -498,6 +503,8 @@ REFUSALS = [
     ("complex E", {"qubit.E": [0.0, 0.0, [1.0, 1.0]]}, "system 'qubit': energy vector must be real"),
     ("complex E12", {"E12": _edit(np.diag([0.2, 0.1, 0.15]).tolist(), (0, 1), [0.0, 0.3])}, "composite 'pair': direct coupling must be real"),
     ("complex mu0", {"mu0": [0.0, [0.0, 1.0], 0.0]}, "mu0 must be a finite real vector of length 3"),
+    ("composites not an object", {"composites": ["pair"]}, '"composites" must be an object'),
+    ("system name not a string", {"pair.systems": [["qubit"], "qubit_b"]}, "composite 'pair' must name two systems"),
 ] + [
     (
         "%s %s" % (bad, where),

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from quasilin import composite, decoherence, qsde
@@ -191,7 +194,7 @@ def test_lyapunov_matches_kronecker_solve(n):
         assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("budget", [90, 96])
+@pytest.mark.parametrize("budget", [1, 31, 32, 33, 90, 96])
 def test_search_matches_kronecker_search_on_pauli_pair(budget):
     # with seed 3 the last 16 evaluations of budget 96 find a better sampled K
     # (sample-1); budget 90 stops inside that K and keeps the identity
@@ -240,3 +243,80 @@ def test_lyapunov_refuses_perturbed_sylvester_solve():
     sa = qsde.spectral_abscissa(a)
     with pytest.raises(ValueError, match="near-common eigenvalues"):
         decoherence.lyapunov_G(a, -sa * (1 - 1e-14), np.eye(2))
+
+
+def stacked_bounds(a, z0, k, lams):
+    return decoherence._certified_bounds(*decoherence._schur_drift(a), k, z0, lams)
+
+
+def grid(a):
+    sa = qsde.spectral_abscissa(a)
+    return np.geomspace(0.01 * -sa, 0.99 * -sa, 32).tolist()
+
+
+@pytest.mark.parametrize("n", [3, 8, 15])
+def test_stacked_bounds_match_kronecker_solves(n):
+    # every shift of the full grid, for the identity and a sampled K
+    rng = np.random.default_rng(200 + n)
+    m = rng.standard_normal((n, n))
+    a = m - (qsde.spectral_abscissa(m) + 0.5) * np.eye(n)
+    z0 = rng.standard_normal((n, n))
+    s = rng.standard_normal((n, n))
+    sample = s.T @ s + 1e-6 * np.eye(n)
+    for k in (np.eye(n), sample / np.trace(sample)):
+        lams = grid(a)
+        g, bounds = stacked_bounds(a, z0, k, lams)
+        assert g.shape == (32, n, n) and bounds.shape == (32,)
+        for lam, g_lam, bound in zip(lams, g, bounds):
+            ref = kron_lyapunov(a, lam, k)
+            assert np.linalg.norm(g_lam - ref) <= 1e-10 * np.linalg.norm(ref)
+            w, q = np.linalg.eigh(ref)
+            isqrt = q @ np.diag(1.0 / np.sqrt(w)) @ q.T
+            ref_bound = (1.0 + np.log(np.sqrt(w[-1]) * np.linalg.norm(isqrt @ z0) / np.linalg.norm(z0))) / lam
+            assert abs(bound - ref_bound) <= 1e-10 * abs(ref_bound)
+
+
+def test_one_failing_shift_refuses_the_batch():
+    # the last shift sits where LAPACK perturbs near-common eigenvalues
+    a = np.diag([-1.0, -1000.0])
+    lams = grid(a)
+    stacked_bounds(a, np.eye(2), np.eye(2), lams[:-1])
+    lams[-1] = -qsde.spectral_abscissa(a) * (1 - 1e-14)
+    with pytest.raises(ValueError, match="near-common eigenvalues"):
+        stacked_bounds(a, np.eye(2), np.eye(2), lams)
+
+
+@pytest.mark.parametrize("budget", [1, 32, 33, 64, 90])
+def test_search_makes_one_stacked_eigh_per_k(monkeypatch, worked, budget):
+    _, coeffs = worked
+    real = np.linalg.eigh
+    batches = []
+
+    def counting(x, *args, **kwargs):
+        batches.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    search = decoherence.optimize_tau_bound(coeffs.a, steady_ccr(coeffs), budget=budget)
+    assert search.evaluations == budget
+    assert len(batches) == math.ceil(budget / 32)
+    assert sum(shape[0] for shape in batches) == budget
+    assert all(shape[1:] == (3, 3) for shape in batches)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_stacked_bounds_equal_single_shift_bounds(n, log_scale, seed):
+    # random Hurwitz drifts over four decades of scale: the batch gives each
+    # shift the bound that tau_upper_bound gives it alone
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a = 10.0**log_scale * (m - (qsde.spectral_abscissa(m) + 0.5) * np.eye(n))
+    s = rng.standard_normal((n, n))
+    k = s.T @ s + np.eye(n)
+    z0 = rng.standard_normal((n, n))
+    lams = grid(a)
+    _, bounds = stacked_bounds(a, z0, k, lams)
+    for lam, bound in zip(lams, bounds):
+        single = decoherence.tau_upper_bound(a, z0, lam, k)
+        assert abs(bound - single) <= 1e-12 * abs(single)
