@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StructureConstants, dot_product, structure_constants, validate
+from .model import StructureConstants, _unital, dot_product, structure_constants, validate
 from .qsde import QsdeCoefficients, SystemSpec, _finite_array, build_coefficients, system_spec
 
 __all__ = [
@@ -48,18 +48,6 @@ def composite_spec(sys1: SystemSpec, sys2: SystemSpec, direct_coupling) -> Compo
         )
     e12.setflags(write=False)
     return CompositeSpec(sys1=sys1, sys2=sys2, direct_coupling=e12)
-
-
-def _unital(c: StructureConstants) -> np.ndarray:
-    """Structure tensor u[l, j, k] over (I, X_1..X_n): Y_j Y_k = sum_l u[l, j, k] Y_l."""
-    n = c.n
-    u = np.zeros((n + 1, n + 1, n + 1), dtype=complex)
-    u[0, 1:, 1:] = c.alpha
-    u[1:, 1:, 1:] = c.beta
-    u[0, 0, 0] = 1.0
-    i = np.arange(1, n + 1)
-    u[i, 0, i] = u[i, i, 0] = 1.0
-    return u
 
 
 def _tensor_constants(c1: StructureConstants, c2: StructureConstants) -> StructureConstants:

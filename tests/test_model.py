@@ -42,6 +42,18 @@ def test_structure_constants_rejects_bad_shapes():
         model.structure_constants(np.ones((2, 3)), np.zeros((2, 2, 2)))
 
 
+def test_structure_constants_refuses_empty_algebra():
+    with pytest.raises(ValueError, match="n = 0"):
+        model.structure_constants(np.zeros((0, 0)), np.zeros((0, 0, 0)))
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_validate_refuses_bad_tol(pauli, tol):
+    # untouched positions of the sparse fill read 0, which passes only tol >= 0
+    with pytest.raises(ValueError, match="tol"):
+        model.validate(pauli, tol=tol)
+
+
 def test_scalar_algebra_any_real_pair_validates():
     # X^2 = c I + d X closes for every real (c, d)
     for c, d in [(1.0, 1.0), (-0.3, 0.7), (2.5, -4.0), (0.0, 0.0)]:
@@ -232,8 +244,10 @@ def _einsum_validate(constants, tol=1e-10):
 
 
 def _exact_constants(n):
-    pauli = model.pauli_constants()
-    return {3: pauli, 8: gell_mann_constants(3), 15: composite.augment_constants(pauli, pauli)}[n]
+    pauli, qutrit = model.pauli_constants(), gell_mann_constants(3)
+    if n in (3, 8):
+        return {3: pauli, 8: qutrit}[n]
+    return composite.augment_constants(pauli, {15: pauli, 35: qutrit}[n])
 
 
 def _same_violations(got, want):
@@ -329,3 +343,136 @@ def test_validate_non_finite_alpha_is_silent(pauli, bad):
         keys = [v[1] for v in report.violations if v[0] == label]
         assert keys == sorted(keys)
 
+
+def _fills_agree(constants, tol=1e-10):
+    # the two fills of the closure residual: same keys in the same order,
+    # residuals within round-off; returns the violations
+    dense = model._assoc_linear_dense(constants, tol)
+    _same_violations(model._assoc_linear_sparse(constants, tol), dense)
+    return dense
+
+
+@pytest.mark.parametrize("n", [3, 8, 15, 35])
+def test_fills_agree_on_exact_constants(n):
+    assert _fills_agree(_exact_constants(n)) == []
+
+
+@pytest.mark.parametrize("noise", [1e-6, 1e-9])
+@pytest.mark.parametrize("n", [3, 8, 15, 35])
+def test_fills_agree_on_pattern_confined_perturbations(n, noise):
+    # perturb only beta's nonzeros and alpha, so the sparse pattern is kept
+    exact = _exact_constants(n)
+    rng = np.random.default_rng(10 * n + int(-np.log10(noise)))
+    pattern = exact.beta != 0
+    beta = exact.beta + noise * (rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))) * pattern
+    alpha = exact.alpha + noise * rng.normal(size=(n, n))
+    assert _fills_agree(model.structure_constants(alpha, beta))
+
+
+def test_dense_fill_matches_einsum_reference_across_row_blocks():
+    # validate() sends this sparse beta to the sparse fill; the dense fill's
+    # two j-row blocks (the last one partial) are checked here
+    n = 26
+    rng = np.random.default_rng(26)
+    beta = (rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))) * (rng.random((n, n, n)) < 0.004)
+    constants = model.structure_constants(np.zeros((n, n)), beta)
+    want = [v for v in _einsum_validate(constants) if v[0] == "assoc-linear"]
+    assert any(v[1][0] >= n // 2 for v in want)
+    _same_violations(model._assoc_linear_dense(constants, 1e-10), want)
+
+
+@pytest.mark.parametrize("fill", [model._assoc_linear_dense, model._assoc_linear_sparse])
+@pytest.mark.parametrize("j", [0, 25])
+def test_fills_report_planted_closure_violation_row(fill, j):
+    n = 26
+    beta = np.zeros((n, n, n), dtype=complex)
+    beta[1, j, 2] = 0.5
+    beta[3, 1, 4] = 0.5
+    assert fill(model.structure_constants(np.zeros((n, n)), beta), 1e-10) == [("assoc-linear", (j, 2, 4, 3), 0.25)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fills_agree_on_sparse_hermitian_perturbations(data):
+    # dyadic perturbations of exactly representable constants keep every sum
+    # exact, so the two fills must agree to the last bit at any tol
+    base = data.draw(st.sampled_from(["pauli", "pauli_pauli", "zero"]))
+    if base == "zero":
+        n = data.draw(st.integers(1, 10))
+        exact = model.structure_constants(np.zeros((n, n)), np.zeros((n, n, n)))
+    else:
+        exact = _exact_constants(3 if base == "pauli" else 15)
+        n = exact.n
+    alpha, beta = exact.alpha.copy(), exact.beta.copy()
+    index = st.integers(0, n - 1)
+    dyadic = st.integers(-64, 64).map(lambda i: i * 2.0**-20)
+    for _ in range(data.draw(st.integers(1, 12))):
+        l, j, k = data.draw(st.tuples(index, index, index))
+        z = complex(data.draw(dyadic), data.draw(dyadic) if j != k else 0.0)
+        beta[l, j, k] += z
+        if j != k:
+            beta[l, k, j] += z.conjugate()
+    for _ in range(data.draw(st.integers(0, 3))):
+        j, k = data.draw(st.tuples(index, index))
+        d = data.draw(dyadic)
+        alpha[j, k] += d
+        if j != k:
+            alpha[k, j] += d
+    tol = data.draw(st.sampled_from([0.0, 2.0**-40, 2.0**-30, 1e-10, 1e-3]))
+    constants = model.structure_constants(alpha, beta)
+    assert model._assoc_linear_sparse(constants, tol) == model._assoc_linear_dense(constants, tol)
+
+
+def _refuse(*args):
+    raise AssertionError("this fill must not run")
+
+
+def _perturbed_pauli_pauli():
+    exact = _exact_constants(15)
+    rng = np.random.default_rng(15)
+    return model.structure_constants(exact.alpha, exact.beta + 1e-9 * rng.normal(size=exact.beta.shape))
+
+
+def _non_finite(which, bad):
+    exact = _exact_constants(15)
+    alpha, beta = exact.alpha.copy(), exact.beta.copy()
+    (alpha if which == "alpha" else beta)[(1,) * (2 if which == "alpha" else 3)] = bad
+    return model.structure_constants(alpha, beta)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _exact_constants(3),
+        lambda: _exact_constants(8),
+        _perturbed_pauli_pauli,
+        lambda: _non_finite("alpha", np.nan),
+        lambda: _non_finite("alpha", np.inf),
+        lambda: _non_finite("beta", np.nan),
+        lambda: _non_finite("beta", -np.inf),
+    ],
+    ids=["pauli", "qutrit", "dense-perturbed", "alpha-nan", "alpha-inf", "beta-nan", "beta-inf"],
+)
+def test_validate_takes_dense_fill(monkeypatch, make):
+    constants = make()
+    monkeypatch.setattr(model, "_assoc_linear_sparse", _refuse)
+    model.validate(constants)
+
+
+@pytest.mark.parametrize("n", [15, 35])
+def test_validate_takes_sparse_fill_on_composites(monkeypatch, n):
+    constants = _exact_constants(n)
+    monkeypatch.setattr(model, "_assoc_linear_dense", _refuse)
+    assert model.validate(constants).passed
+
+
+def test_sparse_validate_memory_stays_below_one_n4_array():
+    constants = _exact_constants(35)
+    tracemalloc.start()
+    try:
+        report = model.validate(constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 16e6  # one n^4 complex array is 24 MB
