@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StructureConstants, _unital, dot_product, structure_constants, validate
+from .model import StructureConstants, _frozen, _unital, dot_product, structure_constants, validate
 from .qsde import QsdeCoefficients, SystemSpec, _finite_array, build_coefficients, system_spec
 
 __all__ = [
@@ -46,8 +46,7 @@ def composite_spec(sys1: SystemSpec, sys2: SystemSpec, direct_coupling) -> Compo
             "direct coupling must be %d x %d, got %r"
             % (sys1.constants.n, sys2.constants.n, e12.shape)
         )
-    e12.setflags(write=False)
-    return CompositeSpec(sys1=sys1, sys2=sys2, direct_coupling=e12)
+    return CompositeSpec(sys1=sys1, sys2=sys2, direct_coupling=_frozen(e12)[0])
 
 
 def _tensor_constants(c1: StructureConstants, c2: StructureConstants) -> StructureConstants:
@@ -141,32 +140,17 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
         np.einsum("jiq,lkq->ikjl", th1e, c2.beta.real) + np.einsum("jiq,lkq->ikjl", rb1e, th2)
     ).reshape(n12, n12)
 
-    ksum = np.kron(co1.a, i2) + np.kron(i1, co2.a)
-    ksum0 = np.kron(co1.a0, i2) + np.kron(i1, co2.a0)
-    a31 = np.kron(i1, co2.b[:, None]) + g1
-    a32 = np.kron(co1.b[:, None], i2) + g2
-
     z12 = np.zeros((n1, n2))
-    a = np.block(
-        [
-            [co1.a, z12, f1],
-            [z12.T, co2.a, f2],
-            [a31, a32, ksum + g12],
-        ]
-    )
-    a0 = np.block(
-        [
-            [co1.a0, z12, f1],
-            [z12.T, co2.a0, f2],
-            [g1, g2, ksum0 + g12],
-        ]
-    )
-    b = np.concatenate([co1.b, co2.b, np.zeros(n12)])
 
-    for arr in (a, a0, b):
-        arr.setflags(write=False)
+    def drift(d1, d2, h1, h2):
+        # factor drifts d1, d2 on the diagonal; h1, h2 are the product row's b-columns, 0 in A0
+        return np.block([[d1, z12, f1], [z12.T, d2, f2], [h1 + g1, h2 + g2, np.kron(d1, i2) + np.kron(i1, d2) + g12]])
+
+    a = drift(co1.a, co2.a, np.kron(i1, co2.b[:, None]), np.kron(co1.b[:, None], i2))
+    a0 = drift(co1.a0, co2.a0, 0.0, 0.0)
+    a, a0, atilde, b = _frozen(a, a0, a - a0, np.concatenate([co1.b, co2.b, np.zeros(n12)]))
     return QsdeCoefficients(
-        a=a, a0=a0, atilde=a - a0, b=b, theta=_tensor_constants(c1, c2).theta, coupling=_paired_coupling(spec)[0]
+        a=a, a0=a0, atilde=atilde, b=b, theta=_tensor_constants(c1, c2).theta, coupling=_paired_coupling(spec)[0]
     )
 
 

@@ -55,10 +55,11 @@ class ConsistencyError(ArithmeticError):
     """A result failed an internal consistency check (round-off out of bounds)."""
 
 
-def _frozen(a):
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
+def _frozen(*arrays):
+    """Make arrays the caller owns read-only, in place; returns them as a tuple."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -94,11 +95,9 @@ def structure_constants(alpha, beta) -> StructureConstants:
             "beta must have shape (n, n, n) with n = %d, got %r" % (n, beta.shape)
         )
     if np.iscomplexobj(alpha) and np.max(np.abs(alpha.imag)) == 0.0:
-        alpha = alpha.real
-    theta = beta.imag.copy()
-    return StructureConstants(
-        n=n, alpha=_frozen(alpha), beta=_frozen(beta), theta=_frozen(theta)
-    )
+        alpha = alpha.real.copy()
+    alpha, beta, theta = _frozen(alpha, beta, beta.imag.copy())
+    return StructureConstants(n=n, alpha=alpha, beta=beta, theta=theta)
 
 
 # Antisymmetric CCR sections of the spin-1/2 (Pauli) algebra.  Section l is
@@ -353,7 +352,7 @@ class AffineOperator:
     linear: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", _frozen(np.asarray(self.linear, dtype=complex)))
+        object.__setattr__(self, "linear", _frozen(np.array(self.linear, dtype=complex))[0])
         object.__setattr__(self, "const", complex(self.const))
 
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
+from .model import _frozen
+
 __all__ = [
     "EigenModes",
     "eigenmodes",
@@ -113,11 +115,8 @@ def eigenmodes(a0, alpha) -> EigenModes:
     scale = max(1.0, float(np.max(np.abs(a0))))
     if np.max(np.abs(recon - a0)) > 1e-9 * scale:
         raise ValueError("eigendecomposition failed to reproduce A0")
-    for arr in (omegas, v, sigma, sigma_inv):
-        arr.setflags(write=False)
-    return EigenModes(
-        omegas=omegas, vectors=v, sigma=sigma, sigma_inv=sigma_inv, zero_tol=zero_tol
-    )
+    omegas, v, sigma, sigma_inv = _frozen(omegas, v, sigma, sigma_inv)
+    return EigenModes(omegas=omegas, vectors=v, sigma=sigma, sigma_inv=sigma_inv, zero_tol=zero_tol)
 
 
 def _lead(magnitude, cols):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .composite import _tensor_constants
-from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, pauli_constants
+from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, pauli_constants
 from .qsde import ito_structure
 
 __all__ = [
@@ -47,20 +47,11 @@ class HilbertRep:
     constants: StructureConstants
 
 
-def _freeze_mats(mats):
-    out = []
-    for x in mats:
-        x = np.array(x, dtype=complex)
-        x.setflags(write=False)
-        out.append(x)
-    return tuple(out)
-
-
 def pauli_representation() -> HilbertRep:
     """The 2x2 spin representation of the Pauli constants."""
     return HilbertRep(
         dim=2,
-        variables=_freeze_mats([SIGMA_X, SIGMA_Y, SIGMA_Z]),
+        variables=_frozen(*(np.array(x) for x in (SIGMA_X, SIGMA_Y, SIGMA_Z))),
         constants=pauli_constants(),
     )
 
@@ -84,7 +75,7 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
     mats += [np.kron(x, y) for x in rep1.variables for y in rep2.variables]
     return HilbertRep(
         dim=d,
-        variables=_freeze_mats(mats),
+        variables=_frozen(*(np.asarray(x, dtype=complex) for x in mats)),
         constants=_tensor_constants(rep1.constants, rep2.constants),
     )
 

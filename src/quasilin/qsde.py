@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import StructureConstants, diam_product, dot_product, reduce_monomial
+from .model import StructureConstants, _frozen, _unital, diam_product, dot_product, reduce_monomial
 
 __all__ = [
     "ItoStructure",
@@ -55,8 +55,7 @@ def ito_structure(m: int) -> ItoStructure:
         raise ValueError("channel count must be even and >= 2, got %r" % (m,))
     j_mat = np.eye(m, k=m // 2) - np.eye(m, k=-(m // 2))
     omega = np.eye(m) + 1j * j_mat
-    j_mat.setflags(write=False)
-    omega.setflags(write=False)
+    _frozen(j_mat, omega)
     return ItoStructure(m=m, j_mat=j_mat, omega=omega)
 
 
@@ -107,9 +106,7 @@ def system_spec(constants, energy, coupling, offset=None) -> SystemSpec:
     offset = _finite_array(offset, "offset")
     if offset.shape != (m,):
         raise ValueError("offset has shape %r, expected (%d,)" % (offset.shape, m))
-    energy.setflags(write=False)
-    coupling.setflags(write=False)
-    offset.setflags(write=False)
+    _frozen(energy, coupling, offset)
     return SystemSpec(constants=constants, energy=energy, coupling=coupling, offset=offset)
 
 
@@ -154,12 +151,8 @@ def build_coefficients(spec: SystemSpec) -> QsdeCoefficients:
     a = 2.0 * diam_product(th, spec.energy + m_mat.T @ (jm @ spec.offset))
     a = a + 2.0 * (coupled(m_mat, th) + coupled(jm @ m_mat, c.beta.real))
     b = 2.0 * np.einsum("lab,bl->a", th, mjm @ c.alpha)
-    atilde = a - a0
-    for arr in (a, a0, atilde, b):
-        arr.setflags(write=False)
-    return QsdeCoefficients(
-        a=a, a0=a0, atilde=atilde, b=b, theta=th, coupling=m_mat
-    )
+    a, a0, atilde, b = _frozen(a, a0, a - a0, b)
+    return QsdeCoefficients(a=a, a0=a0, atilde=atilde, b=b, theta=th, coupling=m_mat)
 
 
 def dispersion(coeffs: QsdeCoefficients, x) -> np.ndarray:
@@ -225,11 +218,8 @@ def mean_flow(coeffs: QsdeCoefficients, mu0, times) -> np.ndarray:
     aug = np.zeros((n + 1, n + 1), dtype=np.result_type(coeffs.a, mu0))
     aug[:n, :n] = coeffs.a
     aug[:n, n] = coeffs.b
-    state0 = np.concatenate([mu0, [1.0]])
-    out = np.empty((len(times), n), dtype=aug.dtype)
-    for i, state in enumerate(propagate(aug, state0, times)):
-        out[i] = state[:n]
-    return out
+    states = propagate(aug, np.concatenate([mu0, [1.0]]), times)
+    return np.array([state[:n] for state in states], dtype=aug.dtype).reshape(-1, n)
 
 
 # a drift is Hurwitz when its spectral abscissa is below -_HURWITZ_MARGIN
@@ -262,17 +252,15 @@ def equilibrium_moment(factor_indices, powers, constants: StructureConstants, mu
 def qcf(constants: StructureConstants, mu_star, u) -> complex:
     """Stationary quasicharacteristic function lim E exp(i u . X).
 
-    Computed as the (0, :) row of exp(i [[0, u^T], [alpha u, beta<>u]])
-    applied to (1, mu*).
+    Row 0 of exp(i G) applied to (1, mu*), where G[j, l] is the Y_l
+    coefficient of Y_j (u . X), Y = (I, X): one contraction of the unital
+    structure tensor with u, giving G = [[0, u^T], [alpha u, beta<>u]].
     """
     n = constants.n
     u = np.asarray(u)
     if u.shape != (n,):
         raise ValueError("u has shape %r, expected (%d,)" % (u.shape, n))
-    gen = np.zeros((n + 1, n + 1), dtype=complex)
-    gen[0, 1:] = u
-    gen[1:, 0] = constants.alpha @ u
-    gen[1:, 1:] = diam_product(constants.beta, u)
+    gen = np.einsum("ljk,k->jl", _unital(constants)[:, :, 1:], u)
     vec = np.concatenate([[1.0], np.asarray(mu_star, dtype=complex)])
     return complex((expm(1j * gen) @ vec)[0])
 

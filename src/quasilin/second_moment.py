@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_DIM, CapabilityLimit
+from .model import MAX_DIM, CapabilityLimit, _frozen
 from .qsde import QsdeCoefficients, ito_structure, propagate
 
 __all__ = [
@@ -32,11 +32,11 @@ __all__ = [
 class LambdaOperator:
     """Second-moment generator Z -> A Z + Z A^T + U(Z) on Hermitian Z.
 
-    cross = M^T Omega M; matrix is the real generator on column-major
-    vec(R), R = Re Z + Im Z.  For real A and Hermitian cross it is
-    I (x) A + A (x) I - 4 (Psi(Re cross) + Psi(Im cross) P), where column
-    k*n + j of Psi(C) is vec(theta_j C theta_k) and P is the permutation
-    with vec(R^T) = P vec(R).
+    cross = M^T Omega M.  On complex vec(Z) Lambda is re + i im with
+    re = I (x) Re A + Re A (x) I - 4 Psi(Re cross), im likewise from the
+    imaginary parts, column k*n + j of Psi(C) being vec(theta_j C theta_k).
+    It keeps Hermitian Z Hermitian when re = P re P and im = -P im P, with
+    vec(Z^T) = P vec(Z); matrix = re + im P acts on column-major vec(R).
     """
 
     a: np.ndarray
@@ -63,9 +63,11 @@ def _kron_part(a, theta, cross) -> np.ndarray:
 def lambda_operator(coeffs: QsdeCoefficients) -> LambdaOperator:
     """Assemble the real second-moment generator for a coefficient set.
 
-    Lambda is re + i im on complex vec(Z), with re and im real.  The unit
-    inputs R = E_jk stand for Z = sym(R) + i skew(R); their images must be
-    Hermitian, and a larger defect than 1e-8 is an error.
+    Lambda is re + i im on complex vec(Z), with re and im real.  It keeps
+    Hermitian matrices Hermitian exactly when it commutes with Z -> Z^H,
+    that is when re = P re P and im = -P im P for the transpose permutation
+    P; the defect is the larger of max |re - P re P| and max |im + P im P|,
+    and one above 1e-8 is an error.
     """
     n = coeffs.n
     if n > MAX_DIM:
@@ -76,16 +78,11 @@ def lambda_operator(coeffs: QsdeCoefficients) -> LambdaOperator:
     re = _kron_part(np.real(coeffs.a), theta, cross.real)
     im = _kron_part(np.imag(coeffs.a), theta, cross.imag)
     perm = np.arange(n * n).reshape(n, n).T.ravel()  # vec(R^T) = vec(R)[perm]
-    re_t, im_t = re[:, perm], im[:, perm]
-    # column c is Lambda(Z) = y_re + i y_im for the unit input vec(R) = e_c
-    y_re = (re + re_t - im + im_t) / 2.0
-    y_im = (im + im_t + re - re_t) / 2.0
-    defect = float(np.max(np.hypot(y_re - y_re[perm], y_im + y_im[perm])))
+    both = np.ix_(perm, perm)
+    defect = max(float(np.max(np.abs(re - re[both]))), float(np.max(np.abs(im + im[both]))))
     if defect > 1e-8:
         raise ValueError("restriction to Hermitian matrices is not real (max imag %g)" % defect)
-    matrix = re + im_t  # = y_re + y_im, the real form of Lambda(Z)
-    matrix.setflags(write=False)
-    cross.setflags(write=False)
+    matrix, cross = _frozen(re + im[:, perm], cross)
     return LambdaOperator(a=coeffs.a, theta=theta, cross=cross, matrix=matrix)
 
 

@@ -244,6 +244,16 @@ ANALYSIS_REFUSALS = {
     "system list": ("steady", {"system": ["qubit"]}, [], "analysis.system"),
     "composite list": ("composite", {"composite": ["pair"]}, [], "analysis.composite"),
     "qcf_u wrong length": ("qcf", {"qcf_u": [[1.0, 0.0]]}, [], "qcf_u"),
+    "unknown system": ("steady", {"system": "nope"}, [], "unknown system 'nope'"),
+    "unknown composite": ("composite", {"composite": "nope"}, [], "unknown composite 'nope'"),
+    "grid flag of two fields": ("mean-flow", {}, ["--grid", "0:1"], "--grid must be T0:T1:STEPS"),
+    "grid flag with text": ("mean-flow", {}, ["--grid", "0:a:5"], "--grid must be T0:T1:STEPS with numeric fields"),
+    "grid of two entries": ("mean-flow", {"grid": [0, 1]}, [], "analysis.grid must be [t0, t1, steps]"),
+    "grid backwards": ("spectrum", {"grid": [1, 0, 5]}, [], "grid needs t1 > t0 and at least 2 steps"),
+    "grid of one step": ("mean-flow", {"grid": [0, 1, 1]}, [], "grid needs t1 > t0 and at least 2 steps"),
+    "eps flag with text": ("weak", {}, ["--eps", "a,b"], "--eps must be a comma separated float list"),
+    "eps negative": ("weak", {"eps": [0.1, -0.2]}, [], "eps values must be positive"),
+    "eps empty": ("weak", {"eps": []}, [], "eps values must be positive"),
 }
 
 
@@ -296,6 +306,62 @@ def test_unselected_entries_exit_two(tmp_path, capsys, case):
     assert cli.main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
     assert not out.exists() or os.listdir(out) == []
+
+
+DROP = object()
+
+# name: (argv, path of the edited config entry, its new value or DROP, message)
+STRUCTURE_REFUSALS = {
+    "constants name": (["steady"], ("systems", "qubit", "constants"), "su2", 'constants must be "pauli" or {'),
+    "alpha not square": (
+        ["steady"], ("systems", "qubit", "constants"), {"alpha": [[1.0, 0.0]], "beta": [[[0.0]]]}, "alpha must be square"
+    ),
+    "system not an object": (["steady"], ("systems", "qubit"), [1.0], "system 'qubit' must be an object"),
+    "system without M": (["steady"], ("systems", "qubit", "M"), DROP, "system 'qubit' is missing 'M'"),
+    "top level a list": (["steady"], (), [], "top level of "),
+    "composite without E12": (["composite"], ("composites", "pair", "E12"), DROP, 'composite \'pair\' needs "systems" and "E12"'),
+    "composite of an unknown system": (
+        ["composite"], ("composites", "pair", "systems"), ["qubit", "nope"], "composite 'pair' references unknown system 'nope'"
+    ),
+    "analysis a list": (["steady"], ("analysis",), [1], '"analysis" must be an object'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_REFUSALS))
+def test_config_structure_refusals_exit_two(tmp_path, capsys, case):
+    argv, keys, value, message = STRUCTURE_REFUSALS[case]
+    with open(REPO_CONFIG) as fh:
+        node = root = {"config": json.load(fh)}
+    keys = ("config",) + keys
+    for key in keys[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(root["config"]))
+    out = tmp_path / "o"
+    assert cli.main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not out.exists() or os.listdir(out) == []
+
+
+def test_single_entries_need_no_selection(tmp_path):
+    # one system and one composite are taken without analysis.system or
+    # analysis.composite, and mean-flow starts from mu0 = 0 when it is unset
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    del cfg["systems"]["qubit_b"], cfg["analysis"]["system"], cfg["analysis"]["composite"], cfg["analysis"]["mu0"]
+    cfg["composites"]["pair"]["systems"] = ["qubit", "qubit"]
+    path = tmp_path / "single.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    for argv in (["steady"], ["mean-flow"], ["composite"], ["oracle", "--composite"]):
+        assert cli.main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 0, argv
+    assert (out / "mean_flow.csv").read_text().splitlines()[1] == "0,0,0,0"
+    assert {"steady.csv", "composite.csv", "oracle.csv"} <= set(os.listdir(out))
 
 
 @pytest.mark.parametrize(

@@ -77,3 +77,22 @@ def test_package_exports_its_modules():
     names = [name for name in quasilin.__all__ if name != "validate"]
     modules = [getattr(quasilin, name) for name in names]
     assert names and all(inspect.ismodule(m) and m.__name__ == "quasilin." + name for name, m in zip(names, modules))
+
+
+def test_cli_reads_no_private_module_attribute():
+    # the CLI goes through each module's public names only; a private one
+    # (qsde._HURWITZ_MARGIN, say) is a second copy of a decision made there
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [alias.asname or alias.name for alias in node.names]
+            if node.module is None:
+                modules.update(names)
+            private += ["cli.py:%d %s" % (node.lineno, name) for name in names if name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if node.attr.startswith("_"):
+                private.append("cli.py:%d %s.%s" % (node.lineno, node.value.id, node.attr))
+    assert {"model", "qsde", "oracle_mod"} <= modules
+    assert private == []

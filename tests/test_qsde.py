@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from quasilin import composite, model, oracle, qsde
-from conftest import gell_mann_constants, random_pauli_spec, random_stable_pauli_spec
+from conftest import gell_mann_constants, gell_mann_matrices, random_pauli_spec, random_stable_pauli_spec
 
 A_REF = np.array([[-2.0, -2.0, 0.0], [2.0, -2.0, 0.0], [0.0, 0.0, -4.0]])
 A0_REF = np.array([[0.0, -2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
@@ -157,6 +157,23 @@ def test_qcf_against_exact_state(worked, pauli):
         xu = sum(u[k] * rep.variables[k] for k in range(3))
         ref = np.trace(rho @ expm(1j * xu))
         assert abs(qsde.qcf(pauli, mu_star, u) - ref) < 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_qcf_against_exact_state_on_gell_mann(d):
+    # alpha = (2/d) I and a dense beta, both read off the unital structure tensor
+    mats = gell_mann_matrices(d)
+    constants = gell_mann_constants(d)
+    rep = oracle.HilbertRep(dim=d, variables=tuple(mats), constants=constants)
+    rng = np.random.default_rng(d)
+    spec = _random_system(rng, constants)
+    while qsde.spectral_abscissa(qsde.build_coefficients(spec).a) >= -1e-2:
+        spec = _random_system(rng, constants)
+    rho = oracle.stationary_state(rep, spec)
+    mu_star = qsde.steady_mean(qsde.build_coefficients(spec))
+    for u in rng.uniform(-2.0, 2.0, (20, constants.n)):
+        ref = np.trace(rho @ expm(1j * np.tensordot(u, mats, axes=1)))
+        assert abs(qsde.qcf(constants, mu_star, u) - ref) < 1e-12
 
 
 def test_equilibrium_moments_reference(worked, pauli):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from quasilin import model, qsde, second_moment
+from quasilin import composite, model, qsde, second_moment
 from conftest import gell_mann_constants, random_pauli_spec
 
 
@@ -248,3 +250,21 @@ def test_trace_flow_refuses_nan_trace(worked, monkeypatch):
     with pytest.raises(ValueError, match="nonnegative axis"):
         second_moment.pi_trace_flow(op, [0.0])
 
+
+def test_lambda_operator_memory_below_six_n4_arrays():
+    # the Hermitian check compares re and im with their own permuted copies,
+    # so assembly holds about five real n^4 arrays at its peak
+    pauli = model.pauli_constants()
+    constants = composite.augment_constants(pauli, pauli)
+    rng = np.random.default_rng(3)
+    n = constants.n
+    spec = qsde.system_spec(constants, rng.uniform(-1, 1, n), rng.uniform(-1, 1, (2, n)), rng.uniform(-1, 1, 2))
+    coeffs = qsde.build_coefficients(spec)
+    tracemalloc.start()
+    try:
+        op = second_moment.lambda_operator(coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 15 and op.matrix.shape == (n * n, n * n)
+    assert peak < 6 * 8 * n**4
