@@ -149,9 +149,7 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
     a = drift(co1.a, co2.a, np.kron(i1, co2.b[:, None]), np.kron(co1.b[:, None], i2))
     a0 = drift(co1.a0, co2.a0, 0.0, 0.0)
     a, a0, atilde, b = _frozen(a, a0, a - a0, np.concatenate([co1.b, co2.b, np.zeros(n12)]))
-    return QsdeCoefficients(
-        a=a, a0=a0, atilde=atilde, b=b, theta=_tensor_constants(c1, c2).theta, coupling=_paired_coupling(spec)[0]
-    )
+    return QsdeCoefficients(a=a, a0=a0, atilde=atilde, b=b)
 
 
 def composite_dispersion(spec: CompositeSpec, x_full) -> np.ndarray:

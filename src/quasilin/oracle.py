@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from .composite import _tensor_constants
 from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, pauli_constants
-from .qsde import ito_structure
+from .qsde import ito_matrix
 
 __all__ = [
     "HilbertRep",
@@ -105,7 +105,7 @@ def heisenberg_superoperator(rep: HilbertRep, spec) -> np.ndarray:
     flat = np.reshape(rep.variables, (n, d * d))
     h = (spec.energy @ flat).reshape(d, d)
     ls = (spec.coupling @ flat).reshape(m, d, d) + spec.offset[:, None, None] * eye
-    wls = (ito_structure(m).omega.T @ ls.reshape(m, d * d)).reshape(m, d, d)
+    wls = (ito_matrix(m).T @ ls.reshape(m, d * d)).reshape(m, d, d)
     half_k = 0.5 * np.einsum("kab,kbc->ac", wls, ls)
     left = np.concatenate([[1j * h - half_k, eye], wls])
     right = np.concatenate([[eye, -1j * h - half_k], ls])
@@ -215,22 +215,22 @@ def stationary_state(rep: HilbertRep, spec) -> np.ndarray:
     return rho
 
 
-def two_point_commutator(rep: HilbertRep, spec, rho0, s: float, t: float) -> np.ndarray:
-    """Matrix of E[[X_j(t), X_k(s)]] in the exact representation.
+def two_point_commutator(rep: HilbertRep, spec, rho0, s: float, lags) -> np.ndarray:
+    """Matrices of E[[X_j(s + tau), X_k(s)]] in the exact representation, one per lag tau.
 
-    Entry (j, k) is Tr(X_j e^{(t-s)L}(X_k rho(s))) minus the same with
+    Entry (j, k) is Tr(X_j e^{tau L}(X_k rho(s))) minus the same with
     rho(s) X_k, where L is the state-picture generator and rho(s) the state
-    propagated from rho0.  Requires t >= s >= 0.
+    propagated from rho0.  Requires s >= 0 and every tau >= 0; L and rho(s)
+    are formed once for all lags.
     """
-    if t < s:
-        raise ValueError("need t >= s")
+    if np.any(np.asarray(lags) < 0):
+        raise ValueError("tau must be nonnegative")
     sup = state_superoperator(rep, spec)
     rho_s, _ = _propagate(sup, rep.dim, rho0, s)
-    flow = expm((float(t) - float(s)) * sup)
     mats = np.stack(rep.variables)
-    comms = mats @ rho_s - rho_s @ mats
+    comms = _vec(mats @ rho_s - rho_s @ mats).T
     # Tr(X P) is the row-major flattening of X dotted with vec(P)
-    return mats.reshape(len(mats), -1) @ (flow @ _vec(comms).T)
+    return np.array([mats.reshape(len(mats), -1) @ (expm(lag * sup) @ comms) for lag in lags])
 
 
 def generator_identity_check(rep: HilbertRep, spec, coeffs) -> float:

@@ -19,14 +19,13 @@ from scipy.linalg import expm
 from .model import StructureConstants, _frozen, _unital, diam_product, dot_product, reduce_monomial
 
 __all__ = [
-    "ItoStructure",
     "QsdeCoefficients",
     "SystemSpec",
     "build_coefficients",
     "dispersion",
     "energy_rate",
     "equilibrium_moment",
-    "ito_structure",
+    "ito_matrix",
     "mean_flow",
     "mean_two_point_ccr",
     "propagate",
@@ -36,27 +35,16 @@ __all__ = [
     "system_spec",
 ]
 
-@dataclass(frozen=True)
-class ItoStructure:
-    """Ito matrix Omega = I + iJ of m quadrature field channels."""
+def ito_matrix(m: int) -> np.ndarray:
+    """Standard Ito matrix Omega = I + iJ on m channels (m even, m >= 2).
 
-    m: int
-    j_mat: np.ndarray
-    omega: np.ndarray
-
-
-def ito_structure(m: int) -> ItoStructure:
-    """Standard Ito structure on m channels (m even, m >= 2).
-
-    J = [[0, I], [-I, 0]] with I = I_{m/2} pairs channel r with r + m/2;
-    Omega = I + iJ is Hermitian PSD with eigenvalues 0 and 2, each m/2 times.
+    J = Omega.imag = [[0, I], [-I, 0]] with I = I_{m/2} pairs channel r with
+    r + m/2; Omega is Hermitian PSD with eigenvalues 0 and 2, each m/2 times.
     """
     if m < 2 or m % 2:
         raise ValueError("channel count must be even and >= 2, got %r" % (m,))
-    j_mat = np.eye(m, k=m // 2) - np.eye(m, k=-(m // 2))
-    omega = np.eye(m) + 1j * j_mat
-    _frozen(j_mat, omega)
-    return ItoStructure(m=m, j_mat=j_mat, omega=omega)
+    omega = np.eye(m) + 1j * (np.eye(m, k=m // 2) - np.eye(m, k=-(m // 2)))
+    return _frozen(omega)[0]
 
 
 @dataclass(frozen=True)
@@ -112,15 +100,16 @@ def system_spec(constants, energy, coupling, offset=None) -> SystemSpec:
 
 @dataclass(frozen=True)
 class QsdeCoefficients:
-    """Drift A (with its Hamiltonian part a0 and coupling part atilde), b,
-    and the data (theta, coupling) defining the dispersion map."""
+    """Drift A (with its Hamiltonian part a0 and coupling part atilde) and b.
+
+    The dispersion and the second-moment generator also need theta and the
+    coupling M; they take them from the SystemSpec.
+    """
 
     a: np.ndarray
     a0: np.ndarray
     atilde: np.ndarray
     b: np.ndarray
-    theta: np.ndarray
-    coupling: np.ndarray
 
     @property
     def n(self) -> int:
@@ -140,7 +129,7 @@ def build_coefficients(spec: SystemSpec) -> QsdeCoefficients:
     c = spec.constants
     th, n = c.theta, c.n
     m_mat = spec.coupling
-    jm = ito_structure(spec.m).j_mat
+    jm = ito_matrix(spec.m).imag
     mjm = m_mat.T @ jm @ m_mat
 
     def coupled(y, sections):
@@ -152,12 +141,12 @@ def build_coefficients(spec: SystemSpec) -> QsdeCoefficients:
     a = a + 2.0 * (coupled(m_mat, th) + coupled(jm @ m_mat, c.beta.real))
     b = 2.0 * np.einsum("lab,bl->a", th, mjm @ c.alpha)
     a, a0, atilde, b = _frozen(a, a0, a - a0, b)
-    return QsdeCoefficients(a=a, a0=a0, atilde=atilde, b=b, theta=th, coupling=m_mat)
+    return QsdeCoefficients(a=a, a0=a0, atilde=atilde, b=b)
 
 
-def dispersion(coeffs: QsdeCoefficients, x) -> np.ndarray:
+def dispersion(spec: SystemSpec, x) -> np.ndarray:
     """Dispersion matrix B(x) = 2 (theta . x) M^T at coefficient vector x."""
-    return 2.0 * dot_product(coeffs.theta, x) @ coeffs.coupling.T
+    return 2.0 * dot_product(spec.constants.theta, x) @ spec.coupling.T
 
 
 def spectral_abscissa(a_matrix) -> float:
@@ -249,20 +238,24 @@ def equilibrium_moment(factor_indices, powers, constants: StructureConstants, mu
     return complex(red.const + red.linear @ np.asarray(mu_star))
 
 
-def qcf(constants: StructureConstants, mu_star, u) -> complex:
-    """Stationary quasicharacteristic function lim E exp(i u . X).
+def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
+    """Stationary quasicharacteristic function lim E exp(i u . X) for each row u of us.
 
     Row 0 of exp(i G) applied to (1, mu*), where G[j, l] is the Y_l
     coefficient of Y_j (u . X), Y = (I, X): one contraction of the unital
     structure tensor with u, giving G = [[0, u^T], [alpha u, beta<>u]].
+    A value that overflows to inf or NaN is refused.
     """
     n = constants.n
-    u = np.asarray(u)
-    if u.shape != (n,):
-        raise ValueError("u has shape %r, expected (%d,)" % (u.shape, n))
-    gen = np.einsum("ljk,k->jl", _unital(constants)[:, :, 1:], u)
+    us = np.asarray(us)
+    if us.ndim != 2 or us.shape[1] != n:
+        raise ValueError("us has shape %r, expected (k, %d)" % (us.shape, n))
+    gens = np.einsum("ljk,uk->ujl", _unital(constants)[:, :, 1:], us)
     vec = np.concatenate([[1.0], np.asarray(mu_star, dtype=complex)])
-    return complex((expm(1j * gen) @ vec)[0])
+    vals = (expm(1j * gens) @ vec)[:, 0]
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("quasicharacteristic function is not finite")
+    return vals
 
 
 def energy_rate(spec: SystemSpec, coeffs: QsdeCoefficients, mu) -> float:
@@ -275,12 +268,12 @@ def energy_rate(spec: SystemSpec, coeffs: QsdeCoefficients, mu) -> float:
     return float(np.real_if_close(val))
 
 
-def mean_two_point_ccr(coeffs: QsdeCoefficients, constants: StructureConstants, mu_s, tau: float) -> np.ndarray:
-    """Mean two-time commutator matrix E[[X(s + tau), X(s)^T]].
+def mean_two_point_ccr(coeffs: QsdeCoefficients, constants: StructureConstants, mu_s, lags) -> np.ndarray:
+    """Mean two-time commutator matrices E[[X(s + tau), X(s)^T]], one per lag tau.
 
-    Equals 2i e^{tau A} (theta . mu(s)); tau >= 0.
+    Each equals 2i e^{tau A} (theta . mu(s)); every tau >= 0.
     """
-    if tau < 0:
+    if np.any(np.asarray(lags) < 0):
         raise ValueError("tau must be nonnegative")
     ccr = dot_product(constants.theta, np.asarray(mu_s))
-    return 2j * expm(float(tau) * coeffs.a) @ ccr
+    return 2j * expm(np.multiply.outer(lags, coeffs.a)) @ ccr

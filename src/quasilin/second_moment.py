@@ -13,40 +13,23 @@ directly; the two routes are kept separate so they can check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .model import MAX_DIM, CapabilityLimit, _frozen
-from .qsde import QsdeCoefficients, ito_structure, propagate
+from .qsde import QsdeCoefficients, SystemSpec, ito_matrix, propagate
 
 __all__ = [
-    "LambdaOperator",
     "apply_lambda",
     "lambda_operator",
     "pi_trace_flow",
 ]
 
 
-@dataclass(frozen=True)
-class LambdaOperator:
-    """Second-moment generator Z -> A Z + Z A^T + U(Z) on Hermitian Z.
-
-    cross = M^T Omega M.  On complex vec(Z) Lambda is re + i im with
-    re = I (x) Re A + Re A (x) I - 4 Psi(Re cross), im likewise from the
-    imaginary parts, column k*n + j of Psi(C) being vec(theta_j C theta_k).
-    It keeps Hermitian Z Hermitian when re = P re P and im = -P im P, with
-    vec(Z^T) = P vec(Z); matrix = re + im P acts on column-major vec(R).
-    """
-
-    a: np.ndarray
-    theta: np.ndarray
-    cross: np.ndarray
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
+def _cross(spec: SystemSpec) -> np.ndarray:
+    """cross = M^T Omega M, the noise weight between coefficient pairs."""
+    return spec.coupling.T @ ito_matrix(spec.m) @ spec.coupling
 
 
 def _kron_part(a, theta, cross) -> np.ndarray:
@@ -60,21 +43,20 @@ def _kron_part(a, theta, cross) -> np.ndarray:
     return np.kron(eye, a) + np.kron(a, eye) - 4.0 * psi
 
 
-def lambda_operator(coeffs: QsdeCoefficients) -> LambdaOperator:
-    """Assemble the real second-moment generator for a coefficient set.
+def lambda_operator(spec: SystemSpec, coeffs: QsdeCoefficients) -> np.ndarray:
+    """The frozen real n^2 x n^2 second-moment generator re + im P on column-major vec(R).
 
-    Lambda is re + i im on complex vec(Z), with re and im real.  It keeps
-    Hermitian matrices Hermitian exactly when it commutes with Z -> Z^H,
-    that is when re = P re P and im = -P im P for the transpose permutation
-    P; the defect is the larger of max |re - P re P| and max |im + P im P|,
-    and one above 1e-8 is an error.
+    On complex vec(Z) Lambda is re + i im, re = I (x) Re A + Re A (x) I
+    - 4 Psi(Re cross) and im likewise, column k*n + j of Psi(C) being
+    vec(theta_j C theta_k).  It keeps Hermitian matrices Hermitian exactly
+    when re = P re P and im = -P im P, vec(Z^T) = P vec(Z); a defect
+    max(|re - P re P|, |im + P im P|) above 1e-8 is an error.
     """
     n = coeffs.n
     if n > MAX_DIM:
         raise CapabilityLimit("dimension %d exceeds %d" % (n, MAX_DIM))
-    omega = ito_structure(coeffs.coupling.shape[0]).omega
-    cross = coeffs.coupling.T @ omega @ coeffs.coupling
-    theta = coeffs.theta
+    cross = _cross(spec)
+    theta = spec.constants.theta
     re = _kron_part(np.real(coeffs.a), theta, cross.real)
     im = _kron_part(np.imag(coeffs.a), theta, cross.imag)
     perm = np.arange(n * n).reshape(n, n).T.ravel()  # vec(R^T) = vec(R)[perm]
@@ -82,26 +64,27 @@ def lambda_operator(coeffs: QsdeCoefficients) -> LambdaOperator:
     defect = max(float(np.max(np.abs(re - re[both]))), float(np.max(np.abs(im + im[both]))))
     if defect > 1e-8:
         raise ValueError("restriction to Hermitian matrices is not real (max imag %g)" % defect)
-    matrix, cross = _frozen(re + im[:, perm], cross)
-    return LambdaOperator(a=coeffs.a, theta=theta, cross=cross, matrix=matrix)
+    return _frozen(re + im[:, perm])[0]
 
 
-def apply_lambda(op: LambdaOperator, z) -> np.ndarray:
+def apply_lambda(spec: SystemSpec, coeffs: QsdeCoefficients, z) -> np.ndarray:
     """Apply the generator directly: A z + z A^T - 4 sum_jk z_jk th_j cross th_k."""
     z = np.asarray(z)
-    noise = -4.0 * np.einsum("jk,jpq,qr,krs->ps", z, op.theta, op.cross, op.theta)
-    return op.a @ z + z @ op.a.T + noise
+    theta = spec.constants.theta
+    noise = -4.0 * np.einsum("jk,jpq,qr,krs->ps", z, theta, _cross(spec), theta)
+    return coeffs.a @ z + z @ coeffs.a.T + noise
 
 
-def pi_trace_flow(op: LambdaOperator, times) -> np.ndarray:
+def pi_trace_flow(matrix, times) -> np.ndarray:
     """Trace of e^{t Lambda}(I) for each t in times, by `qsde.propagate`.
 
-    These traces dominate ||e^{tA}||_F^2, which pins the second-moment
-    growth rate between 2 sigma(A) and the Hermitian-restricted abscissa.
+    `matrix` is the n^2 x n^2 generator from `lambda_operator`.  These traces
+    dominate ||e^{tA}||_F^2, which pins the second-moment growth rate between
+    2 sigma(A) and the Hermitian-restricted abscissa.
     """
-    n = op.n
+    n = isqrt(len(matrix))
     out = np.empty(len(times))
-    for i, vec in enumerate(propagate(op.matrix, np.eye(n).flatten(order="F"), times)):
+    for i, vec in enumerate(propagate(matrix, np.eye(n).flatten(order="F"), times)):
         tr = float(np.trace(vec.reshape((n, n), order="F")))
         if not tr >= -1e-9:  # NaN fails too
             raise ValueError("trace flow left the real nonnegative axis: %r" % tr)

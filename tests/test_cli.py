@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from quasilin import cli, model, modes, qsde
+from quasilin import cli, model, modes, oracle, qsde
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
 
@@ -613,6 +613,16 @@ def test_complex_coupling_and_offset_are_accepted(tmp_path):
     assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_oracle_builds_three_superoperators(tmp_path, monkeypatch):
+    # one for the generator identity, one for the stationary state and one
+    # shared by the two-point checks at every lag
+    real = oracle.heisenberg_superoperator
+    calls = []
+    monkeypatch.setattr(oracle, "heisenberg_superoperator", lambda rep, spec: calls.append(spec) or real(rep, spec))
+    assert cli.main(["oracle", "--config", REPO_CONFIG, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 3
+
+
 def test_qcf_u_refusals_exit_two(tmp_path, capsys):
     out = tmp_path / "o"
     for qcf_u, message in (
@@ -622,11 +632,24 @@ def test_qcf_u_refusals_exit_two(tmp_path, capsys):
         ([[0.0, 0.0, 1.0], [1.0, 0.0]], "qcf_u has ragged rows"),
         ([[0.0, 0.0, True]], "qcf_u must be a number, got a boolean"),
         ([[0.0, 0.0]], "qcf_u vectors must have length 3, got 2"),
+        ([[float("nan"), 0.0, 0.0]], "qcf_u entries must be finite"),
+        ([[float("inf"), 0.0, 0.0]], "qcf_u entries must be finite"),
     ):
         cfgpath = qubit_config(tmp_path, qcf_u=qcf_u)
         assert cli.main(["qcf", "--config", cfgpath, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: %s\n" % message
         assert not os.listdir(out)
+
+
+def test_qcf_overflow_exits_four(tmp_path, capsys):
+    # a finite direction whose exponential overflows is refused before anything is written
+    out = tmp_path / "o"
+    cfgpath = qubit_config(tmp_path, qcf_u=[[0.0, 0.0, 1.0], [1e308, 0.0, 0.0]])
+    assert cli.main(["qcf", "--config", cfgpath, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: quasicharacteristic function is not finite\n"
+    assert captured.out == ""
+    assert not os.listdir(out)
 
 
 # Reference copy of the row-by-row CSV writer the CLI used before it wrote

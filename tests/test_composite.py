@@ -125,14 +125,15 @@ def test_block_assembly_matches_generic_path(pauli):
     for _ in range(3):
         spec = random_composite(rng, m1=4, m2=2)
         blocks = composite.composite_coefficients(spec)
-        generic = qsde.build_coefficients(composite.augmented_system(spec))
+        augmented = composite.augmented_system(spec)
+        generic = qsde.build_coefficients(augmented)
         np.testing.assert_allclose(blocks.a, generic.a, atol=1e-10)
         np.testing.assert_allclose(blocks.a0, generic.a0, atol=1e-10)
         np.testing.assert_allclose(blocks.b, generic.b, atol=1e-10)
         x = rng.uniform(-1.0, 1.0, 15)
         np.testing.assert_allclose(
             composite.composite_dispersion(spec, x),
-            qsde.dispersion(generic, x),
+            qsde.dispersion(augmented, x),
             atol=1e-10,
         )
 
@@ -156,14 +157,33 @@ def test_block_assembly_unequal_factors(c1, c2, coupled):
         s2 = random_spec(rng, c2, coupled[1])
         spec = composite.composite_spec(s1, s2, rng.uniform(-1.0, 1.0, (c1.n, c2.n)))
         blocks = composite.composite_coefficients(spec)
-        generic = qsde.build_coefficients(composite.augmented_system(spec))
+        augmented = composite.augmented_system(spec)
+        generic = qsde.build_coefficients(augmented)
         np.testing.assert_allclose(blocks.a, generic.a, atol=1e-12)
         np.testing.assert_allclose(blocks.a0, generic.a0, atol=1e-12)
         np.testing.assert_allclose(blocks.b, generic.b, atol=1e-12)
         x = rng.uniform(-1.0, 1.0, blocks.n)
         np.testing.assert_allclose(
-            composite.composite_dispersion(spec, x), qsde.dispersion(generic, x), atol=1e-12
+            composite.composite_dispersion(spec, x), qsde.dispersion(augmented, x), atol=1e-12
         )
+
+
+def test_block_assembly_forms_no_augmented_data(monkeypatch):
+    """The block drift is built from the factors alone: with the tensor
+    constants and the paired coupling out of reach it still matches the
+    generic path."""
+    rng = np.random.default_rng(12)
+    spec = composite.composite_spec(random_spec(rng, PAULI), random_spec(rng, QUTRIT), rng.uniform(-1.0, 1.0, (3, 8)))
+    generic = qsde.build_coefficients(composite.augmented_system(spec))
+
+    def refuse(*args):
+        raise RuntimeError("the block path formed augmented data")
+
+    monkeypatch.setattr(composite, "_tensor_constants", refuse)
+    monkeypatch.setattr(composite, "_paired_coupling", refuse)
+    blocks = composite.composite_coefficients(spec)
+    for field in ("a", "a0", "atilde", "b"):
+        np.testing.assert_allclose(getattr(blocks, field), getattr(generic, field), atol=1e-12)
 
 
 @pytest.mark.parametrize("qubit_first", [True, False], ids=["PxG3", "G3xP"])

@@ -9,9 +9,9 @@ from quasilin import composite, decoherence, qsde
 from conftest import random_pauli_spec, random_stable_pauli_spec
 
 
-def steady_ccr(coeffs):
+def steady_ccr(spec, coeffs):
     mu = qsde.steady_mean(coeffs)
-    return 2j * np.tensordot(mu, coeffs.theta, axes=([0], [0]))
+    return 2j * np.tensordot(mu, spec.constants.theta, axes=([0], [0]))
 
 
 def test_tau_star_uniform_decay():
@@ -23,16 +23,16 @@ def test_tau_star_uniform_decay():
 
 def test_tau_star_reference_qubit(worked):
     # rotation block decays like e^{-2 tau} exactly, crossing at 1/2
-    _, coeffs = worked
-    ts = decoherence.tau_star(coeffs.a, steady_ccr(coeffs))
+    spec, coeffs = worked
+    ts = decoherence.tau_star(coeffs.a, steady_ccr(spec, coeffs))
     assert abs(ts - 0.5) < 1e-9
 
 
 def test_tau_star_zero_ccr_and_refusals(worked):
-    _, coeffs = worked
+    spec, coeffs = worked
     assert decoherence.tau_star(coeffs.a, np.zeros((3, 3))) == 0.0
     with pytest.raises(ValueError):
-        decoherence.tau_star(coeffs.a0, steady_ccr(coeffs))  # not Hurwitz
+        decoherence.tau_star(coeffs.a0, steady_ccr(spec, coeffs))  # not Hurwitz
 
 
 def scan_tau_star(a, z0, horizon_factor=10.0):
@@ -60,8 +60,9 @@ def scan_tau_star(a, z0, horizon_factor=10.0):
 def test_tau_star_matches_per_point_scan():
     rng = np.random.default_rng(21)
     for _ in range(10):
-        coeffs = qsde.build_coefficients(random_stable_pauli_spec(rng, m=2))
-        z0 = steady_ccr(coeffs)
+        spec = random_stable_pauli_spec(rng, m=2)
+        coeffs = qsde.build_coefficients(spec)
+        z0 = steady_ccr(spec, coeffs)
         if np.linalg.norm(z0) == 0.0:
             continue
         assert decoherence.tau_star(coeffs.a, z0) == scan_tau_star(coeffs.a, z0)
@@ -127,8 +128,9 @@ def test_contraction_envelope(worked):
 def test_bound_dominates_tau_star_random():
     rng = np.random.default_rng(77)
     for _ in range(5):
-        coeffs = qsde.build_coefficients(random_stable_pauli_spec(rng, m=2))
-        z0 = steady_ccr(coeffs)
+        spec = random_stable_pauli_spec(rng, m=2)
+        coeffs = qsde.build_coefficients(spec)
+        z0 = steady_ccr(spec, coeffs)
         if np.linalg.norm(z0) == 0.0:
             continue
         ts = decoherence.tau_star(coeffs.a, z0)
@@ -202,9 +204,10 @@ def test_search_matches_kronecker_search_on_pauli_pair(budget):
     spec = composite.composite_spec(
         random_pauli_spec(rng), random_pauli_spec(rng), rng.uniform(-1.0, 1.0, (3, 3))
     )
-    coeffs = qsde.build_coefficients(composite.augmented_system(spec))
+    augmented = composite.augmented_system(spec)
+    coeffs = qsde.build_coefficients(augmented)
     assert coeffs.n == 15
-    z0 = steady_ccr(coeffs)
+    z0 = steady_ccr(augmented, coeffs)
     search = decoherence.optimize_tau_bound(coeffs.a, z0, budget=budget, seed=3)
     (bound, lam, label), evals = kron_search(coeffs.a, z0, budget=budget, seed=3)
     assert search.lam == lam
@@ -214,9 +217,9 @@ def test_search_matches_kronecker_search_on_pauli_pair(budget):
 
 
 def test_search_and_lyapunov_refusals(worked):
-    _, coeffs = worked
+    spec, coeffs = worked
     with pytest.raises(ValueError, match="not Hurwitz"):
-        decoherence.optimize_tau_bound(coeffs.a0, steady_ccr(coeffs))
+        decoherence.optimize_tau_bound(coeffs.a0, steady_ccr(spec, coeffs))
     asym = np.eye(3)
     asym[0, 1] = 0.5
     with pytest.raises(ValueError, match="K must be symmetric"):
@@ -288,7 +291,7 @@ def test_one_failing_shift_refuses_the_batch():
 
 @pytest.mark.parametrize("budget", [1, 32, 33, 64, 90])
 def test_search_makes_one_stacked_eigh_per_k(monkeypatch, worked, budget):
-    _, coeffs = worked
+    spec, coeffs = worked
     real = np.linalg.eigh
     batches = []
 
@@ -297,7 +300,7 @@ def test_search_makes_one_stacked_eigh_per_k(monkeypatch, worked, budget):
         return real(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    search = decoherence.optimize_tau_bound(coeffs.a, steady_ccr(coeffs), budget=budget)
+    search = decoherence.optimize_tau_bound(coeffs.a, steady_ccr(spec, coeffs), budget=budget)
     assert search.evaluations == budget
     assert len(batches) == math.ceil(budget / 32)
     assert sum(shape[0] for shape in batches) == budget

@@ -12,7 +12,7 @@ def loop_superoperator(rep, spec):
     mats = np.stack(rep.variables)
     h = np.tensordot(spec.energy, mats, axes=1)
     ls = [np.tensordot(row, mats, axes=1) + off * np.eye(d) for row, off in zip(spec.coupling, spec.offset)]
-    omega = qsde.ito_structure(spec.m).omega
+    omega = qsde.ito_matrix(spec.m)
 
     def apply(xi):
         out = 1j * (h @ xi - xi @ h)
@@ -94,7 +94,7 @@ def test_representation_check_matches_index_loop():
 def test_two_point_commutator_matches_index_loop():
     for rep, spec in random_cases(np.random.default_rng(31), 8):
         rho0 = np.eye(rep.dim, dtype=complex) / rep.dim
-        got = oracle.two_point_commutator(rep, spec, rho0, 0.6, 1.7)
+        got = oracle.two_point_commutator(rep, spec, rho0, 0.6, [1.7 - 0.6])[0]
         assert _rel(got, loop_two_point_commutator(rep, spec, rho0, 0.6, 1.7)) <= 1e-14
 
 
@@ -172,9 +172,9 @@ def test_two_point_commutator_at_equal_times(worked):
     rep = oracle.pauli_representation()
     rho0 = np.eye(2, dtype=complex) / 2.0
     s = 0.7
-    table = oracle.two_point_commutator(rep, spec, rho0, s, s)
+    table = oracle.two_point_commutator(rep, spec, rho0, s, [0.0])
     mu_s = qsde.mean_flow(coeffs, np.zeros(3), [s])[0]
-    expected = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, 0.0)
+    expected = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, [0.0])
     np.testing.assert_allclose(table, expected, atol=1e-10)
 
 
@@ -182,7 +182,7 @@ def test_two_point_commutator_requires_ordered_times(worked):
     spec, _ = worked
     rep = oracle.pauli_representation()
     with pytest.raises(ValueError):
-        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, 1.0, 0.5)
+        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, 1.0, [-0.5])
 
 
 def test_stationary_state_degenerate_kernel(pauli):
@@ -219,9 +219,9 @@ def test_two_point_commutator_checks_the_state(worked):
     spec, _ = worked
     rep = oracle.pauli_representation()
     with pytest.raises(ValueError, match="trace"):
-        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex), 0.5, 1.0)
+        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex), 0.5, [0.5])
     with pytest.raises(ValueError, match="nonnegative"):
-        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, -0.5, 1.0)
+        oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, -0.5, [1.5])
 
 
 def test_tensor_representation_dim_limit():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -12,19 +14,22 @@ B_REF = np.array([0.0, 0.0, 4.0])
 
 
 def test_ito_structure_paired_form():
-    ito = qsde.ito_structure(2)
-    np.testing.assert_array_equal(ito.j_mat, [[0.0, 1.0], [-1.0, 0.0]])
-    np.testing.assert_array_equal(ito.omega, np.eye(2) + 1j * ito.j_mat)
-    ito4 = qsde.ito_structure(4)
-    np.testing.assert_array_equal(ito4.j_mat[:2, 2:], np.eye(2))
+    omega = qsde.ito_matrix(2)
+    np.testing.assert_array_equal(omega.imag, [[0.0, 1.0], [-1.0, 0.0]])
+    np.testing.assert_array_equal(omega, np.eye(2) + 1j * omega.imag)
+    np.testing.assert_array_equal(qsde.ito_matrix(4).imag[:2, 2:], np.eye(2))
     # J = [[0, 1], [-1, 0]] (x) I_{m/2}
     for m in (2, 4, 6, 8):
         kron = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(m // 2))
-        np.testing.assert_array_equal(qsde.ito_structure(m).j_mat, kron)
-        np.testing.assert_array_equal(qsde.ito_structure(m).omega, np.eye(m) + 1j * kron)
+        np.testing.assert_array_equal(qsde.ito_matrix(m).imag, kron)
+        np.testing.assert_array_equal(qsde.ito_matrix(m), np.eye(m) + 1j * kron)
     for m in (1, 3, 0, -2):
         with pytest.raises(ValueError):
-            qsde.ito_structure(m)
+            qsde.ito_matrix(m)
+
+
+def test_coefficients_hold_only_the_drift():
+    assert [f.name for f in dataclasses.fields(qsde.QsdeCoefficients)] == ["a", "a0", "atilde", "b"]
 
 
 def test_reference_qubit_drift(worked):
@@ -41,7 +46,7 @@ def loop_build_coefficients(spec):
     c = spec.constants
     th = c.theta
     m_mat = spec.coupling
-    jm = qsde.ito_structure(spec.m).j_mat
+    jm = qsde.ito_matrix(spec.m).imag
     fi_th = np.transpose(th, (1, 2, 0))
     fi_rb = np.transpose(c.beta.real, (1, 2, 0))
     a0 = 2.0 * model.diam_product(th, spec.energy)
@@ -142,7 +147,7 @@ def test_qcf_closed_form_along_e3(worked, pauli):
     _, coeffs = worked
     mu_star = qsde.steady_mean(coeffs)
     for t in (0.0, 0.3, 1.0, 2.5):
-        val = qsde.qcf(pauli, mu_star, np.array([0.0, 0.0, t]))
+        val = qsde.qcf(pauli, mu_star, [[0.0, 0.0, t]])[0]
         assert abs(val - (np.cos(t) + 1j * np.sin(t) * mu_star[2])) < 1e-12
 
 
@@ -156,7 +161,7 @@ def test_qcf_against_exact_state(worked, pauli):
         u = rng.uniform(-2.0, 2.0, 3)
         xu = sum(u[k] * rep.variables[k] for k in range(3))
         ref = np.trace(rho @ expm(1j * xu))
-        assert abs(qsde.qcf(pauli, mu_star, u) - ref) < 1e-10
+        assert abs(qsde.qcf(pauli, mu_star, [u])[0] - ref) < 1e-10
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -173,7 +178,38 @@ def test_qcf_against_exact_state_on_gell_mann(d):
     mu_star = qsde.steady_mean(qsde.build_coefficients(spec))
     for u in rng.uniform(-2.0, 2.0, (20, constants.n)):
         ref = np.trace(rho @ expm(1j * np.tensordot(u, mats, axes=1)))
-        assert abs(qsde.qcf(constants, mu_star, u) - ref) < 1e-12
+        assert abs(qsde.qcf(constants, mu_star, [u])[0] - ref) < 1e-12
+
+
+def loop_qcf(constants, mu_star, us):
+    """Reference: one generator and one exponential per direction."""
+    vals = []
+    for u in us:
+        gen = np.einsum("ljk,k->jl", model._unital(constants)[:, :, 1:], u)
+        vec = np.concatenate([[1.0], np.asarray(mu_star, dtype=complex)])
+        vals.append(complex((expm(1j * gen) @ vec)[0]))
+    return np.array(vals)
+
+
+@pytest.mark.parametrize("which", ["qutrit", "pauli-qutrit"])
+def test_stacked_qcf_equals_direction_loop(which):
+    qutrit = gell_mann_constants(3)
+    constants = qutrit if which == "qutrit" else composite.augment_constants(model.pauli_constants(), qutrit)
+    rng = np.random.default_rng(5)
+    mu_star = rng.uniform(-0.3, 0.3, constants.n)
+    for us in (np.eye(constants.n), rng.uniform(-2.0, 2.0, (constants.n, constants.n))):
+        got = qsde.qcf(constants, mu_star, us)
+        assert got.shape == (constants.n,)
+        np.testing.assert_array_equal(got, loop_qcf(constants, mu_star, us))
+
+
+def test_qcf_refuses_bad_stacks_and_overflow(pauli):
+    mu_star = np.zeros(3)
+    for us in ([0.0, 0.0, 1.0], [[0.0, 1.0]]):
+        with pytest.raises(ValueError, match="expected"):
+            qsde.qcf(pauli, mu_star, us)
+    with pytest.raises(ValueError, match="not finite"):
+        qsde.qcf(pauli, mu_star, [[0.0, 0.0, 1.0], [1e308, 0.0, 0.0]])
 
 
 def test_equilibrium_moments_reference(worked, pauli):
@@ -195,28 +231,28 @@ def test_energy_rate_vanishes_at_steady_state(worked):
 
 
 def test_dispersion_linear_in_state(worked):
-    _, coeffs = worked
+    spec, _ = worked
     rng = np.random.default_rng(2)
     x = rng.normal(size=3)
     y = rng.normal(size=3)
-    bx = qsde.dispersion(coeffs, x)
-    by = qsde.dispersion(coeffs, y)
-    bxy = qsde.dispersion(coeffs, 2.0 * x - 3.0 * y)
+    bx = qsde.dispersion(spec, x)
+    by = qsde.dispersion(spec, y)
+    bxy = qsde.dispersion(spec, 2.0 * x - 3.0 * y)
     np.testing.assert_allclose(bxy, 2.0 * bx - 3.0 * by, atol=1e-12)
     assert bx.shape == (3, 2)
     # entrywise: B(x) = 2 (Theta . x) M^T
-    ref = 2.0 * np.tensordot(x, coeffs.theta, axes=([0], [0])) @ coeffs.coupling.T
+    ref = 2.0 * np.tensordot(x, spec.constants.theta, axes=([0], [0])) @ spec.coupling.T
     np.testing.assert_allclose(bx, ref, atol=1e-14)
 
 
 def test_two_point_ccr_decay_and_start(worked, pauli):
     _, coeffs = worked
     mu_s = qsde.mean_flow(coeffs, np.zeros(3), [1.0])[0]
-    start = qsde.mean_two_point_ccr(coeffs, pauli, mu_s, 0.0)
+    start = qsde.mean_two_point_ccr(coeffs, pauli, mu_s, [0.0])[0]
     np.testing.assert_allclose(start, 2j * np.tensordot(mu_s, pauli.theta, axes=([0], [0])), atol=1e-14)
     np.testing.assert_allclose(start, -start.T, atol=1e-14)
     with pytest.raises(ValueError):
-        qsde.mean_two_point_ccr(coeffs, pauli, mu_s, -0.1)
+        qsde.mean_two_point_ccr(coeffs, pauli, mu_s, [-0.1])
 
 
 def test_two_point_ccr_against_oracle_random():
@@ -227,9 +263,9 @@ def test_two_point_ccr_against_oracle_random():
         spec = random_stable_pauli_spec(rng, m=2)
         coeffs = qsde.build_coefficients(spec)
         mu_s = qsde.mean_flow(coeffs, np.zeros(3), [1.0])[0]
-        for tau in (0.5, 2.0):
-            table = oracle.two_point_commutator(rep, spec, rho0, 1.0, 1.0 + tau)
-            pred = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, tau)
+        tables = oracle.two_point_commutator(rep, spec, rho0, 1.0, [0.5, 2.0])
+        preds = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, [0.5, 2.0])
+        for table, pred in zip(tables, preds, strict=True):
             np.testing.assert_allclose(table, pred, atol=1e-10)
 
 

@@ -19,28 +19,29 @@ def random_hermitian(rng, n):
     return z + z.conj().T
 
 
-def check_apply_matches_matrix(coeffs, rng):
+def check_apply_matches_matrix(spec, coeffs, rng):
     # matrix @ vec(R) is the real form of apply_lambda(Z), which is Hermitian
-    op = second_moment.lambda_operator(coeffs)
+    matrix = second_moment.lambda_operator(spec, coeffs)
     n = coeffs.n
-    assert op.matrix.dtype == np.float64 and op.matrix.shape == (n * n, n * n)
+    assert matrix.dtype == np.float64 and matrix.shape == (n * n, n * n)
     for _ in range(4):
         z = random_hermitian(rng, n)
-        direct = second_moment.apply_lambda(op, z)
+        direct = second_moment.apply_lambda(spec, coeffs, z)
         np.testing.assert_allclose(direct, direct.conj().T, atol=1e-12)
-        via = (op.matrix @ real_form(z).flatten(order="F")).reshape((n, n), order="F")
+        via = (matrix @ real_form(z).flatten(order="F")).reshape((n, n), order="F")
         np.testing.assert_allclose(via, real_form(direct), atol=1e-12 * np.abs(direct).max())
 
 
 def test_apply_matches_matrix_route(worked):
-    check_apply_matches_matrix(worked[1], np.random.default_rng(0))
+    check_apply_matches_matrix(*worked, np.random.default_rng(0))
 
 
 def test_apply_matches_matrix_route_random_specs():
     rng = np.random.default_rng(1)
-    check_apply_matches_matrix(gell_mann_coeffs(), rng)
+    check_apply_matches_matrix(*gell_mann_system(), rng)
     for _ in range(5):
-        check_apply_matches_matrix(qsde.build_coefficients(random_pauli_spec(rng, m=4)), rng)
+        spec = random_pauli_spec(rng, m=4)
+        check_apply_matches_matrix(spec, qsde.build_coefficients(spec), rng)
 
 
 def hermitian_basis(n):
@@ -84,16 +85,15 @@ def test_hermitian_basis_orthonormal():
 
 
 def test_reference_hermitian_abscissa(worked):
-    _, coeffs = worked
-    op = second_moment.lambda_operator(coeffs)
-    val = qsde.spectral_abscissa(op.matrix)
+    op = second_moment.lambda_operator(*worked)
+    val = qsde.spectral_abscissa(op)
     assert abs(val - (-4.0)) < 1e-9
 
 
 def test_trace_flow_dominates_squared_propagator(worked):
     # Tr Pi(t) >= ||e^{tA}||_F^2, the gap is the quantum noise contribution
-    _, coeffs = worked
-    op = second_moment.lambda_operator(coeffs)
+    spec, coeffs = worked
+    op = second_moment.lambda_operator(spec, coeffs)
     times = np.linspace(0.0, 4.0, 30)
     tr = second_moment.pi_trace_flow(op, times)
     lower = np.array([np.linalg.norm(expm(t * coeffs.a), "fro") ** 2 for t in times])
@@ -101,8 +101,7 @@ def test_trace_flow_dominates_squared_propagator(worked):
 
 
 def test_trace_flow_starts_at_dimension(worked):
-    _, coeffs = worked
-    op = second_moment.lambda_operator(coeffs)
+    op = second_moment.lambda_operator(*worked)
     tr = second_moment.pi_trace_flow(op, [0.0])
     assert abs(tr[0] - 3.0) < 1e-12
 
@@ -113,10 +112,10 @@ def test_capability_limit_on_large_systems():
     spec = qsde.system_spec(constants, np.zeros(n), np.zeros((2, n)), np.zeros(2))
     coeffs = qsde.build_coefficients(spec)
     with pytest.raises(model.CapabilityLimit):
-        second_moment.lambda_operator(coeffs)
+        second_moment.lambda_operator(spec, coeffs)
 
 
-def gell_mann_coeffs(seed=0):
+def gell_mann_system(seed=0):
     # qutrit (n = 8) with a Hurwitz drift drawn on [-1, 1]
     rng = np.random.default_rng(seed)
     constants = gell_mann_constants(3)
@@ -126,14 +125,14 @@ def gell_mann_coeffs(seed=0):
         )
         coeffs = qsde.build_coefficients(spec)
         if qsde.spectral_abscissa(coeffs.a) < -1e-2:
-            return coeffs
+            return spec, coeffs
 
 
-def column_loop_lambda(coeffs):
+def column_loop_lambda(spec, coeffs):
     # the complex generator on vec(Z), filled one column k*n + j at a time
     n = coeffs.n
-    cross = coeffs.coupling.T @ qsde.ito_structure(coeffs.coupling.shape[0]).omega @ coeffs.coupling
-    th = coeffs.theta
+    cross = spec.coupling.T @ qsde.ito_matrix(spec.m) @ spec.coupling
+    th = spec.constants.theta
     matrix = np.kron(np.eye(n), coeffs.a).astype(complex) + np.kron(coeffs.a, np.eye(n))
     for k in range(n):
         for j in range(n):
@@ -141,10 +140,10 @@ def column_loop_lambda(coeffs):
     return matrix
 
 
-def projected_restriction(coeffs):
+def projected_restriction(spec, coeffs):
     # w^H Lambda w in the orthonormal Hermitian basis; it must be real
     w = np.column_stack([b.flatten(order="F") for b in hermitian_basis(coeffs.n)])
-    restricted = w.conj().T @ column_loop_lambda(coeffs) @ w
+    restricted = w.conj().T @ column_loop_lambda(spec, coeffs) @ w
     if np.abs(restricted.imag).max() > 1e-8:
         raise ValueError("restriction to Hermitian matrices is not real")
     return restricted.real
@@ -152,8 +151,8 @@ def projected_restriction(coeffs):
 
 def reference_cases(worked):
     rng = np.random.default_rng(4)
-    cases = [worked[1], gell_mann_coeffs()]
-    return cases + [qsde.build_coefficients(random_pauli_spec(rng, m=4)) for _ in range(3)]
+    specs = [random_pauli_spec(rng, m=4) for _ in range(3)]
+    return [worked, gell_mann_system()] + [(spec, qsde.build_coefficients(spec)) for spec in specs]
 
 
 def matched_distance(got, want):
@@ -167,37 +166,37 @@ def matched_distance(got, want):
 def test_lambda_operator_matches_column_loop(worked):
     # column e_c of the real generator is the real form of the column-loop
     # Lambda applied to Z = sym(E_c) + i skew(E_c)
-    for coeffs in reference_cases(worked):
+    for spec, coeffs in reference_cases(worked):
         n = coeffs.n
         units = [e.reshape((n, n), order="F") for e in np.eye(n * n)]
         herm = np.column_stack([((e + e.T) / 2 + 1j * (e - e.T) / 2).flatten(order="F") for e in units])
-        images = column_loop_lambda(coeffs) @ herm
+        images = column_loop_lambda(spec, coeffs) @ herm
         want = images.real + images.imag
-        op = second_moment.lambda_operator(coeffs)
-        np.testing.assert_allclose(op.matrix, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        op = second_moment.lambda_operator(spec, coeffs)
+        np.testing.assert_allclose(op, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_spectrum_matches_complex_and_projected_references(worked):
-    for i, coeffs in enumerate(reference_cases(worked)):
-        op = second_moment.lambda_operator(coeffs)
-        got = np.linalg.eigvals(op.matrix)
-        proj = projected_restriction(coeffs)
+    for i, (spec, coeffs) in enumerate(reference_cases(worked)):
+        op = second_moment.lambda_operator(spec, coeffs)
+        got = np.linalg.eigvals(op)
+        proj = projected_restriction(spec, coeffs)
         scale = np.abs(got).max()
         # the worked qubit's spectrum has 2 x 2 Jordan blocks (-4, -6 +- 2i),
         # whose computed eigenvalues move by O(sqrt(eps)) under any rounding:
         # the complex and projected references differ by 2e-8 there
         tol = 1e-7 if i == 0 else 1e-12
-        assert matched_distance(got, np.linalg.eigvals(column_loop_lambda(coeffs))) <= tol * scale
+        assert matched_distance(got, np.linalg.eigvals(column_loop_lambda(spec, coeffs))) <= tol * scale
         assert matched_distance(got, np.linalg.eigvals(proj)) <= tol * scale
         ref = qsde.spectral_abscissa(proj)
-        assert abs(qsde.spectral_abscissa(op.matrix) - ref) <= 1e-12 * abs(ref)
+        assert abs(qsde.spectral_abscissa(op) - ref) <= 1e-12 * abs(ref)
 
 
 def test_real_trace_flow_matches_complex_flow(worked):
     times = np.linspace(0.0, 5.0, 41)
-    for coeffs in reference_cases(worked):
+    for spec, coeffs in reference_cases(worked):
         n = coeffs.n
-        flow = expm(5.0 / 40 * column_loop_lambda(coeffs))
+        flow = expm(5.0 / 40 * column_loop_lambda(spec, coeffs))
         vec = np.eye(n).flatten(order="F").astype(complex)
         want = []
         for _ in times:
@@ -205,34 +204,33 @@ def test_real_trace_flow_matches_complex_flow(worked):
             vec = flow @ vec
         want = np.array(want)
         assert np.abs(want.imag).max() <= 1e-12 * np.abs(want).max()
-        got = second_moment.pi_trace_flow(second_moment.lambda_operator(coeffs), times)
+        got = second_moment.pi_trace_flow(second_moment.lambda_operator(spec, coeffs), times)
         assert np.abs(got - want.real).max() <= 1e-12 * np.abs(want).max()
 
 
-def complex_coupling_coeffs():
+def complex_coupling_system():
     # M with complex entries: Lambda no longer maps Hermitian matrices to
     # Hermitian ones
     spec = qsde.system_spec(
         model.pauli_constants(), [0.0, 0.0, 1.0], [[1.0 + 0.3j, 0.0, 0.0], [0.0, 1.0, 0.2j]], [0.0, 0.0]
     )
-    return qsde.build_coefficients(spec)
+    return spec, qsde.build_coefficients(spec)
 
 
 def test_hermitian_abscissa_rejects_non_real_restriction():
-    coeffs = complex_coupling_coeffs()
+    system = complex_coupling_system()
     with pytest.raises(ValueError, match=r"not real \(max imag 4.8\)"):
-        second_moment.lambda_operator(coeffs)
+        second_moment.lambda_operator(*system)
     with pytest.raises(ValueError, match="not real"):
-        projected_restriction(coeffs)
+        projected_restriction(*system)
 
 
 @pytest.mark.parametrize("times", [np.linspace(0.0, 5.0, 41), [0.0, 0.3, 1.1, 2.7], [2.7, 0.3, 1.1], [-0.4, 0.5], [1.0, 1.0], [0.8], []])
 def test_trace_flow_matches_per_point_expm_on_gell_mann(times, monkeypatch):
-    coeffs = gell_mann_coeffs()
-    op = second_moment.lambda_operator(coeffs)
+    op = second_moment.lambda_operator(*gell_mann_system())
     vec0 = np.eye(8).flatten(order="F")
-    ref = [expm(float(t) * op.matrix) @ vec0 for t in times]
-    for got, want in zip(qsde.propagate(op.matrix, vec0, times), ref):
+    ref = [expm(float(t) * op) @ vec0 for t in times]
+    for got, want in zip(qsde.propagate(op, vec0, times), ref):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     calls = []
     monkeypatch.setattr(qsde, "expm", lambda mat: calls.append(mat) or expm(mat))
@@ -244,8 +242,7 @@ def test_trace_flow_matches_per_point_expm_on_gell_mann(times, monkeypatch):
 
 
 def test_trace_flow_refuses_nan_trace(worked, monkeypatch):
-    _, coeffs = worked
-    op = second_moment.lambda_operator(coeffs)
+    op = second_moment.lambda_operator(*worked)
     monkeypatch.setattr(second_moment, "propagate", lambda gen, vec0, times: iter([np.full(9, np.nan)]))
     with pytest.raises(ValueError, match="nonnegative axis"):
         second_moment.pi_trace_flow(op, [0.0])
@@ -262,9 +259,9 @@ def test_lambda_operator_memory_below_six_n4_arrays():
     coeffs = qsde.build_coefficients(spec)
     tracemalloc.start()
     try:
-        op = second_moment.lambda_operator(coeffs)
+        op = second_moment.lambda_operator(spec, coeffs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert n == 15 and op.matrix.shape == (n * n, n * n)
+    assert n == 15 and op.shape == (n * n, n * n)
     assert peak < 6 * 8 * n**4

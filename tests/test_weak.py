@@ -124,9 +124,7 @@ def matched_for_spectrum(monkeypatch, eigs, omegas, nu):
     n = len(omegas)
     eye = np.eye(n)
     md = modes.EigenModes(omegas=omegas, vectors=eye, sigma=eye, sigma_inv=eye, zero_tol=1e-9)
-    coeffs = qsde.QsdeCoefficients(
-        a=np.diag(nu), a0=np.zeros((n, n)), atilde=np.diag(nu), b=np.zeros(n), theta=np.zeros((n, n, n)), coupling=np.zeros((2, n))
-    )
+    coeffs = qsde.QsdeCoefficients(a=np.diag(nu), a0=np.zeros((n, n)), atilde=np.diag(nu), b=np.zeros(n))
     monkeypatch.setattr(np.linalg, "eigvals", lambda _: eigs)
     return weak.eigenvalue_asymptotics_check(coeffs, md, [1.0])[0].matched
 
