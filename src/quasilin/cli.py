@@ -479,8 +479,10 @@ def cmd_oracle(cfg, args, out_dir):
         if rep is None:
             raise ConfigError("oracle only has representations for the builtin pauli constants")
 
+    # built once and shared by the three checks that apply the generator
+    sup = oracle_mod.heisenberg_superoperator(rep, spec)
     checks = [("representation", oracle_mod.representation_check(rep), 1e-12)]
-    checks.append(("generator_identity", oracle_mod.generator_identity_check(rep, spec, coeffs), 1e-10))
+    checks.append(("generator_identity", oracle_mod.generator_identity_check(rep, spec, coeffs, heisenberg=sup), 1e-10))
 
     try:
         mu = qsde.steady_mean(coeffs)
@@ -489,7 +491,7 @@ def cmd_oracle(cfg, args, out_dir):
     except ValueError:  # steady_mean refused a drift that is not Hurwitz: no stationary state to compare
         pass
     else:
-        rho = oracle_mod.stationary_state(rep, spec)
+        rho = oracle_mod.stationary_state(rep, spec, heisenberg=sup)
         resid = float(np.max(np.abs(oracle_mod.moments(rep, rho).real - mu)))
         checks.append(("steady_mean", resid, tol))
 
@@ -497,7 +499,7 @@ def cmd_oracle(cfg, args, out_dir):
         s = 1.0
         mu_s = qsde.mean_flow(coeffs, oracle_mod.moments(rep, rho0).real, [s])[0]
         lags = [0.5, 1.0, 2.0]
-        lhs = oracle_mod.two_point_commutator(rep, spec, rho0, s, lags)
+        lhs = oracle_mod.two_point_commutator(rep, spec, rho0, s, lags, heisenberg=sup)
         rhs = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, lags)
         checks += [("two_point_tau_%g" % tau, float(np.max(diff)), tol) for tau, diff in zip(lags, np.abs(lhs - rhs))]
 

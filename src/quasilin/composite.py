@@ -143,10 +143,13 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
     z12 = np.zeros((n1, n2))
 
     def drift(d1, d2, h1, h2):
-        # factor drifts d1, d2 on the diagonal; h1, h2 are the product row's b-columns, 0 in A0
-        return np.block([[d1, z12, f1], [z12.T, d2, f2], [h1 + g1, h2 + g2, np.kron(d1, i2) + np.kron(i1, d2) + g12]])
+        # factor drifts d1, d2 on the diagonal; h1, h2 are the product row's b-columns, 0 in A0;
+        # the Kronecker sum d1 (x) I2 + I1 (x) d2 is broadcast as [i, k, j, l]
+        ksum = (d1[:, None, :, None] * i2[:, None, :] + i1[:, None, :, None] * d2[:, None, :]).reshape(n12, n12)
+        return np.block([[d1, z12, f1], [z12.T, d2, f2], [h1 + g1, h2 + g2, ksum + g12]])
 
-    a = drift(co1.a, co2.a, np.kron(i1, co2.b[:, None]), np.kron(co1.b[:, None], i2))
+    # the b-columns I1 (x) b2 and b1 (x) I2, broadcast as [i, k, j]
+    a = drift(co1.a, co2.a, (i1[:, None, :] * co2.b[:, None]).reshape(n12, n1), (co1.b[:, None, None] * i2).reshape(n12, n2))
     a0 = drift(co1.a0, co2.a0, 0.0, 0.0)
     a, a0, atilde, b = _frozen(a, a0, a - a0, np.concatenate([co1.b, co2.b, np.zeros(n12)]))
     return QsdeCoefficients(a=a, a0=a0, atilde=atilde, b=b)

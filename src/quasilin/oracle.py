@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from .composite import _tensor_constants
 from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, pauli_constants
-from .qsde import ito_matrix
+from .qsde import _lags, ito_matrix
 
 __all__ = [
     "HilbertRep",
@@ -68,14 +68,14 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
     d = rep1.dim * rep2.dim
     if d > MAX_DIM:
         raise CapabilityLimit("representation dimension %d exceeds %d" % (d, MAX_DIM))
-    i1 = np.eye(rep1.dim)
-    i2 = np.eye(rep2.dim)
-    mats = [np.kron(x, i2) for x in rep1.variables]
-    mats += [np.kron(i1, y) for y in rep2.variables]
-    mats += [np.kron(x, y) for x in rep1.variables for y in rep2.variables]
+    y1 = np.concatenate([np.eye(rep1.dim)[None], rep1.variables])
+    y2 = np.concatenate([np.eye(rep2.dim)[None], rep2.variables])
+    # prod[a, b] = kron(Y1_a, Y2_b) over the stacked (I, X_1..X_n) of each factor
+    prod = (y1[:, None, :, None, :, None] * y2[:, None, :, None, :]).reshape(len(y1), len(y2), d, d)
+    mats = np.concatenate([prod[1:, 0], prod[0, 1:], prod[1:, 1:].reshape(-1, d, d)], dtype=complex)
     return HilbertRep(
         dim=d,
-        variables=_frozen(*(np.asarray(x, dtype=complex) for x in mats)),
+        variables=_frozen(*mats),
         constants=_tensor_constants(rep1.constants, rep2.constants),
     )
 
@@ -163,6 +163,8 @@ def _check_state(rho, d):
 def _propagate(state_sup, d: int, rho0, t: float):
     """lindblad_propagate on a state-picture generator that is already built."""
     rho0 = _check_state(rho0, d)
+    if not np.isfinite(t):
+        raise ValueError("propagation time must be finite")
     if t < 0:
         raise ValueError("propagation time must be nonnegative")
     flow = expm(float(t) * state_sup)
@@ -188,15 +190,16 @@ def moments(rep: HilbertRep, rho) -> np.ndarray:
     return np.einsum("ab,jba->j", np.asarray(rho, dtype=complex), np.stack(rep.variables))
 
 
-def stationary_state(rep: HilbertRep, spec) -> np.ndarray:
+def stationary_state(rep: HilbertRep, spec, *, heisenberg=None) -> np.ndarray:
     """Invariant density matrix, from the kernel of the state-picture generator.
 
     The kernel is read off an SVD.  More than one singular value at or below
     1e-10 sigma_max means the stationary state is not unique, and that is
     refused (ValueError) rather than answered with an arbitrary element.
+    `heisenberg` is the Heisenberg superoperator if the caller already built it.
     """
     d = rep.dim
-    sup = state_superoperator(rep, spec)
+    sup = (heisenberg_superoperator(rep, spec) if heisenberg is None else heisenberg).conj().T
     _, sv, vh = np.linalg.svd(sup)
     tol = 1e-10 * sv[0]
     kernel = int(np.sum(sv <= tol))
@@ -215,27 +218,31 @@ def stationary_state(rep: HilbertRep, spec) -> np.ndarray:
     return rho
 
 
-def two_point_commutator(rep: HilbertRep, spec, rho0, s: float, lags) -> np.ndarray:
+def two_point_commutator(rep: HilbertRep, spec, rho0, s: float, lags, *, heisenberg=None) -> np.ndarray:
     """Matrices of E[[X_j(s + tau), X_k(s)]] in the exact representation, one per lag tau.
 
     Entry (j, k) is Tr(X_j e^{tau L}(X_k rho(s))) minus the same with
     rho(s) X_k, where L is the state-picture generator and rho(s) the state
-    propagated from rho0.  Requires s >= 0 and every tau >= 0; L and rho(s)
-    are formed once for all lags.
+    propagated from rho0.  Requires finite s >= 0 and finite tau >= 0; L and
+    rho(s) are formed once, and all lags propagate in one stacked expm, so
+    the result has shape (len(lags), n, n).  `heisenberg` is the Heisenberg
+    superoperator if the caller already built it.
     """
-    if np.any(np.asarray(lags) < 0):
-        raise ValueError("tau must be nonnegative")
-    sup = state_superoperator(rep, spec)
+    lags = _lags(lags)
+    sup = (heisenberg_superoperator(rep, spec) if heisenberg is None else heisenberg).conj().T
     rho_s, _ = _propagate(sup, rep.dim, rho0, s)
     mats = np.stack(rep.variables)
     comms = _vec(mats @ rho_s - rho_s @ mats).T
     # Tr(X P) is the row-major flattening of X dotted with vec(P)
-    return np.array([mats.reshape(len(mats), -1) @ (expm(lag * sup) @ comms) for lag in lags])
+    return mats.reshape(len(mats), -1) @ (expm(np.multiply.outer(lags, sup)) @ comms)
 
 
-def generator_identity_check(rep: HilbertRep, spec, coeffs) -> float:
-    """Largest residual of G(X_j) = sum_k A_jk X_k + b_j I over j."""
+def generator_identity_check(rep: HilbertRep, spec, coeffs, *, heisenberg=None) -> float:
+    """Largest residual of G(X_j) = sum_k A_jk X_k + b_j I over j.
+
+    `heisenberg` is the Heisenberg superoperator if the caller already built it.
+    """
     mats = np.stack(rep.variables)
-    lhs = _apply(heisenberg_superoperator(rep, spec), mats)
+    lhs = _apply(heisenberg_superoperator(rep, spec) if heisenberg is None else heisenberg, mats)
     rhs = np.tensordot(coeffs.a, mats, axes=1) + np.multiply.outer(coeffs.b, np.eye(rep.dim))
     return float(np.max(np.linalg.norm(lhs - rhs, axis=(1, 2))))

@@ -268,12 +268,21 @@ def energy_rate(spec: SystemSpec, coeffs: QsdeCoefficients, mu) -> float:
     return float(np.real_if_close(val))
 
 
+def _lags(lags) -> np.ndarray:
+    """The lags tau as a float vector; each must be finite and nonnegative (ValueError)."""
+    lags = _finite_array(lags, "tau", real=True)
+    if lags.ndim != 1:
+        raise ValueError("tau must be a list of lags, got shape %r" % (lags.shape,))
+    if np.any(lags < 0):
+        raise ValueError("tau must be nonnegative")
+    return lags
+
+
 def mean_two_point_ccr(coeffs: QsdeCoefficients, constants: StructureConstants, mu_s, lags) -> np.ndarray:
     """Mean two-time commutator matrices E[[X(s + tau), X(s)^T]], one per lag tau.
 
-    Each equals 2i e^{tau A} (theta . mu(s)); every tau >= 0.
+    Each equals 2i e^{tau A} (theta . mu(s)); every tau must be finite and >= 0.
     """
-    if np.any(np.asarray(lags) < 0):
-        raise ValueError("tau must be nonnegative")
+    lags = _lags(lags)
     ccr = dot_product(constants.theta, np.asarray(mu_s))
     return 2j * expm(np.multiply.outer(lags, coeffs.a)) @ ccr

@@ -613,14 +613,32 @@ def test_complex_coupling_and_offset_are_accepted(tmp_path):
     assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
-def test_oracle_builds_three_superoperators(tmp_path, monkeypatch):
-    # one for the generator identity, one for the stationary state and one
-    # shared by the two-point checks at every lag
+def test_oracle_builds_one_superoperator(tmp_path, monkeypatch):
+    # the generator identity, the stationary state and the two-point checks
+    # at every lag share one superoperator, in both oracle forms
     real = oracle.heisenberg_superoperator
     calls = []
     monkeypatch.setattr(oracle, "heisenberg_superoperator", lambda rep, spec: calls.append(spec) or real(rep, spec))
     assert cli.main(["oracle", "--config", REPO_CONFIG, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 1
+    assert cli.main(["oracle", "--config", REPO_CONFIG, "--out", str(tmp_path), "--composite"]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv", [[], ["--composite"]], ids=["single", "composite"])
+def test_oracle_rows_match_unshared_calls(argv, tmp_path, monkeypatch):
+    # the rows built on the shared superoperator equal those of the public
+    # functions called without it, each building its own
+    assert cli.main(["oracle", "--config", REPO_CONFIG, "--out", str(tmp_path / "shared")] + argv) == 0
+    real_sup = oracle.heisenberg_superoperator
+    calls = []
+    monkeypatch.setattr(oracle, "heisenberg_superoperator", lambda rep, spec: calls.append(spec) or real_sup(rep, spec))
+    for name in ("generator_identity_check", "stationary_state", "two_point_commutator"):
+        monkeypatch.setattr(oracle, name, lambda *args, heisenberg, _real=getattr(oracle, name): _real(*args))
+    assert cli.main(["oracle", "--config", REPO_CONFIG, "--out", str(tmp_path / "own")] + argv) == 0
+    assert len(calls) == 4
+    shared, own = (pathlib.Path(tmp_path, side, "oracle.csv").read_text() for side in ("shared", "own"))
+    assert shared == own and shared.count("\n") == 7
 
 
 def test_qcf_u_refusals_exit_two(tmp_path, capsys):

@@ -186,6 +186,22 @@ def test_block_assembly_forms_no_augmented_data(monkeypatch):
         np.testing.assert_allclose(getattr(blocks, field), getattr(generic, field), atol=1e-12)
 
 
+@pytest.mark.parametrize("c1, c2", [(PAULI, PAULI), (PAULI, QUTRIT), (QUTRIT, PAULI)], ids=["PxP", "PxG3", "G3xP"])
+def test_product_row_equals_kron_blocks(c1, c2):
+    """With E12 = 0 the product row of A is exactly the np.kron b-columns and
+    Kronecker sum of the factor drifts, bit for bit."""
+    rng = np.random.default_rng(13)
+    s1, s2 = random_spec(rng, c1), random_spec(rng, c2)
+    blocks = composite.composite_coefficients(composite.composite_spec(s1, s2, np.zeros((c1.n, c2.n))))
+    co1, co2 = qsde.build_coefficients(s1), qsde.build_coefficients(s2)
+    i1, i2 = np.eye(c1.n), np.eye(c2.n)
+    row = blocks.a[c1.n + c2.n :]
+    assert np.array_equal(row[:, : c1.n], np.kron(i1, co2.b[:, None]))
+    assert np.array_equal(row[:, c1.n : c1.n + c2.n], np.kron(co1.b[:, None], i2))
+    assert np.array_equal(row[:, c1.n + c2.n :], np.kron(co1.a, i2) + np.kron(i1, co2.a))
+    assert np.array_equal(blocks.a0[c1.n + c2.n :, c1.n + c2.n :], np.kron(co1.a0, i2) + np.kron(i1, co2.a0))
+
+
 @pytest.mark.parametrize("qubit_first", [True, False], ids=["PxG3", "G3xP"])
 def test_tensor_oracle_on_qubit_qutrit_composite(qubit_first):
     """Generator identity on the d = 6 representation built from explicit

@@ -96,3 +96,18 @@ def test_cli_reads_no_private_module_attribute():
                 private.append("cli.py:%d %s.%s" % (node.lineno, node.value.id, node.attr))
     assert {"model", "qsde", "oracle_mod"} <= modules
     assert private == []
+
+
+def test_no_kron_in_loops():
+    # products of whole stacks are one broadcast, not an np.kron per item
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for loop in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(loop, loops):
+                for node in ast.walk(loop):
+                    func = node.func if isinstance(node, ast.Call) else None
+                    if isinstance(func, ast.Attribute) and func.attr == "kron" and getattr(func.value, "id", None) == "np":
+                        found.add("%s:%d" % (path.name, node.lineno))
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert sorted(found) == []

@@ -3,7 +3,10 @@ import pytest
 from scipy.linalg import expm
 
 from quasilin import composite, model, oracle, qsde
-from conftest import random_pauli_spec
+from conftest import gell_mann_constants, gell_mann_matrices, random_pauli_spec
+
+QUBIT = oracle.pauli_representation()
+QUTRIT = oracle.HilbertRep(dim=3, variables=tuple(gell_mann_matrices(3)), constants=gell_mann_constants(3))
 
 
 def loop_superoperator(rep, spec):
@@ -89,6 +92,44 @@ def test_representation_check_matches_index_loop():
     )
     got, want = oracle.representation_check(bent), loop_representation_check(bent)
     assert want > 0.0 and abs(got - want) <= 1e-14 * want
+
+
+def kron_loop_variables(rep1, rep2):
+    """Reference: the tensor variables one np.kron at a time, in composite order."""
+    i1, i2 = np.eye(rep1.dim), np.eye(rep2.dim)
+    mats = [np.kron(x, i2) for x in rep1.variables]
+    mats += [np.kron(i1, y) for y in rep2.variables]
+    mats += [np.kron(x, y) for x in rep1.variables for y in rep2.variables]
+    return [np.asarray(x, dtype=complex) for x in mats]
+
+
+@pytest.mark.parametrize("rep1, rep2", [(QUBIT, QUBIT), (QUBIT, QUTRIT), (QUTRIT, QUBIT)], ids=["PxP", "PxG3", "G3xP"])
+def test_tensor_variables_equal_kron_loop(rep1, rep2):
+    got = oracle.tensor_representation(rep1, rep2).variables
+    want = kron_loop_variables(rep1, rep2)
+    assert len(got) == len(want) == (rep1.constants.n + 1) * (rep2.constants.n + 1) - 1
+    assert all(x.dtype == complex and not x.flags.writeable for x in got)
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["P", "PxP"])
+def test_stacked_two_point_commutator_equals_single_lags(pair):
+    # one stacked expm over the lags gives the single-lag matrices bit for bit
+    rng = np.random.default_rng(32)
+    rep = oracle.tensor_representation(QUBIT, QUBIT) if pair else QUBIT
+    rho0 = np.eye(rep.dim, dtype=complex) / rep.dim
+    for _ in range(5):
+        if pair:
+            s1, s2 = random_pauli_spec(rng), random_pauli_spec(rng)
+            spec = composite.augmented_system(composite.composite_spec(s1, s2, rng.uniform(-1.0, 1.0, (3, 3))))
+        else:
+            spec = random_pauli_spec(rng)
+        lags = [0.5, 1.0, 2.0]
+        stacked = oracle.two_point_commutator(rep, spec, rho0, 1.0, lags)
+        single = np.stack([oracle.two_point_commutator(rep, spec, rho0, 1.0, [lag])[0] for lag in lags])
+        assert np.array_equal(stacked, single)
+    n = rep.constants.n
+    assert oracle.two_point_commutator(rep, spec, rho0, 1.0, []).shape == (0, n, n)
 
 
 def test_two_point_commutator_matches_index_loop():
@@ -178,11 +219,16 @@ def test_two_point_commutator_at_equal_times(worked):
     np.testing.assert_allclose(table, expected, atol=1e-10)
 
 
-def test_two_point_commutator_requires_ordered_times(worked):
+def test_two_point_commutator_requires_ordered_times(worked, monkeypatch):
     spec, _ = worked
     rep = oracle.pauli_representation()
     with pytest.raises(ValueError):
         oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, 1.0, [-0.5])
+    # a non-finite lag is refused before any exponential is formed
+    monkeypatch.setattr(oracle, "expm", lambda m: pytest.fail("an exponential was formed"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, 1.0, [0.5, bad])
 
 
 def test_stationary_state_degenerate_kernel(pauli):
@@ -215,13 +261,18 @@ def test_stationary_state_refuses_degenerate_kernel(pauli, energy, coupling, ker
         oracle.stationary_state(oracle.pauli_representation(), spec)
 
 
-def test_two_point_commutator_checks_the_state(worked):
+def test_two_point_commutator_checks_the_state(worked, monkeypatch):
     spec, _ = worked
     rep = oracle.pauli_representation()
     with pytest.raises(ValueError, match="trace"):
         oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex), 0.5, [0.5])
     with pytest.raises(ValueError, match="nonnegative"):
         oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, -0.5, [1.5])
+    # a non-finite s is refused before any exponential is formed
+    monkeypatch.setattr(oracle, "expm", lambda m: pytest.fail("an exponential was formed"))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="propagation time must be finite"):
+            oracle.two_point_commutator(rep, spec, np.eye(2, dtype=complex) / 2, bad, [1.5])
 
 
 def test_tensor_representation_dim_limit():
@@ -249,4 +300,8 @@ def test_trace_drift_raises_consistency_error(worked, monkeypatch):
     monkeypatch.setattr(oracle, "expm", lambda m: 2.0 * np.eye(m.shape[0]))
     with pytest.raises(model.ConsistencyError, match="trace drifted by 1"):
         oracle.lindblad_propagate(rep, spec, np.diag([0.5, 0.5]).astype(complex), 1.0)
+    # a non-finite time is refused as such, not reported as a drift of nan
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="propagation time must be finite"):
+            oracle.lindblad_propagate(rep, spec, np.diag([0.5, 0.5]).astype(complex), bad)
     assert issubclass(model.ConsistencyError, ArithmeticError)

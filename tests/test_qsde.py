@@ -245,7 +245,7 @@ def test_dispersion_linear_in_state(worked):
     np.testing.assert_allclose(bx, ref, atol=1e-14)
 
 
-def test_two_point_ccr_decay_and_start(worked, pauli):
+def test_two_point_ccr_decay_and_start(worked, pauli, monkeypatch):
     _, coeffs = worked
     mu_s = qsde.mean_flow(coeffs, np.zeros(3), [1.0])[0]
     start = qsde.mean_two_point_ccr(coeffs, pauli, mu_s, [0.0])[0]
@@ -253,6 +253,12 @@ def test_two_point_ccr_decay_and_start(worked, pauli):
     np.testing.assert_allclose(start, -start.T, atol=1e-14)
     with pytest.raises(ValueError):
         qsde.mean_two_point_ccr(coeffs, pauli, mu_s, [-0.1])
+    assert qsde.mean_two_point_ccr(coeffs, pauli, mu_s, []).shape == (0, 3, 3)
+    # a non-finite lag is refused before any exponential is formed
+    monkeypatch.setattr(qsde, "expm", lambda m: pytest.fail("an exponential was formed"))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            qsde.mean_two_point_ccr(coeffs, pauli, mu_s, [0.5, bad])
 
 
 def test_two_point_ccr_against_oracle_random():
