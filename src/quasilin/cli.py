@@ -34,6 +34,8 @@ from .model import CapabilityLimit
 
 __all__ = ["main", "run"]
 
+_MAX_GRID_STEPS = 100_000  # time grid points; refused before any grid array is allocated
+
 
 class ConfigError(Exception):
     """Malformed configuration or command line."""
@@ -215,6 +217,8 @@ def _grid(args, cfg):
     steps = _number(spec[2], name + " steps", integer=True)
     if steps < 2 or t1 <= t0:
         raise ConfigError("grid needs t1 > t0 and at least 2 steps")
+    if steps > _MAX_GRID_STEPS:
+        raise CapabilityLimit("grid of %d steps exceeds %d" % (steps, _MAX_GRID_STEPS))
     return np.linspace(t0, t1, steps)
 
 
@@ -408,6 +412,9 @@ def cmd_weak(cfg, args, out_dir):
         "eps_tilde": result.eps_tilde,
     }
     scalars = {label: v for label, v in scalars.items() if v is not None}
+    for label in [label for label, v in scalars.items() if np.isinf(v)]:
+        print("%s is unbounded (a decay rate vanishes); left out of weak.csv" % label)
+        del scalars[label]
     try:
         limit = weak_mod.invariant_mean_limit(coeffs, md)
     except ValueError as e:

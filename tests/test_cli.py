@@ -571,6 +571,7 @@ REFUSALS = [
     ("complex mu0", {"mu0": [0.0, [0.0, 1.0], 0.0]}, "mu0 must be a finite real vector of length 3"),
     ("composites not an object", {"composites": ["pair"]}, '"composites" must be an object'),
     ("system name not a string", {"pair.systems": [["qubit"], "qubit_b"]}, "composite 'pair' must name two systems"),
+    ("four-column M", {"qubit.M": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}, "system 'qubit': coupling must be m x 3, got (2, 4)"),
 ] + [
     (
         "%s %s" % (bad, where),
@@ -754,3 +755,58 @@ def test_decoherence_writes_a_seed_beyond_int64(tmp_path):
     assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out, "--seed", str(seed)]) == 0
     rows = pathlib.Path(out, "decoherence.csv").read_text().splitlines()
     assert rows[1].split(",")[4] == str(seed)
+
+
+def repo_config_with(tmp_path, system, **entries):
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["systems"][system].update(entries)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_weak_leaves_unbounded_threshold_out_of_csv(tmp_path, capsys):
+    # pure dephasing: the static mode's rate vanishes, so eps_hat is infinite
+    path = repo_config_with(tmp_path, "qubit", M=[[0, 0, 1], [0, 0, 0]])
+    out = tmp_path / "o"
+    assert cli.main(["weak", "--config", path, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "eps_hat is unbounded (a decay rate vanishes); left out of weak.csv" in stdout
+    assert "invariant-mean limit not applicable: zero-mode rate vanishes" in stdout
+    for name in ("weak.csv", "weak_asymptotics.csv"):
+        rows = pathlib.Path(out, name).read_text().strip().splitlines()
+        cells = [float(c) for row in rows[1:] for c in row.split(",")[1:]]
+        assert np.isfinite(cells).all(), name
+    labels = [row.split(",")[0] for row in pathlib.Path(out, "weak.csv").read_text().splitlines()]
+    assert "eps_hat" not in labels and "eps_tilde" in labels
+
+
+def test_oversized_grid_exits_three_before_allocating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("grid allocated"))
+    out = tmp_path / "o"
+    argv = ["mean-flow", "--config", REPO_CONFIG, "--out", str(out), "--grid", "0:5:1000000000000"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err == "capability limit: grid of 1000000000000 steps exceeds 100000\n"
+    cfgpath = qubit_config(tmp_path, grid=[0.0, 5.0, 100001])
+    assert cli.main(["spectrum", "--config", cfgpath, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "capability limit: grid of 100001 steps exceeds 100000\n"
+    assert not os.listdir(out)
+
+
+def test_composite_with_a_broken_factor_exits_four(tmp_path, capsys):
+    sections = [[[[z.real, z.imag + 1e-6] for z in row] for row in sec] for sec in model.pauli_constants().beta]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(pair_config(**{"qubit.beta": sections})))
+    assert cli.main(["composite", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+    assert "numeric failure: augmented constants fail validation" in capsys.readouterr().err
+
+
+def test_oracle_on_lossless_qubit_skips_stationary_rows(tmp_path):
+    # M = 0: the drift is not Hurwitz, so there is no stationary state to compare
+    path = repo_config_with(tmp_path, "qubit", M=[[0, 0, 0], [0, 0, 0]])
+    out = tmp_path / "o"
+    assert cli.main(["oracle", "--config", path, "--out", str(out)]) == 0
+    rows = pathlib.Path(out, "oracle.csv").read_text().strip().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["check", "representation", "generator_identity"]
+    assert all(row.endswith(",1") for row in rows[1:])

@@ -342,3 +342,9 @@ def test_composite_spec_shape_errors(pauli):
     s2 = random_pauli_spec(np.random.default_rng(2), m=2)
     with pytest.raises(ValueError):
         composite.composite_spec(s1, s2, np.zeros((3, 2)))
+
+
+def test_augment_constants_refuses_a_broken_factor(pauli):
+    broken = model.structure_constants(pauli.alpha, pauli.beta + 1e-6j)
+    with pytest.raises(ValueError, match=r"augmented constants fail validation \(\d+ violations, first \('beta-herm'"):
+        composite.augment_constants(broken, pauli)

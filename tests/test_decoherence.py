@@ -323,3 +323,10 @@ def test_stacked_bounds_equal_single_shift_bounds(n, log_scale, seed):
     for lam, bound in zip(lams, bounds):
         single = decoherence.tau_upper_bound(a, z0, lam, k)
         assert abs(bound - single) <= 1e-12 * abs(single)
+
+
+def test_tau_star_refuses_no_decay_within_horizon():
+    # a strongly non-normal drift: the transient growth keeps the norm above
+    # 1/e of its start over the whole scan horizon
+    with pytest.raises(ValueError, match="no decay to 1/e on"):
+        decoherence.tau_star(np.array([[-1.0, 1e4], [0.0, -1.0]]), np.diag([0.0, 1.0]))

@@ -111,3 +111,17 @@ def test_no_kron_in_loops():
                         found.add("%s:%d" % (path.name, node.lineno))
     assert len(list(SRC.glob("*.py"))) >= 10
     assert sorted(found) == []
+
+
+def test_long_einsums_are_optimized():
+    # without optimize=, np.einsum loops over every index at once: a
+    # four-operand contraction of n x n x n sections costs n^6
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and func.attr == "einsum" and getattr(func.value, "id", None) == "np":
+                if len(node.args) > 4 and "optimize" not in {kw.arg for kw in node.keywords}:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert found == []

@@ -305,3 +305,18 @@ def test_trace_drift_raises_consistency_error(worked, monkeypatch):
         with pytest.raises(ValueError, match="propagation time must be finite"):
             oracle.lindblad_propagate(rep, spec, np.diag([0.5, 0.5]).astype(complex), bad)
     assert issubclass(model.ConsistencyError, ArithmeticError)
+
+
+@pytest.mark.parametrize(
+    "rho,message",
+    [
+        (np.eye(3) / 3, r"state has shape \(3, 3\), expected \(2, 2\)"),
+        ([[0.5, 0.5], [0.0, 0.5]], "state is not Hermitian"),
+        (np.diag([1.5, -0.5]), "state has a negative eigenvalue"),
+    ],
+    ids=["shape", "not hermitian", "negative"],
+)
+def test_propagate_refuses_bad_states(worked, rho, message):
+    spec, _ = worked
+    with pytest.raises(ValueError, match=message):
+        oracle.lindblad_propagate(oracle.pauli_representation(), spec, rho, 0.1)

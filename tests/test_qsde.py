@@ -369,3 +369,27 @@ def test_propagate_refuses_non_finite_times(worked, bad):
         list(qsde.propagate(coeffs.a, np.ones(3), [0.0, bad, 1.0]))
     with pytest.raises(ValueError, match="finite"):
         qsde.mean_flow(coeffs, np.zeros(3), [bad])
+
+
+@pytest.mark.parametrize(
+    "coupling,offset,message",
+    [
+        ([[1.0, 0.0], [0.0, 1.0]], None, r"coupling must be m x 3, got \(2, 2\)"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], None, "coupling needs an even number >= 2 of rows, got 3"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.0, 0.0, 0.0], r"offset has shape \(3,\), expected \(2,\)"),
+    ],
+    ids=["width", "odd rows", "offset"],
+)
+def test_system_spec_refuses_wrong_shapes(pauli, coupling, offset, message):
+    with pytest.raises(ValueError, match=message):
+        qsde.system_spec(pauli, [0.0, 0.0, 1.0], coupling, offset)
+
+
+def test_flows_refuse_wrong_shapes(worked, pauli):
+    _, coeffs = worked
+    with pytest.raises(ValueError, match=r"times must be one-dimensional, got shape \(1, 2\)"):
+        list(qsde.propagate(coeffs.a, np.ones(3), [[0.0, 1.0]]))
+    with pytest.raises(ValueError, match=r"mu0 has shape \(2,\), expected \(3,\)"):
+        qsde.mean_flow(coeffs, [0.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"tau must be a list of lags, got shape \(1, 2\)"):
+        qsde.mean_two_point_ccr(coeffs, pauli, [0.0, 0.0, 1.0], [[0.0, 1.0]])

@@ -140,6 +140,24 @@ def column_loop_lambda(spec, coeffs):
     return matrix
 
 
+def test_apply_lambda_past_the_dense_cap():
+    # Pauli x qutrit (n = 35 > MAX_DIM, m = 4) against the cross form
+    # A Z + Z A^T - 4 sum_jk Z_jk theta_j M^T Omega M theta_k
+    rng = np.random.default_rng(5)
+    constants = composite.augment_constants(model.pauli_constants(), gell_mann_constants(3))
+    n = constants.n
+    spec = qsde.system_spec(constants, rng.uniform(-1, 1, n), rng.uniform(-1, 1, (4, n)), rng.uniform(-1, 1, 4))
+    coeffs = qsde.build_coefficients(spec)
+    z = random_hermitian(rng, n)
+    cross = spec.coupling.T @ qsde.ito_matrix(spec.m) @ spec.coupling
+    th = constants.theta
+    noise = -4.0 * np.einsum("jk,jpq,qr,krs->ps", z, th, cross, th, optimize=True)
+    want = coeffs.a @ z + z @ coeffs.a.T + noise
+    got = second_moment.apply_lambda(spec, coeffs, z)
+    assert n == 35 > model.MAX_DIM
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def projected_restriction(spec, coeffs):
     # w^H Lambda w in the orthonormal Hermitian basis; it must be real
     w = np.column_stack([b.flatten(order="F") for b in hermitian_basis(coeffs.n)])
@@ -248,9 +266,9 @@ def test_trace_flow_refuses_nan_trace(worked, monkeypatch):
         second_moment.pi_trace_flow(op, [0.0])
 
 
-def test_lambda_operator_memory_below_six_n4_arrays():
-    # the Hermitian check compares re and im with their own permuted copies,
-    # so assembly holds about five real n^4 arrays at its peak
+def test_lambda_operator_memory_below_four_and_a_half_n4_arrays():
+    # assembly holds the complex sandwich product (two real n^4 arrays) and,
+    # while the Hermitian check compares it with its permuted view, two more
     pauli = model.pauli_constants()
     constants = composite.augment_constants(pauli, pauli)
     rng = np.random.default_rng(3)
@@ -264,4 +282,4 @@ def test_lambda_operator_memory_below_six_n4_arrays():
     finally:
         tracemalloc.stop()
     assert n == 15 and op.shape == (n * n, n * n)
-    assert peak < 6 * 8 * n**4
+    assert peak < 4.5 * 8 * n**4
