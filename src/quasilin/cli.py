@@ -394,7 +394,10 @@ def cmd_decoherence(cfg, args, out_dir):
         "system %s: tau* = %.8g, certified bound %.8g (lam %.6g, %s, seed %d)"
         % (name, tau, search.bound, search.lam, search.k_label, search.seed)
     )
-    return 0 if tau <= search.bound else 4
+    if tau > search.bound:
+        print("FAIL: tau* exceeds the certified bound")
+        return 4
+    return 0
 
 
 def cmd_weak(cfg, args, out_dir):
@@ -491,24 +494,25 @@ def cmd_oracle(cfg, args, out_dir):
     checks = [("representation", oracle_mod.representation_check(rep), 1e-12)]
     checks.append(("generator_identity", oracle_mod.generator_identity_check(rep, spec, coeffs, heisenberg=sup), 1e-10))
 
+    lags = [0.5, 1.0, 2.0]
+    stationary = ["steady_mean"] + ["two_point_tau_%g" % tau for tau in lags]
     try:
         mu = qsde.steady_mean(coeffs)
     except np.linalg.LinAlgError:
         raise
-    except ValueError:  # steady_mean refused a drift that is not Hurwitz: no stationary state to compare
-        pass
+    except ValueError as e:  # steady_mean refused a drift that is not Hurwitz: no stationary state to compare
+        print("skipped %s: %s" % (", ".join(stationary), e))
     else:
         rho = oracle_mod.stationary_state(rep, spec, heisenberg=sup)
         resid = float(np.max(np.abs(oracle_mod.moments(rep, rho).real - mu)))
-        checks.append(("steady_mean", resid, tol))
+        checks.append((stationary[0], resid, tol))
 
         rho0 = np.eye(rep.dim) / rep.dim
         s = 1.0
         mu_s = qsde.mean_flow(coeffs, oracle_mod.moments(rep, rho0).real, [s])[0]
-        lags = [0.5, 1.0, 2.0]
         lhs = oracle_mod.two_point_commutator(rep, spec, rho0, s, lags, heisenberg=sup)
         rhs = qsde.mean_two_point_ccr(coeffs, spec.constants, mu_s, lags)
-        checks += [("two_point_tau_%g" % tau, float(np.max(diff)), tol) for tau, diff in zip(lags, np.abs(lhs - rhs))]
+        checks += [(label, float(np.max(diff)), tol) for label, diff in zip(stationary[1:], np.abs(lhs - rhs))]
 
     path = _check_table(out_dir, "oracle.csv", checks)
     worst_fail = [label for label, resid, bar in checks if resid > bar]

@@ -1,8 +1,11 @@
 """Decoherence time of the mean CCR matrix and Lyapunov-type upper bounds.
 
 The mean commutator matrix decays along e^{tau A}; its 1/e time tau* is
-located numerically, and certified upper bounds come from quadratic
-Lyapunov functions G solving a shifted Lyapunov equation.
+located numerically (a grid scan, then Newton steps inside the first
+crossing cell), and certified upper bounds come from quadratic Lyapunov
+functions G solving a shifted Lyapunov equation, checked and turned into
+bounds from eigenvalues and one linear solve, with no eigenvectors.  A CCR
+matrix that is not finite or not n x n is refused before any solve.
 """
 
 from __future__ import annotations
@@ -35,37 +38,62 @@ def tau_star(a, ccr_matrix) -> float:
 
     Scans a 400-point grid on [0, HORIZON_FACTOR / |sigma(A)|] for the first
     sign change of ||e^{tau A} Z0||_F - ||Z0||_F / e, stepping along it with
-    `qsde.propagate` only as far as that change, then bisects to a relative
-    width of 1e-10.  Dips narrower than the grid step can be missed; the
-    result is the first crossing the grid resolves.
+    `qsde.propagate` only as far as that change.  Inside that grid cell it
+    solves ||e^{s A} Z_lo||_F = ||Z0||_F / e from the state Z_lo at the
+    cell's left end by safeguarded Newton steps (slope Re<AY, Y>/||Y||),
+    keeping a bracket on the sign of the excess, bisecting when a step
+    leaves it and clamping each iterate tol/2 inside it.  Returns the
+    bracket's right end (excess <= 0) once its relative width is at most
+    tol = 1e-10; the result lies in the cell (grid[hit-1], grid[hit]].
+    Dips narrower than the grid step can be missed; the result is the first
+    crossing the grid resolves.
     """
     a = np.asarray(a)
     sa = _hurwitz_abscissa(a)
-    z0 = np.asarray(ccr_matrix)
+    z0 = _ccr_matrix(ccr_matrix, len(a))
     base = float(np.linalg.norm(z0))
     if base == 0.0:
         return 0.0
     target = base / np.e
-
-    def excess(tau):
-        return float(np.linalg.norm(expm(tau * a) @ z0)) - target
-
     horizon = HORIZON_FACTOR / abs(sa)
     grid = np.linspace(0.0, horizon, GRID_POINTS)
-    norms = (float(np.linalg.norm(z)) for z in propagate(a, z0, grid))
-    hit = next((i for i, norm in enumerate(norms) if i > 0 and norm - target <= 0.0), None)
-    if hit is None:
+    states = propagate(a, z0, grid)
+    z_lo = next(states)
+    for hit, z in enumerate(states, 1):
+        if float(np.linalg.norm(z)) - target <= 0.0:
+            break
+        z_lo = z
+    else:
         raise ValueError(
             "no decay to 1/e on [0, %.6g]; tau* exceeds this horizon" % horizon
         )
-    lo, hi = grid[hit - 1], grid[hit]
-    while (hi - lo) > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) <= 0.0:
-            hi = mid
+    # Newton on the local time s in the cell, bracketed by excess(lo) > 0 >= excess(hi)
+    t0, width = grid[hit - 1], grid[hit] - grid[hit - 1]
+    lo, hi, s, y = 0.0, width, 0.0, z_lo
+    norm = float(np.linalg.norm(y))
+    while hi - lo > 1e-10 * (t0 + hi):
+        slope = float(np.real(np.vdot(y, a @ y))) / norm
+        newton = s - (norm - target) / slope if slope else -np.inf
+        tol = 1e-10 * (t0 + hi)
+        s = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        s = min(max(s, lo + 0.5 * tol), hi - 0.5 * tol)
+        y = expm(s * a) @ z_lo
+        norm = float(np.linalg.norm(y))
+        if norm - target <= 0.0:
+            hi = s
         else:
-            lo = mid
-    return float(hi)
+            lo = s
+    return float(grid[hit]) if hi == width else float(t0 + hi)
+
+
+def _ccr_matrix(ccr_matrix, n: int) -> np.ndarray:
+    """The CCR matrix Z0 as an array, refused unless it is finite and n x n."""
+    z0 = np.asarray(ccr_matrix)
+    if z0.shape != (n, n):
+        raise ValueError("CCR matrix must be %d x %d to match the drift, got shape %r" % (n, n, z0.shape))
+    if not np.isfinite(z0).all():
+        raise ValueError("CCR matrix has non-finite entries")
+    return z0
 
 
 def _schur_drift(a):
@@ -83,35 +111,40 @@ def _schur_drift(a):
 
 def _certified_bounds(a, sa: float, t, q, k_matrix, z0, lams):
     """G of one K and its tau bound, stacked over the shifts lams: one `trsyl` per lam
-    on the Schur pair (T, Q) of A, then every check and the bound once over the stack.
-    Any lam failing a check refuses the batch; lyapunov_G passes the identity as Z0."""
+    on the Schur pair (T, Q) of A, then every check and the bound once over the stack,
+    from eigenvalues and one stacked solve only.  Any lam failing a check refuses the
+    batch; lyapunov_G passes the identity as Z0."""
+    z0 = _ccr_matrix(z0, len(t))
     k = np.asarray(k_matrix, dtype=float)
     if k.shape != q.shape or np.max(np.abs(k - k.T)) > 1e-12 * max(1.0, float(np.max(np.abs(k)))):
         raise ValueError("K must be symmetric of matching size")
     if np.min(np.linalg.eigvalsh(k)) <= 0.0:
         raise ValueError("K must be positive definite")
-    rhs, ys = -(q.T @ k @ q), []
-    for lam in lams:
+    rhs, diag = -(q.T @ k @ q), np.diag(t)
+    shifted, ys = np.array(t, order="F"), np.empty((len(lams), *t.shape))
+    for i, lam in enumerate(lams):
         if not 0.0 < lam < -sa:
             raise ValueError("lam must lie in (0, %.6g), got %r" % (-sa, lam))
-        shifted = t + lam * np.eye(len(t))
+        np.fill_diagonal(shifted, diag + lam)
         y, scale, info = dtrsyl(shifted, shifted, rhs, tranb="T")
         if info != 0:
             raise ValueError("trsyl perturbed near-common eigenvalues at lam %r (spectral abscissa %.6e)" % (lam, sa))
-        ys.append(y / scale)
+        ys[i] = y / scale
     shifts = np.asarray(lams, dtype=float)
-    g = q @ np.array(ys) @ q.T
+    g = q @ ys @ q.T
     g = (g + g.swapaxes(-1, -2)) / 2.0
-    w, v = np.linalg.eigh(g)
+    w = np.linalg.eigvalsh(g)
     if np.any(w[:, 0] <= 0.0):
         raise ValueError("Lyapunov solution is not positive definite")
-    strict = a @ g + g @ a.T + 2.0 * shifts[:, None, None] * g
-    if np.max(np.linalg.eigvalsh((strict + strict.swapaxes(-1, -2)) / 2.0)) > 1e-9:
+    ag = a @ g
+    if np.max(np.linalg.eigvalsh(ag + ag.swapaxes(-1, -2) + 2.0 * shifts[:, None, None] * g)) > 1e-9:
         raise ValueError("strict decay inequality failed")
     base = float(np.linalg.norm(z0))
     if base == 0.0:
         raise ValueError("zero CCR matrix: tau* = 0 and the bound is void")
-    weighted = np.linalg.norm(_pd_sqrt(w, v)[1] @ z0, axis=(-2, -1))
+    # ||G^{-1/2} Z0||_F^2 = Re tr(Z0^H G^{-1} Z0), over the real and imaginary columns of Z0
+    x = np.concatenate([z0.real, z0.imag], axis=1)
+    weighted = np.sqrt(np.sum(np.linalg.solve(g, x) * x, axis=(-2, -1)))
     return g, (1.0 + np.log(np.sqrt(w[:, -1]) * weighted / base)) / shifts
 
 
@@ -121,8 +154,9 @@ def lyapunov_G(a, lam: float, k_matrix) -> np.ndarray:
     Requires 0 < lam < -sigma(A) and K symmetric positive definite.  Solved
     by Bartels-Stewart on the real Schur form A = Q T Q^T: A + lam I keeps
     the Schur vectors Q, so each K costs one Schur-basis transform, one
-    O(n^3) triangular Sylvester solve per lam and one stacked eigen-pass.
-    Certifies A G + G A^T < -2 lam G.
+    O(n^3) triangular Sylvester solve per lam and two stacked eigenvalue
+    passes (G > 0, then the strict-decay matrix).  Certifies
+    A G + G A^T < -2 lam G.
     """
     return _certified_bounds(*_schur_drift(a), k_matrix, np.eye(len(a)), [lam])[0][0]
 
@@ -165,8 +199,11 @@ def optimize_tau_bound(a, ccr_matrix, budget: int = 64, seed: int = 0) -> TauBou
     K runs over the identity followed by seeded random positive definite
     samples S^T S + 1e-6 I normalized to unit trace.  K is the outer loop,
     lam the inner (ascending); ties keep the smaller lam.  Each K costs one
-    Schur-basis transform, one `trsyl` per lam and one stacked eigen-pass
-    over its lams; the search refuses when any lam of that batch fails a check.
+    Schur-basis transform, one `trsyl` per lam, two stacked `eigvalsh` and one
+    stacked solve over its lams (no eigenvectors: ||G|| is the top eigenvalue
+    and ||G^{-1/2} Z0||_F^2 = Re tr(Z0^H G^{-1} Z0)); the search refuses when
+    any lam of that batch fails a check, and a CCR matrix that is not finite
+    or not n x n before any solve.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

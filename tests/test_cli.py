@@ -1,11 +1,12 @@
 import json
 import os
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from quasilin import cli, model, modes, oracle, qsde
+from quasilin import cli, decoherence, model, modes, oracle, qsde
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
 
@@ -802,7 +803,7 @@ def test_composite_with_a_broken_factor_exits_four(tmp_path, capsys):
     assert "numeric failure: augmented constants fail validation" in capsys.readouterr().err
 
 
-def test_oracle_on_lossless_qubit_skips_stationary_rows(tmp_path):
+def test_oracle_on_lossless_qubit_skips_stationary_rows(tmp_path, capsys):
     # M = 0: the drift is not Hurwitz, so there is no stationary state to compare
     path = repo_config_with(tmp_path, "qubit", M=[[0, 0, 0], [0, 0, 0]])
     out = tmp_path / "o"
@@ -810,3 +811,22 @@ def test_oracle_on_lossless_qubit_skips_stationary_rows(tmp_path):
     rows = pathlib.Path(out, "oracle.csv").read_text().strip().splitlines()
     assert [row.split(",")[0] for row in rows] == ["check", "representation", "generator_identity"]
     assert all(row.endswith(",1") for row in rows[1:])
+    stdout = capsys.readouterr().out
+    assert re.search(
+        r"^skipped steady_mean, two_point_tau_0.5, two_point_tau_1, two_point_tau_2: "
+        r"drift is not Hurwitz \(spectral abscissa \S+\), no stationary mean$",
+        stdout,
+        re.MULTILINE,
+    )
+    assert "all pass" in stdout
+
+
+def test_decoherence_says_why_it_exits_4(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "o")
+    assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # a bound below tau* = 1/2 of the bundled qubit
+    low = decoherence.TauBoundSearch(0.25, 1.0, np.eye(3), "identity", 0, 64)
+    monkeypatch.setattr(decoherence, "optimize_tau_bound", lambda *args, **kwargs: low)
+    assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out]) == 4
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL: tau* exceeds the certified bound"

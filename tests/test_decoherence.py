@@ -1,11 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from quasilin import composite, decoherence, qsde
+from quasilin import cli, composite, decoherence, modes, qsde
 from conftest import random_pauli_spec, random_stable_pauli_spec
 
 
@@ -36,8 +37,8 @@ def test_tau_star_zero_ccr_and_refusals(worked):
 
 
 def scan_tau_star(a, z0, horizon_factor=10.0):
-    # reference: one expm per grid point up to the first hit, then the same
-    # bisection as tau_star
+    # reference: one expm per grid point up to the first hit, then bisection
+    # from Z0 to the same relative width; returns (tau, grid index of the hit)
     sa = qsde.spectral_abscissa(a)
     base = float(np.linalg.norm(z0))
     target = base / np.e
@@ -54,7 +55,19 @@ def scan_tau_star(a, z0, horizon_factor=10.0):
             hi = mid
         else:
             lo = mid
-    return float(hi)
+    return float(hi), hit
+
+
+def assert_matches_scan(a, z0, ts):
+    # same grid cell, agreement to the 1e-10 relative width plus a few ulp of
+    # rounding, and a sign change of the directly computed excess around ts
+    ref, hit = scan_tau_star(a, z0)
+    grid = np.linspace(0.0, 10.0 / abs(qsde.spectral_abscissa(a)), decoherence.GRID_POINTS)
+    assert grid[hit - 1] < ts <= grid[hit]
+    assert abs(ts - ref) <= 1e-10 * max(ts, ref) + 4 * np.spacing(ref)
+    target = np.linalg.norm(z0) / np.e
+    assert np.linalg.norm(expm(ts * (1 + 1e-9) * a) @ z0) - target <= 0.0
+    assert np.linalg.norm(expm(ts * (1 - 1e-9) * a) @ z0) - target > 0.0
 
 
 def test_tau_star_matches_per_point_scan():
@@ -65,7 +78,7 @@ def test_tau_star_matches_per_point_scan():
         z0 = steady_ccr(spec, coeffs)
         if np.linalg.norm(z0) == 0.0:
             continue
-        assert decoherence.tau_star(coeffs.a, z0) == scan_tau_star(coeffs.a, z0)
+        assert_matches_scan(coeffs.a, z0, decoherence.tau_star(coeffs.a, z0))
 
 
 def test_tau_star_takes_first_of_several_crossings(monkeypatch):
@@ -80,7 +93,7 @@ def test_tau_star_takes_first_of_several_crossings(monkeypatch):
     monkeypatch.setattr(qsde, "expm", lambda mat: calls.append(mat) or expm(mat))
     ts = decoherence.tau_star(a, z0)
     assert grid[2] < ts <= grid[3]
-    assert ts == scan_tau_star(a, z0)
+    assert_matches_scan(a, z0, ts)
     assert len(calls) == 1  # the scan forms one step exponential
 
 
@@ -137,6 +150,28 @@ def test_bound_dominates_tau_star_random():
         search = decoherence.optimize_tau_bound(coeffs.a, z0, budget=48, seed=1)
         assert ts <= search.bound + 1e-12
         assert search.evaluations <= 48
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.where(np.eye(3) > 0, np.nan, 0.0), "CCR matrix has non-finite entries"),
+        (np.diag([np.inf, 0.0, 0.0]), "CCR matrix has non-finite entries"),
+        (np.eye(4), r"CCR matrix must be 3 x 3 to match the drift, got shape \(4, 4\)"),
+    ],
+    ids=["nan", "inf", "4x4"],
+)
+def test_bad_ccr_matrix_refused_before_any_solve(worked, monkeypatch, bad, message):
+    _, coeffs = worked
+    monkeypatch.setattr(decoherence, "dtrsyl", None)  # a solve would fail with a TypeError
+    monkeypatch.setattr(decoherence, "propagate", None)
+    for call in (
+        lambda: decoherence.tau_star(coeffs.a, bad),
+        lambda: decoherence.tau_upper_bound(coeffs.a, bad, 0.5, np.eye(3)),
+        lambda: decoherence.optimize_tau_bound(coeffs.a, bad),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_bound_refuses_zero_ccr(worked):
@@ -291,19 +326,25 @@ def test_one_failing_shift_refuses_the_batch():
 
 @pytest.mark.parametrize("budget", [1, 32, 33, 64, 90])
 def test_search_makes_one_stacked_eigh_per_k(monkeypatch, worked, budget):
+    # the search reads eigenvalues only: no eigh, and per K one stacked
+    # eigvalsh of G and one of the strict-decay matrix over its lams
     spec, coeffs = worked
-    real = np.linalg.eigh
-    batches = []
+    real = np.linalg.eigvalsh
+    batches, eigh_calls = [], []
 
     def counting(x, *args, **kwargs):
-        batches.append(np.shape(x))
+        if np.ndim(x) == 3:
+            batches.append(np.shape(x))
         return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: eigh_calls.append(args))
     search = decoherence.optimize_tau_bound(coeffs.a, steady_ccr(spec, coeffs), budget=budget)
     assert search.evaluations == budget
-    assert len(batches) == math.ceil(budget / 32)
-    assert sum(shape[0] for shape in batches) == budget
+    assert eigh_calls == []
+    assert len(batches) == 2 * math.ceil(budget / 32)
+    assert batches[::2] == batches[1::2]
+    assert sum(shape[0] for shape in batches[::2]) == budget
     assert all(shape[1:] == (3, 3) for shape in batches)
 
 
@@ -325,8 +366,68 @@ def test_stacked_bounds_equal_single_shift_bounds(n, log_scale, seed):
         assert abs(bound - single) <= 1e-12 * abs(single)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.floats(0.0, 8.0), st.booleans(), st.integers(0, 2**32 - 1))
+def test_eigenvalue_only_bound_matches_eigh_formula(n, log_cond, complex_z0, seed):
+    # A = -I gives G = K / (2 (1 - lam)), so cond(G) = cond(K) = 10^log_cond.
+    # The eigh/_pd_sqrt formula and the eigvalsh/solve one each carry an
+    # error of order eps cond(G) in ||G^{-1/2} Z0||, so the tolerance grows
+    # with it beyond 1e-12.
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k = (q * np.geomspace(1.0, 10.0**-log_cond, n)) @ q.T
+    k = (k + k.T) / 2.0
+    z0 = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_z0 else 0.0)
+    a = -np.eye(n)
+    lams = grid(a)
+    g, bounds = stacked_bounds(a, z0, k, lams)
+    w, v = np.linalg.eigh(g)
+    weighted = np.linalg.norm(modes._pd_sqrt(w, v)[1] @ z0, axis=(-2, -1))
+    ref = (1.0 + np.log(np.sqrt(w[:, -1]) * weighted / np.linalg.norm(z0))) / np.asarray(lams)
+    cond = np.max(w[:, -1] / w[:, 0])
+    assert np.all(np.abs(bounds - ref) <= (1e-12 + np.finfo(float).eps * cond) * np.abs(ref))
+
+
 def test_tau_star_refuses_no_decay_within_horizon():
     # a strongly non-normal drift: the transient growth keeps the norm above
     # 1/e of its start over the whole scan horizon
     with pytest.raises(ValueError, match="no decay to 1/e on"):
         decoherence.tau_star(np.array([[-1.0, 1e4], [0.0, -1.0]]), np.diag([0.0, 1.0]))
+
+
+def test_decoherence_kernel_counts_on_bundled_config(monkeypatch, tmp_path):
+    # a guard on the kernels of `cli decoherence`, with no timing: the Newton
+    # refinement of tau* takes a few exponentials, the search no eigh
+    counts = {"expm": 0, "eigh": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(decoherence, "expm", counted("expm", expm))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
+    assert cli.main(["decoherence", "--config", config, "--out", str(tmp_path)]) == 0
+    assert 1 <= counts["expm"] <= 8
+    assert counts["eigh"] == 0
+    # per K of the 64-evaluation budget: K's own check, then G and the strict-decay matrix
+    assert counts["eigvalsh"] == 3 * 2
+
+
+def test_tau_star_takes_few_exponentials_on_random_pauli_specs(monkeypatch):
+    calls = []
+    monkeypatch.setattr(decoherence, "expm", lambda mat: calls.append(mat) or expm(mat))
+    rng = np.random.default_rng(18)
+    runs = 0
+    while runs < 200:
+        spec = random_stable_pauli_spec(rng, m=2)
+        coeffs = qsde.build_coefficients(spec)
+        z0 = steady_ccr(spec, coeffs)
+        if np.linalg.norm(z0) > 0.0:
+            decoherence.tau_star(coeffs.a, z0)
+            runs += 1
+    assert len(calls) <= 6 * runs
