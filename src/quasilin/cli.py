@@ -35,6 +35,7 @@ from .model import CapabilityLimit
 __all__ = ["main", "run"]
 
 _MAX_GRID_STEPS = 100_000  # time grid points; refused before any grid array is allocated
+_MAX_BUDGET = 4096  # decoherence bound evaluations (128 batches of 32 shifts); refused before any solve
 
 
 class ConfigError(Exception):
@@ -248,6 +249,11 @@ def _eps_list(args, cfg):
     vals = [_number(v, name + " value") for v in vals]
     if not vals or any(v <= 0 for v in vals):
         raise ConfigError("eps values must be positive")
+    for v in vals:
+        try:
+            weak_mod.strength_squared(v)
+        except ValueError as e:
+            raise ConfigError("%s: %s" % (name, e))
     return vals
 
 
@@ -381,10 +387,12 @@ def cmd_modes(cfg, args, out_dir):
 
 def cmd_decoherence(cfg, args, out_dir):
     name, spec, coeffs, _ = cfg.system()
+    budget = _number(cfg.analysis.get("budget", 64), "analysis.budget", integer=True, low=1)
+    if budget > _MAX_BUDGET:
+        raise CapabilityLimit("analysis.budget of %d exceeds %d" % (budget, _MAX_BUDGET))
     mu = qsde.steady_mean(coeffs)
     ccr = model.dot_product(spec.constants.theta, mu)
     tau = deco_mod.tau_star(coeffs.a, ccr)
-    budget = _number(cfg.analysis.get("budget", 64), "analysis.budget", integer=True, low=1)
     search = deco_mod.optimize_tau_bound(coeffs.a, ccr, budget=budget, seed=_seed(args, cfg))
     floats = np.array([[tau], [search.bound], [search.lam]])
     ints = np.array([[search.seed], [search.evaluations]])

@@ -198,7 +198,8 @@ def mean_flow(coeffs: QsdeCoefficients, mu0, times) -> np.ndarray:
     """First-moment trajectory mu(t) for each t in times.
 
     Solves mu' = A mu + b by propagating (mu0, 1) with the augmented
-    (n+1) x (n+1) matrix [[A, b], [0, 0]] (see `propagate`).
+    (n+1) x (n+1) matrix [[A, b], [0, 0]] (see `propagate`).  A trajectory
+    that overflows to inf or NaN is refused, naming its first such time.
     """
     n = coeffs.n
     mu0 = np.asarray(mu0)
@@ -208,7 +209,11 @@ def mean_flow(coeffs: QsdeCoefficients, mu0, times) -> np.ndarray:
     aug[:n, :n] = coeffs.a
     aug[:n, n] = coeffs.b
     states = propagate(aug, np.concatenate([mu0, [1.0]]), times)
-    return np.array([state[:n] for state in states], dtype=aug.dtype).reshape(-1, n)
+    flow = np.array([state[:n] for state in states], dtype=aug.dtype).reshape(-1, n)
+    bad = np.flatnonzero(~np.isfinite(flow).all(axis=1))
+    if len(bad):
+        raise ValueError("mean trajectory is not finite at t = %r" % float(np.asarray(times, dtype=float)[bad[0]]))
+    return flow
 
 
 # a drift is Hurwitz when its spectral abscissa is below -_HURWITZ_MARGIN

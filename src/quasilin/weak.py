@@ -12,6 +12,7 @@ decoherence time scales and the invariant-mean limit.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "pauli_gamma",
     "scaled_coefficients",
     "stability_and_thresholds",
+    "strength_squared",
 ]
 
 _RATE_FLOOR = 1e-13
@@ -45,6 +47,19 @@ def scaled_coefficients(spec: SystemSpec, eps: float):
     if np.max(np.abs(coeffs.b - eps**2 * unit.b)) > 1e-12 * scale:
         raise ConsistencyError("affine drift failed quadratic homogeneity")
     return coeffs
+
+
+def strength_squared(eps) -> float:
+    """eps^2 for a coupling strength eps, refused (ValueError) unless eps^2 is a
+    positive, finite, normal float: about 1.5e-154 <= |eps| <= 1.3e154."""
+    eps = float(eps)
+    try:
+        sq = eps**2
+    except OverflowError:
+        sq = np.inf
+    if not sys.float_info.min <= sq <= sys.float_info.max:
+        raise ValueError("coupling strength %r is out of range: eps^2 must be a positive, finite, normal float" % eps)
+    return sq
 
 
 def _pair_gaps(x):
@@ -88,18 +103,19 @@ def eigenvalue_asymptotics_check(coeffs: QsdeCoefficients, modes: EigenModes, ep
 
     Eigenvalues of A0 + eps^2 sA are matched to the predictions greedily,
     smallest distance first.  A row is flagged ambiguous when two
-    predictions are closer than half the minimal frequency gap of A0.
+    predictions are closer than half the minimal frequency gap of A0.  Each
+    eps must pass `strength_squared`, checked before any eigensolve.
     """
+    squares = [strength_squared(eps) for eps in eps_list]
     nu = nu_values(coeffs, modes)
     om = modes.omegas
     n = len(om)
     gap0 = _pair_gaps(om)[0].min(initial=np.inf)
 
     rows = []
-    for eps in eps_list:
-        eps = float(eps)
-        eigs = np.linalg.eigvals(coeffs.a0 + eps**2 * coeffs.atilde)
-        preds = 1j * om + eps**2 * nu
+    for eps, sq in zip(eps_list, squares):
+        eigs = np.linalg.eigvals(coeffs.a0 + sq * coeffs.atilde)
+        preds = 1j * om + sq * nu
         dist = np.abs(eigs[None, :] - preds[:, None])
         # greedy, smallest distance first: one pass over the pairs in sorted
         # order, ties in (prediction, eigenvalue) order
@@ -110,13 +126,10 @@ def eigenvalue_asymptotics_check(coeffs: QsdeCoefficients, modes: EigenModes, ep
             if pick[k] < 0 and not taken[i]:
                 pick[k], taken[i] = i, True
         matched = eigs[pick]
-        if eps > 0:
-            residuals = np.abs(matched - preds) / eps**2
-        else:
-            residuals = np.abs(matched - 1j * om)
+        residuals = np.abs(matched - preds) / sq
         ambiguous = bool(_pair_gaps(preds)[0].min(initial=np.inf) < 0.5 * gap0)
         rows.append(
-            AsymptoticsRow(eps=eps, matched=matched, residuals=residuals, ambiguous=ambiguous)
+            AsymptoticsRow(eps=float(eps), matched=matched, residuals=residuals, ambiguous=ambiguous)
         )
     return rows
 

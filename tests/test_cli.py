@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -255,6 +256,10 @@ ANALYSIS_REFUSALS = {
     "eps flag with text": ("weak", {}, ["--eps", "a,b"], "--eps must be a comma separated float list"),
     "eps negative": ("weak", {"eps": [0.1, -0.2]}, [], "eps values must be positive"),
     "eps empty": ("weak", {"eps": []}, [], "eps values must be positive"),
+    "eps square underflows flag": ("weak", {}, ["--eps", "1e-170"], "--eps: coupling strength 1e-170 is out of range"),
+    "eps square overflows flag": ("weak", {}, ["--eps", "0.1,1e200"], "--eps: coupling strength 1e+200 is out of range"),
+    "eps square subnormal": ("weak", {"eps": [0.2, 1e-160]}, [], "analysis.eps: coupling strength 1e-160 is out of range"),
+    "eps square overflows": ("weak", {"eps": [1.5e154]}, [], "analysis.eps: coupling strength 1.5e+154 is out of range"),
 }
 
 
@@ -830,3 +835,58 @@ def test_decoherence_says_why_it_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(decoherence, "optimize_tau_bound", lambda *args, **kwargs: low)
     assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out]) == 4
     assert capsys.readouterr().out.splitlines()[-1] == "FAIL: tau* exceeds the certified bound"
+
+
+def test_oversized_budget_exits_three_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(qsde, "steady_mean", lambda *a, **k: pytest.fail("solve ran"))
+    for name in ("tau_star", "optimize_tau_bound"):
+        monkeypatch.setattr(decoherence, name, lambda *a, **k: pytest.fail("search ran"))
+    out = tmp_path / "o"
+    for budget in (4097, 10**9):
+        cfgpath = qubit_config(tmp_path, budget=budget)
+        assert cli.main(["decoherence", "--config", cfgpath, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "capability limit: analysis.budget of %d exceeds 4096\n" % budget
+    assert not os.listdir(out)
+
+
+def test_budget_at_the_cap_runs(tmp_path):
+    out = tmp_path / "o"
+    cfgpath = qubit_config(tmp_path, budget=4096)
+    assert cli.main(["decoherence", "--config", cfgpath, "--out", str(out)]) == 0
+    assert pathlib.Path(out, "decoherence.csv").read_text().splitlines()[1].endswith(",4096")
+
+
+@pytest.mark.parametrize(
+    "command, flags, analysis, code",
+    [
+        ("decoherence", [], {"budget": 10**9}, 3),
+        ("weak", ["--eps", "1e-170"], {}, 2),
+        ("weak", ["--eps", "1e200"], {}, 2),
+        ("weak", [], {"eps": [1e-170, 1e200]}, 2),
+        ("mean-flow", ["--grid", "0:1e300:3"], {}, 4),
+        ("mean-flow", [], {"grid": [0, 1e300, 3]}, 4),
+        ("spectrum", ["--grid", "0:1e300:3"], {}, 4),
+    ],
+    ids=["budget", "eps-flag-small", "eps-flag-large", "eps-config", "grid-flag", "grid-config", "spectrum-grid"],
+)
+def test_extreme_analysis_values_exit_cleanly(tmp_path, capsys, command, flags, analysis, code):
+    # a sweep over extreme analysis values on the bundled config, with no
+    # timing: each exits with a known code and no traceback (an exception
+    # or warning escaping main fails the test), and every CSV cell written
+    # is finite
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["analysis"].update(analysis)
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(path), "--out", str(out), *flags]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    for table in out.iterdir():
+        for row in list(csv.reader(table.read_text().splitlines()))[1:]:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                assert np.isfinite(value), (table.name, row)

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,11 +92,16 @@ def test_tau_star_takes_first_of_several_crossings(monkeypatch):
     below = [np.linalg.norm(expm(t * a) @ z0) <= 1.0 / np.e for t in grid[:12]]
     assert below[3] and not below[4] and below[9]
     calls = []
-    monkeypatch.setattr(qsde, "expm", lambda mat: calls.append(mat) or expm(mat))
+    monkeypatch.setattr(qsde, "expm", None)
+    monkeypatch.setattr(decoherence, "expm", lambda mat: calls.append(mat) or expm(mat))
     ts = decoherence.tau_star(a, z0)
     assert grid[2] < ts <= grid[3]
     assert_matches_scan(a, z0, ts)
-    assert len(calls) == 1  # the scan forms one step exponential
+    # the scan forms one step exponential, first; the Newton steps in the cell
+    # each exponentiate a strictly shorter step
+    step = grid[1] * a
+    assert np.array_equal(calls[0], step)
+    assert all(np.abs(mat).max() < np.abs(step).max() for mat in calls[1:])
 
 
 def test_uniform_decay_bound_closed_form():
@@ -164,7 +171,7 @@ def test_bound_dominates_tau_star_random():
 def test_bad_ccr_matrix_refused_before_any_solve(worked, monkeypatch, bad, message):
     _, coeffs = worked
     monkeypatch.setattr(decoherence, "dtrsyl", None)  # a solve would fail with a TypeError
-    monkeypatch.setattr(decoherence, "propagate", None)
+    monkeypatch.setattr(decoherence, "expm", None)
     for call in (
         lambda: decoherence.tau_star(coeffs.a, bad),
         lambda: decoherence.tau_upper_bound(coeffs.a, bad, 0.5, np.eye(3)),
@@ -327,7 +334,8 @@ def test_one_failing_shift_refuses_the_batch():
 @pytest.mark.parametrize("budget", [1, 32, 33, 64, 90])
 def test_search_makes_one_stacked_eigh_per_k(monkeypatch, worked, budget):
     # the search reads eigenvalues only: no eigh, and per K one stacked
-    # eigvalsh of G and one of the strict-decay matrix over its lams
+    # eigvalsh of G over its lams; the residual certificate passes the
+    # strict-decay matrix without an eigensolve
     spec, coeffs = worked
     real = np.linalg.eigvalsh
     batches, eigh_calls = [], []
@@ -342,9 +350,8 @@ def test_search_makes_one_stacked_eigh_per_k(monkeypatch, worked, budget):
     search = decoherence.optimize_tau_bound(coeffs.a, steady_ccr(spec, coeffs), budget=budget)
     assert search.evaluations == budget
     assert eigh_calls == []
-    assert len(batches) == 2 * math.ceil(budget / 32)
-    assert batches[::2] == batches[1::2]
-    assert sum(shape[0] for shape in batches[::2]) == budget
+    assert len(batches) == math.ceil(budget / 32)
+    assert sum(shape[0] for shape in batches) == budget
     assert all(shape[1:] == (3, 3) for shape in batches)
 
 
@@ -414,8 +421,9 @@ def test_decoherence_kernel_counts_on_bundled_config(monkeypatch, tmp_path):
     assert cli.main(["decoherence", "--config", config, "--out", str(tmp_path)]) == 0
     assert 1 <= counts["expm"] <= 8
     assert counts["eigh"] == 0
-    # per K of the 64-evaluation budget: K's own check, then G and the strict-decay matrix
-    assert counts["eigvalsh"] == 3 * 2
+    # per K of the 64-evaluation budget: K's own check, then G; the residual
+    # certificate passes the strict-decay matrix without an eigensolve
+    assert counts["eigvalsh"] == 2 * 2
 
 
 def test_tau_star_takes_few_exponentials_on_random_pauli_specs(monkeypatch):
@@ -431,3 +439,138 @@ def test_tau_star_takes_few_exponentials_on_random_pauli_specs(monkeypatch):
             decoherence.tau_star(coeffs.a, z0)
             runs += 1
     assert len(calls) <= 6 * runs
+
+
+@pytest.mark.parametrize("hit", [1, 16, 17, 33, 200, 385, 398, 399])
+def test_blocked_scan_finds_the_crossing_cell(hit):
+    # the scan advances SCAN_BLOCK grid points per product: a crossing in the
+    # first cell, at either end of a block and in the last, shorter block
+    grid = lambda sa: np.linspace(0.0, 10.0 / abs(sa), decoherence.GRID_POINTS)
+    if hit <= 39:
+        # ||e^{tA} e1 e1^T|| = e^{-t} crosses 1/e at t = 1, grid point 39.9 r
+        r = (hit - 0.5) / 39.9
+        a = np.diag([-1.0, -r])
+        z0 = np.diag([1.0, 0.0])
+    else:
+        # a Jordan block: ||e^{tA} e2 e2^T|| = e^{-t} sqrt(1 + c^2 t^2) rises,
+        # then crosses 1/e once, at the middle of the chosen cell
+        t = grid(-1.0)[hit] - 0.5 * grid(-1.0)[1]
+        c = np.sqrt(np.exp(2.0 * (t - 1.0)) - 1.0) / t
+        a = np.array([[-1.0, c], [0.0, -1.0]])
+        z0 = np.diag([0.0, 1.0])
+    ts = decoherence.tau_star(a, z0)
+    cells = grid(qsde.spectral_abscissa(a))
+    assert cells[hit - 1] < ts <= cells[hit]
+    assert_matches_scan(a, z0, ts)
+
+
+def certificate_case(n, log_scale, log_gap, log_kmin, seed):
+    # a random Hurwitz drift, a shift lam = -sigma(A) (1 - 10^-log_gap) in
+    # (0, -sigma(A)) and K with lambda_min(K) = 10^-log_kmin
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n))
+    a = 10.0**log_scale * (m - (qsde.spectral_abscissa(m) + 0.5) * np.eye(n))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k = (q * np.geomspace(1.0, 10.0**-log_kmin, n)) @ q.T
+    z0 = rng.standard_normal((n, n))
+    return a, z0, (k + k.T) / 2.0, [-qsde.spectral_abscissa(a) * (1.0 - 10.0**-log_gap)]
+
+
+def certificate_outcome(case):
+    try:
+        return stacked_bounds(*case)[1].tolist()
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.floats(-2.0, 2.0),
+    st.floats(1e-3, 9.0),
+    st.floats(0.0, 10.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_residual_certificate_decides_as_eigvalsh(n, log_scale, log_gap, log_kmin, seed):
+    # the bounds with the residual certificate are those of the eigvalsh test
+    # alone, and so is each refusal and its message
+    case = certificate_case(n, log_scale, log_gap, log_kmin, seed)
+    with mock.patch.object(decoherence, "_DECAY_ROUNDING", np.inf):
+        reference = certificate_outcome(case)
+    assert certificate_outcome(case) == reference
+
+
+@pytest.mark.parametrize("seed, refused", [(0, False), (1, True)], ids=["passes", "refused"])
+def test_residual_certificate_fallback_cases(monkeypatch, seed, refused):
+    # two draws of the property above with a shift 1e-9 |sigma(A)| from the
+    # edge and lambda_min(K) = 1e-10: the certificate cannot vouch for either,
+    # so each gets the eigvalsh test, which passes one and refuses the other
+    case = certificate_case(3, 0.0, 9.0, 10.0, seed)
+    real, stacks = np.linalg.eigvalsh, []
+
+    def counting(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            stacks.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    outcome = certificate_outcome(case)
+    assert (outcome == "strict decay inequality failed") == refused
+    assert stacks == [(1, 3, 3), (1, 3, 3)]
+
+
+@pytest.mark.parametrize("perturb, refused", [("doubled", False), ("shifted", True)], ids=["doubled", "shifted"])
+def test_perturbed_solve_falls_back_to_eigvalsh(monkeypatch, perturb, refused):
+    # a solve whose residual the certificate cannot vouch for gets the stacked
+    # eigvalsh test: 2G still decays (and gives the same bound, the bound being
+    # invariant under a scaling of G), G + I on a non-normal drift does not
+    a = np.array([[-1.0, 10.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -2.0]])
+    z0 = np.diag([1.0, 2.0, 3.0])
+    lams = grid(a)
+    _, clean = stacked_bounds(a, z0, np.eye(3), lams)
+    real_trsyl, real_eigvalsh, stacks = decoherence.dtrsyl, np.linalg.eigvalsh, []
+
+    def perturbed(t1, t2, rhs, tranb):
+        y, scale, info = real_trsyl(t1, t2, rhs, tranb=tranb)
+        return (2.0 * y if perturb == "doubled" else y + scale * np.eye(len(y))), scale, info
+
+    def counting(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            stacks.append(np.shape(x))
+        return real_eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(decoherence, "dtrsyl", perturbed)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    if refused:
+        with pytest.raises(ValueError, match="strict decay inequality failed"):
+            stacked_bounds(a, z0, np.eye(3), lams)
+    else:
+        _, bounds = stacked_bounds(a, z0, np.eye(3), lams)
+        np.testing.assert_allclose(bounds, clean, rtol=1e-12)
+    # G's positive-definite check, then the fallback on the strict-decay matrices
+    assert stacks == [(32, 3, 3), (32, 3, 3)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 10),
+    st.floats(0.0, 10.0),
+    st.floats(-10.0, -7.5),
+    st.floats(-3.0, 0.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_decay_check_near_its_threshold_decides_as_eigvalsh(n, log_kmin, log_push, log_noise, seed):
+    # D = -K + R with R mostly along K's weakest eigenvector puts
+    # lambda_max(D) on both sides of the 1e-9 threshold, where the Weyl bound
+    # is nearly tight: the residual certificate never passes a D that the
+    # eigvalsh test refuses, and the fallback refuses what it refuses
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    k = (q * np.geomspace(1.0, 10.0**-log_kmin, n)) @ q.T
+    k = (k + k.T) / 2.0
+    noise = rng.standard_normal((n, n))
+    noise = (noise + noise.T) * 10.0**log_noise / np.linalg.norm(noise + noise.T)
+    decay = (10.0**log_push * (np.outer(q[:, -1], q[:, -1]) + noise) - k)[None]
+    refused = np.max(np.linalg.eigvalsh(decay)) > 1e-9
+    with pytest.raises(ValueError, match="strict decay") if refused else contextlib.nullcontext():
+        decoherence._check_decay(decay, k, np.min(np.linalg.eigvalsh(k)))

@@ -393,3 +393,11 @@ def test_flows_refuse_wrong_shapes(worked, pauli):
         qsde.mean_flow(coeffs, [0.0, 0.0], [0.0, 1.0])
     with pytest.raises(ValueError, match=r"tau must be a list of lags, got shape \(1, 2\)"):
         qsde.mean_two_point_ccr(coeffs, pauli, [0.0, 0.0, 1.0], [[0.0, 1.0]])
+
+
+def test_mean_flow_refuses_a_trajectory_that_overflows(worked):
+    _, coeffs = worked
+    mu = qsde.mean_flow(coeffs, np.zeros(3), [0.0, 1.0])
+    assert np.isfinite(mu).all()
+    with pytest.raises(ValueError, match=r"^mean trajectory is not finite at t = 5e\+299$"):
+        qsde.mean_flow(coeffs, np.zeros(3), [0.0, 1.0, 5e299, 1e300])

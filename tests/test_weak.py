@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -332,3 +333,19 @@ def test_pauli_gamma_shape_errors():
         weak.pauli_gamma(np.zeros((2, 4)))
     with pytest.raises(ValueError):
         weak.pauli_gamma(M_REF, energy=np.zeros(3))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-170, 1e-160, 1e200, np.inf, np.nan])
+def test_asymptotics_refuse_eps_whose_square_is_not_normal(reference, monkeypatch, eps):
+    # refused before any eigensolve, naming the value
+    spec, md = reference
+    coeffs = qsde.build_coefficients(spec)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda *a: pytest.fail("eigensolve ran"))
+    with pytest.raises(ValueError, match=r"^coupling strength %s is out of range" % re.escape(repr(float(eps)))):
+        weak.eigenvalue_asymptotics_check(coeffs, md, [0.1, eps])
+
+
+def test_strength_squared_keeps_the_power():
+    # the residual table divides by eps**2, whose last bit can differ from eps * eps
+    for eps in (0.2, 0.1, 0.05, -0.3, 1.5e-154, 1.3e154):
+        assert weak.strength_squared(eps) == eps**2
