@@ -215,6 +215,8 @@ def _grid(args, cfg):
     if not isinstance(spec, list) or len(spec) != 3:
         raise ConfigError("analysis.grid must be [t0, t1, steps]")
     t0, t1 = (_number(t, name + " time") for t in spec[:2])
+    if t0 < 0:
+        raise ConfigError("%s must start at t0 >= 0, got %r" % (name, t0))
     steps = _number(spec[2], name + " steps", integer=True)
     if steps < 2 or t1 <= t0:
         raise ConfigError("grid needs t1 > t0 and at least 2 steps")

@@ -19,7 +19,7 @@ from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dtrsyl
 
 from .modes import _pd_sqrt
-from .qsde import _hurwitz_abscissa
+from .qsde import _hurwitz_abscissa, _times
 
 __all__ = [
     "TauBoundSearch",
@@ -208,9 +208,10 @@ def tau_upper_bound(a, ccr_matrix, lam: float, k_matrix) -> float:
 def contraction_norm(a, g, tau: float) -> float:
     """Spectral norm of G^{-1/2} e^{tau A} G^{1/2}.
 
-    At most e^{-lam tau} when G comes from lyapunov_G(a, lam, .); used to
-    certify the decay that underlies tau_upper_bound.
+    At most e^{-lam tau} for tau >= 0 (`_times`) when G comes from
+    lyapunov_G(a, lam, .); used to certify the decay behind tau_upper_bound.
     """
+    (tau,) = _times([tau], "tau")
     root, isqrt = _pd_sqrt(*np.linalg.eigh(np.asarray(g)))
     return float(np.linalg.norm(isqrt @ expm(tau * np.asarray(a)) @ root, ord=2))
 

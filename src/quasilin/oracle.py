@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from .composite import _tensor_constants
 from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, pauli_constants
-from .qsde import _lags, ito_matrix
+from .qsde import _times, ito_matrix
 
 __all__ = [
     "HilbertRep",
@@ -96,6 +96,7 @@ def heisenberg_superoperator(rep: HilbertRep, spec) -> np.ndarray:
     K = sum_jk Omega_jk L_j L_k, that is sum_t P_t xi Q_t over the pairs
     (iH - K/2, I), (I, -iH - K/2) and (W_k, L_k) with W_k = sum_j Omega_jk L_j.
     By vec(P xi Q) = (Q^T (x) P) vec(xi) the matrix is sum_t Q_t^T (x) P_t.
+    A matrix that overflows (K for |N| near 1e300, say) is refused (ValueError).
     """
     m, n = spec.coupling.shape
     if n != rep.constants.n:
@@ -103,13 +104,17 @@ def heisenberg_superoperator(rep: HilbertRep, spec) -> np.ndarray:
     d = rep.dim
     eye = np.eye(d)
     flat = np.reshape(rep.variables, (n, d * d))
-    h = (spec.energy @ flat).reshape(d, d)
-    ls = (spec.coupling @ flat).reshape(m, d, d) + spec.offset[:, None, None] * eye
-    wls = (ito_matrix(m).T @ ls.reshape(m, d * d)).reshape(m, d, d)
-    half_k = 0.5 * np.einsum("kab,kbc->ac", wls, ls)
-    left = np.concatenate([[1j * h - half_k, eye], wls])
-    right = np.concatenate([[eye, -1j * h - half_k], ls])
-    return np.einsum("tqp,trs->prqs", right, left).reshape(d * d, d * d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (spec.energy @ flat).reshape(d, d)
+        ls = (spec.coupling @ flat).reshape(m, d, d) + spec.offset[:, None, None] * eye
+        wls = (ito_matrix(m).T @ ls.reshape(m, d * d)).reshape(m, d, d)
+        half_k = 0.5 * np.einsum("kab,kbc->ac", wls, ls)
+        left = np.concatenate([[1j * h - half_k, eye], wls])
+        right = np.concatenate([[eye, -1j * h - half_k], ls])
+        sup = np.einsum("tqp,trs->prqs", right, left).reshape(d * d, d * d)
+    if not np.isfinite(sup).all():
+        raise ValueError("GKSL generator is not finite: the model's entries overflow it")
+    return sup
 
 
 def _vec(mats) -> np.ndarray:
@@ -163,11 +168,8 @@ def _check_state(rho, d):
 def _propagate(state_sup, d: int, rho0, t: float):
     """lindblad_propagate on a state-picture generator that is already built."""
     rho0 = _check_state(rho0, d)
-    if not np.isfinite(t):
-        raise ValueError("propagation time must be finite")
-    if t < 0:
-        raise ValueError("propagation time must be nonnegative")
-    flow = expm(float(t) * state_sup)
+    (t,) = _times([t], "propagation time")
+    flow = expm(t * state_sup)
     rho_t = (flow @ rho0.flatten(order="F")).reshape((d, d), order="F")
     tr = complex(np.trace(rho_t))
     residual = abs(tr - 1.0)
@@ -228,7 +230,7 @@ def two_point_commutator(rep: HilbertRep, spec, rho0, s: float, lags, *, heisenb
     the result has shape (len(lags), n, n).  `heisenberg` is the Heisenberg
     superoperator if the caller already built it.
     """
-    lags = _lags(lags)
+    lags = _times(lags, "tau")
     sup = (heisenberg_superoperator(rep, spec) if heisenberg is None else heisenberg).conj().T
     rho_s, _ = _propagate(sup, rep.dim, rho0, s)
     mats = np.stack(rep.variables)

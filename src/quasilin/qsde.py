@@ -77,6 +77,17 @@ def _finite_array(x, what, real=False) -> np.ndarray:
     return x
 
 
+def _times(values, what) -> np.ndarray:
+    """Times, lags or propagation times as a float vector: finite, real, one-dimensional
+    and >= 0, as every flow runs forward, else ValueError naming `what`."""
+    values = _finite_array(values, what, real=True)
+    if values.ndim != 1:
+        raise ValueError("%s must be one-dimensional, got shape %r" % (what, values.shape))
+    if np.any(values < 0):
+        raise ValueError("%s must be nonnegative" % what)
+    return values
+
+
 def system_spec(constants, energy, coupling, offset=None) -> SystemSpec:
     """Validate shapes and wrap (constants, E, M, N) as a SystemSpec; E must be real, E, M and N finite."""
     n = constants.n
@@ -125,22 +136,26 @@ def build_coefficients(spec: SystemSpec) -> QsdeCoefficients:
     where S_l..[j, k] = S[k, l, j] fixes the first coefficient index of the
     sections S = theta, Re(beta).  The Hamiltonian-only part a0 = 2 theta<>E
     is returned separately since the split drives the weak-coupling analysis.
+    A drift that overflows (|M| near 1e300, say) is refused (ValueError).
     """
     c = spec.constants
     th, n = c.theta, c.n
     m_mat = spec.coupling
     jm = ito_matrix(spec.m).imag
-    mjm = m_mat.T @ jm @ m_mat
 
     def coupled(y, sections):
         # sum_l theta_l M^T y S_l.. as one product over the flattened (l, column) pairs
         return (th @ m_mat.T @ y).transpose(1, 0, 2).reshape(n, -1) @ sections.reshape(n, -1).T
 
-    a0 = 2.0 * diam_product(th, spec.energy)
-    a = 2.0 * diam_product(th, spec.energy + m_mat.T @ (jm @ spec.offset))
-    a = a + 2.0 * (coupled(m_mat, th) + coupled(jm @ m_mat, c.beta.real))
-    b = 2.0 * np.einsum("lab,bl->a", th, mjm @ c.alpha)
-    a, a0, atilde, b = _frozen(a, a0, a - a0, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mjm = m_mat.T @ jm @ m_mat
+        a0 = 2.0 * diam_product(th, spec.energy)
+        a = 2.0 * diam_product(th, spec.energy + m_mat.T @ (jm @ spec.offset))
+        a = a + 2.0 * (coupled(m_mat, th) + coupled(jm @ m_mat, c.beta.real))
+        b = 2.0 * np.einsum("lab,bl->a", th, mjm @ c.alpha)
+        a, a0, atilde, b = _frozen(a, a0, a - a0, b)
+    if not all(np.isfinite(x).all() for x in (a, a0, atilde, b)):
+        raise ValueError("drift is not finite: the model's entries overflow it")
     return QsdeCoefficients(a=a, a0=a0, atilde=atilde, b=b)
 
 
@@ -155,36 +170,26 @@ def spectral_abscissa(a_matrix) -> float:
 
 
 def propagate(generator, state0, times):
-    """Yield e^{t G} state0 for each t in times, in order.
+    """Yield e^{t G} state0 for each t in times, in order; times are `_times`.
 
     The chain starts from state0 at t = 0 and reaches each point from the
     previous one by the step exponential e^{(t_i - t_{i-1}) G}, formed again
     only when the step length changes.  A grid whose points before the last
     equal t0 + i h bit for bit, h = (t_last - t0) / (N - 1), as np.linspace
     gives, steps by h throughout; a zero step keeps the state.  A time
-    earlier than its predecessor restarts the chain as expm(t G) state0.  A
-    negative time is evaluated that way but the chain stays at t = 0, as
-    stepping out of a backward propagation would amplify its rounding error.
+    earlier than its predecessor restarts the chain as expm(t G) state0.
     """
     gen = np.asarray(generator)
     state0 = np.asarray(state0)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be one-dimensional, got shape %r" % (times.shape,))
-    if not np.isfinite(times).all():
-        raise ValueError("times must be finite")
-    steps = np.diff(np.maximum(times, 0.0), prepend=0.0)
+    times = _times(times, "times")
+    steps = np.diff(times, prepend=0.0)
     count = len(times)
     if count > 2:
         h = (times[-1] - times[0]) / (count - 1)
         if h > 0 and np.array_equal(times[:-1], times[0] + np.arange(count - 1) * h):
-            steps[1:] = np.where(times[:-1] >= 0, h, steps[1:])
+            steps[1:] = h
     state, length, step = state0, None, None
     for t, dt in zip(times, steps):
-        if t < 0:
-            state = state0
-            yield expm(t * gen) @ state0
-            continue
         if dt < 0:
             state = expm(t * gen) @ state0
         elif dt > 0:
@@ -273,21 +278,11 @@ def energy_rate(spec: SystemSpec, coeffs: QsdeCoefficients, mu) -> float:
     return float(np.real_if_close(val))
 
 
-def _lags(lags) -> np.ndarray:
-    """The lags tau as a float vector; each must be finite and nonnegative (ValueError)."""
-    lags = _finite_array(lags, "tau", real=True)
-    if lags.ndim != 1:
-        raise ValueError("tau must be a list of lags, got shape %r" % (lags.shape,))
-    if np.any(lags < 0):
-        raise ValueError("tau must be nonnegative")
-    return lags
-
-
 def mean_two_point_ccr(coeffs: QsdeCoefficients, constants: StructureConstants, mu_s, lags) -> np.ndarray:
     """Mean two-time commutator matrices E[[X(s + tau), X(s)^T]], one per lag tau.
 
     Each equals 2i e^{tau A} (theta . mu(s)); every tau must be finite and >= 0.
     """
-    lags = _lags(lags)
+    lags = _times(lags, "tau")
     ccr = dot_product(constants.theta, np.asarray(mu_s))
     return 2j * expm(np.multiply.outer(lags, coeffs.a)) @ ccr

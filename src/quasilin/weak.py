@@ -196,15 +196,12 @@ def stability_and_thresholds(coeffs: QsdeCoefficients, modes: EigenModes) -> Per
 def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndarray:
     """Limit of the stationary mean as the coupling strength goes to zero.
 
-    Requires odd dimension with a simple zero frequency whose rate has
-    negative real part; then lim mu*(eps) =
-    -(1/nu_k0) Sigma e_k0 e_k0^T Sigma^{-1} sb, independent of eps
-    and invariant under rescaling the unit-strength coupling.
+    Requires a simple zero frequency (so an odd dimension, since the nonzero
+    frequencies pair up as +-omega) whose rate has negative real part; then
+    lim mu*(eps) = -(1/nu_k0) Sigma e_k0 e_k0^T Sigma^{-1} sb, independent of
+    eps and invariant under rescaling the unit-strength coupling.
     """
     om = modes.omegas
-    n = len(om)
-    if n % 2 == 0:
-        raise ValueError("even dimension: A0 has no zero mode to carry a limit")
     zero_idx = np.where(np.abs(om) <= modes.zero_tol)[0]
     if len(zero_idx) != 1:
         raise ValueError(

@@ -890,3 +890,83 @@ def test_extreme_analysis_values_exit_cleanly(tmp_path, capsys, command, flags, 
                 except ValueError:
                     continue
                 assert np.isfinite(value), (table.name, row)
+
+
+@pytest.mark.parametrize("command", ["mean-flow", "spectrum"])
+def test_negative_grid_start_exits_two_before_allocating(tmp_path, capsys, monkeypatch, command):
+    # flows run forward from t = 0: a grid starting below 0 is refused
+    # before any grid array exists, from the flag and from the config alike
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: pytest.fail("grid allocated"))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", REPO_CONFIG, "--out", str(out), "--grid=-0.5:1:7"]) == 2
+    assert capsys.readouterr().err == "config error: --grid must start at t0 >= 0, got -0.5\n"
+    cfgpath = qubit_config(tmp_path, grid=[-1e-300, 1, 7])
+    assert cli.main([command, "--config", cfgpath, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: analysis.grid must start at t0 >= 0, got -1e-300\n"
+    assert not os.listdir(out)
+
+
+def test_oracle_reraises_a_linear_algebra_failure_of_the_steady_mean(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, but it is a numeric failure, not a drift
+    # that is not Hurwitz, so no stationary check is reported as skipped
+    def singular(coeffs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(qsde, "steady_mean", singular)
+    out = tmp_path / "o"
+    assert cli.main(["oracle", "--config", REPO_CONFIG, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "numeric failure: Singular matrix\n"
+    assert "skipped" not in captured.out
+    assert not os.listdir(out)
+
+
+FUZZ_VALUES = [float("nan"), -1e300, [], "x", None, True, [0, 1]]
+FUZZ_COMMANDS = [[command] for command in sorted(cli.COMMANDS)] + [["oracle", "--composite"]]
+
+
+def _leaf_paths(node, path=()):
+    """Paths of the leaves of a JSON tree: scalars and lists of scalars' entries."""
+    if isinstance(node, dict):
+        return [p for key, child in node.items() for p in _leaf_paths(child, path + (key,))]
+    if isinstance(node, list):
+        return [p for i, child in enumerate(node) for p in _leaf_paths(child, path + (i,))]
+    return [path]
+
+
+def fuzz_cases(count=None, seed=20):
+    """(leaf path, value, argv) triples over every leaf of the bundled config,
+    every value of FUZZ_VALUES and every command; all of them, or a seeded
+    sample of `count`."""
+    with open(REPO_CONFIG) as fh:
+        leaves = _leaf_paths(json.load(fh))
+    cases = [(path, value, argv) for path in leaves for value in FUZZ_VALUES for argv in FUZZ_COMMANDS]
+    if count is None:
+        return cases
+    picks = np.random.default_rng(seed).choice(len(cases), size=count, replace=False)
+    return [cases[i] for i in sorted(picks)]
+
+
+def test_commands_on_mutated_configs_exit_cleanly(tmp_path, capsys):
+    # one leaf of the bundled config replaced by a bad value: every command
+    # exits with a known code and no traceback (an exception or warning
+    # escaping main fails the test), and every CSV cell written is finite
+    with open(REPO_CONFIG) as fh:
+        base = json.load(fh)
+    cases = fuzz_cases(count=600)
+    assert len(_leaf_paths(base)) * len(FUZZ_VALUES) * len(FUZZ_COMMANDS) == 4116
+    for i, (path, value, argv) in enumerate(cases):
+        cfgpath = tmp_path / ("c%d.json" % i)
+        cfgpath.write_text(json.dumps(_edit(base, path, value)))
+        out = tmp_path / ("o%d" % i)
+        code = cli.main([*argv, "--config", str(cfgpath), "--out", str(out)])
+        assert code in (0, 2, 3, 4), (path, value, argv)
+        assert "Traceback" not in capsys.readouterr().err
+        for table in out.iterdir() if out.exists() else []:
+            for row in list(csv.reader(table.read_text().splitlines()))[1:]:
+                for cell in row:
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    assert np.isfinite(number), (path, value, argv, table.name, row)

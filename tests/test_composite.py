@@ -348,3 +348,11 @@ def test_augment_constants_refuses_a_broken_factor(pauli):
     broken = model.structure_constants(pauli.alpha, pauli.beta + 1e-6j)
     with pytest.raises(ValueError, match=r"augmented constants fail validation \(\d+ violations, first \('beta-herm'"):
         composite.augment_constants(broken, pauli)
+
+
+def test_composite_dispersion_refuses_a_vector_of_the_wrong_length():
+    spec = random_composite(np.random.default_rng(4))
+    assert composite.composite_dispersion(spec, np.zeros(15)).shape == (15, 4)
+    for length in (14, 16, 6):
+        with pytest.raises(ValueError, match="^coefficient vector has wrong length$"):
+            composite.composite_dispersion(spec, np.zeros(length))

@@ -574,3 +574,28 @@ def test_decay_check_near_its_threshold_decides_as_eigvalsh(n, log_kmin, log_pus
     refused = np.max(np.linalg.eigvalsh(decay)) > 1e-9
     with pytest.raises(ValueError, match="strict decay") if refused else contextlib.nullcontext():
         decoherence._check_decay(decay, k, np.min(np.linalg.eigvalsh(k)))
+
+
+def test_search_refuses_a_budget_below_one(worked, monkeypatch):
+    spec, coeffs = worked
+    monkeypatch.setattr(decoherence, "dtrsyl", None)  # a solve would fail with a TypeError
+    with pytest.raises(ValueError, match="^budget must be at least 1$"):
+        decoherence.optimize_tau_bound(coeffs.a, steady_ccr(spec, coeffs), budget=0)
+
+
+def test_lyapunov_solution_that_is_not_positive_definite_is_refused(worked, monkeypatch):
+    # a Sylvester solve that returns -Y, as a sign fault would, gives a
+    # negative definite G
+    spec, coeffs = worked
+    real = decoherence.dtrsyl
+
+    def negated(*args, **kwargs):
+        y, scale, info = real(*args, **kwargs)
+        return -y, scale, info
+
+    monkeypatch.setattr(decoherence, "dtrsyl", negated)
+    message = "^Lyapunov solution is not positive definite$"
+    with pytest.raises(ValueError, match=message):
+        decoherence.lyapunov_G(coeffs.a, 0.5, np.eye(3))
+    with pytest.raises(ValueError, match=message):
+        decoherence.optimize_tau_bound(coeffs.a, steady_ccr(spec, coeffs), budget=1)

@@ -476,3 +476,46 @@ def test_sparse_validate_memory_stays_below_one_n4_array():
         tracemalloc.stop()
     assert report.passed
     assert peak < 16e6  # one n^4 complex array is 24 MB
+
+
+def test_structure_constants_store_a_complex_alpha_with_zero_imaginary_part_as_real(pauli):
+    constants = model.structure_constants(pauli.alpha.astype(complex), pauli.beta)
+    assert constants.alpha.dtype == np.float64
+    np.testing.assert_array_equal(constants.alpha, pauli.alpha)
+    kept = model.structure_constants(pauli.alpha + 1e-3j, pauli.beta)
+    assert kept.alpha.dtype == np.complex128
+
+
+def test_section_products_refuse_mismatched_lengths(pauli):
+    with pytest.raises(ValueError, match="^section count 3 != vector length 2$"):
+        model.dot_product(pauli.theta, np.ones(2))
+    with pytest.raises(ValueError, match="^section width 3 != vector length 4$"):
+        model.diam_product(pauli.theta, np.ones(4))
+
+
+@pytest.mark.parametrize("lengths", [(2, 3), (3, 4)])
+def test_affine_mul_refuses_operators_of_the_wrong_length(pauli, lengths):
+    a, b = (model.AffineOperator(0.0, np.ones(k)) for k in lengths)
+    with pytest.raises(ValueError, match="^operator length does not match constants$"):
+        model.affine_mul(a, b, pauli)
+
+
+@pytest.mark.parametrize(
+    "indices, powers, message",
+    [
+        ([1, 2], [1], "^factor_indices and powers must have equal length$"),
+        ([0], [1], "^factor index 0 outside 1..3$"),
+        ([4], [1], "^factor index 4 outside 1..3$"),
+        ([1], [0], "^powers must be positive integers, got 0$"),
+        ([1], [1.5], "^powers must be positive integers, got 1.5$"),
+    ],
+    ids=["unequal lengths", "index 0", "index n + 1", "power 0", "power 1.5"],
+)
+def test_reduce_monomial_refusals(pauli, indices, powers, message):
+    with pytest.raises(ValueError, match=message):
+        model.reduce_monomial(indices, powers, pauli)
+
+
+def test_quadratic_form_refuses_wrong_shape(pauli):
+    with pytest.raises(ValueError, match=r"^R has shape \(2, 2\), expected \(3, 3\)$"):
+        model.quadratic_form(np.eye(2), pauli)

@@ -236,3 +236,21 @@ def test_mode_coordinates_read_sigma_inverse(name):
     assert [c[:2] for c in coords] == [e[:2] for e in expected]
     for (_, _, rows), (_, _, ref) in zip(coords, expected):
         np.testing.assert_array_equal(rows, ref)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda t, q: (t, 1.01 * q), "^eigenbasis lost orthonormality$"),
+        (lambda t, q: (1.5 * t, q), "^eigendecomposition failed to reproduce A0$"),
+    ],
+    ids=["orthonormality", "reconstruction"],
+)
+def test_eigenmodes_refuse_a_faulty_schur_form(worked, pauli, monkeypatch, fault, message):
+    # a Schur form off by a scale, as a numerical fault would leave it: the
+    # basis check catches scaled vectors, the reconstruction scaled frequencies
+    _, coeffs = worked
+    real = modes.schur
+    monkeypatch.setattr(modes, "schur", lambda s, output: fault(*real(s, output=output)))
+    with pytest.raises(ValueError, match=message):
+        modes.eigenmodes(coeffs.a0, pauli.alpha)

@@ -320,3 +320,49 @@ def test_propagate_refuses_bad_states(worked, rho, message):
     spec, _ = worked
     with pytest.raises(ValueError, match=message):
         oracle.lindblad_propagate(oracle.pauli_representation(), spec, rho, 0.1)
+
+
+def test_superoperator_refuses_a_coupling_width_that_does_not_match():
+    spec = qsde.system_spec(model.structure_constants(np.eye(2), np.zeros((2, 2, 2))), [0.0, 1.0], np.eye(2))
+    with pytest.raises(ValueError, match="^coupling width 2 does not match representation$"):
+        oracle.heisenberg_superoperator(oracle.pauli_representation(), spec)
+
+
+def test_generator_output_that_is_not_hermitian_is_refused(worked, monkeypatch):
+    # a superoperator with a small imaginary factor, as a rounding fault
+    # would leave it, maps the Hermitian X_j off the Hermitian matrices
+    spec, coeffs = worked
+    rep = oracle.pauli_representation()
+    real = oracle.heisenberg_superoperator
+    monkeypatch.setattr(oracle, "heisenberg_superoperator", lambda rep, spec: (1 + 1e-9j) * real(rep, spec))
+    with pytest.raises(model.ConsistencyError, match="^GKSL output of a Hermitian input is not Hermitian$"):
+        oracle.gksl_apply(rep, spec, oracle.SIGMA_X)
+    with pytest.raises(model.ConsistencyError, match="not Hermitian"):
+        oracle.generator_identity_check(rep, spec, coeffs)
+
+
+def test_stationary_state_refuses_a_kernel_vector_off_the_kernel(worked, monkeypatch):
+    # an SVD whose last right singular vector is vec(I)/sqrt(2), which the
+    # generator does not annihilate, while the singular values still show a
+    # one-dimensional kernel
+    spec, _ = worked
+    real = np.linalg.svd
+
+    def faulty(mat):
+        u, sv, vh = real(mat)
+        vh = vh.copy()
+        vh[-1] = np.eye(2).ravel() / np.sqrt(2.0)
+        return u, sv, vh
+
+    monkeypatch.setattr(np.linalg, "svd", faulty)
+    with pytest.raises(ValueError, match="^no stationary state found, kernel residual "):
+        oracle.stationary_state(oracle.pauli_representation(), spec)
+
+
+def test_superoperator_that_overflows_is_refused(pauli):
+    # the offset enters the drift linearly but K = L^2 quadratically, so the
+    # drift is finite and the generator is not
+    spec = qsde.system_spec(pauli, [0.0, 0.0, 1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [-1e300, 0.0])
+    assert np.isfinite(qsde.build_coefficients(spec).a).all()
+    with pytest.raises(ValueError, match="^GKSL generator is not finite: the model's entries overflow it$"):
+        oracle.heisenberg_superoperator(oracle.pauli_representation(), spec)

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from quasilin import composite, model, oracle, qsde
+from quasilin import composite, decoherence, model, oracle, qsde, second_moment
 from conftest import gell_mann_constants, gell_mann_matrices, random_pauli_spec, random_stable_pauli_spec
 
 A_REF = np.array([[-2.0, -2.0, 0.0], [2.0, -2.0, 0.0], [0.0, 0.0, -4.0]])
@@ -280,7 +280,6 @@ PROPAGATE_GRIDS = {
     "ulp-steps": np.linspace(0.0, 4.0, 30),
     "uneven": [0.0, 0.3, 1.1, 2.7],
     "unsorted": [2.7, 0.3, 1.1],
-    "negative-first": [-0.6, 0.2, 1.5],
     "repeated": [0.5, 0.5, 1.5, 1.5, 1.5, 2.5],
     "single": [1.7],
     "empty": [],
@@ -333,7 +332,6 @@ def test_propagate_one_exponential_per_step_length(worked, monkeypatch):
         "ulp-steps": 1,
         "uneven": 3,
         "unsorted": 3,  # restart at 2.7, restart at 0.3, step 0.8
-        "negative-first": 3,  # restart at -0.6, then steps 0.8 and 1.3
         "repeated": 2,  # first step 0.5, then the 1.0 step twice
         "single": 1,
         "empty": 0,
@@ -351,15 +349,96 @@ def test_propagate_at_most_two_exponentials_on_linspace(worked, monkeypatch):
     # includes grids whose last point is not t0 + (N - 1) h bit for bit
     grids = [(0.0, 98.08372552423525, 308), (0.0, 52.540178704347824, 195), (1.0, 3.0, 2)]
     grids += [(rng.uniform(0, 5), rng.uniform(5, 50), int(rng.integers(2, 200))) for _ in range(100)]
-    # a negative time takes its own exponential; the rest of the grid at most two
-    grids += [(-8.828639303896113, 6.207804590918844, 438), (-1.0, 1.0, 21)]
     for t0, t1, num in grids:
         calls.clear()
         times = np.linspace(t0, t1, num)
         for state in qsde.propagate(coeffs.a, np.ones(3), times):
             pass
-        assert len(calls) <= 2 + np.count_nonzero(times < 0), (t0, t1, num)
+        assert len(calls) <= 2, (t0, t1, num)
         assert np.linalg.norm(state - expm(times[-1] * coeffs.a) @ np.ones(3)) <= 1e-10 * np.linalg.norm(state)
+
+
+# flows run forward only: each of these grids holds a time below 0
+NEGATIVE_GRIDS = {
+    "negative-first": [-0.6, 0.2, 1.5],
+    "negative-last": [0.0, 0.5, -0.1],
+    "linspace-long": np.linspace(-8.828639303896113, 6.207804590918844, 438),
+    "linspace-symmetric": np.linspace(-1.0, 1.0, 21),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(NEGATIVE_GRIDS))
+def test_propagate_refuses_negative_times(worked, monkeypatch, grid):
+    _, coeffs = worked
+    calls = count_exponentials(monkeypatch)
+    with pytest.raises(ValueError, match="^times must be nonnegative$"):
+        list(qsde.propagate(coeffs.a, np.ones(3), NEGATIVE_GRIDS[grid]))
+    with pytest.raises(ValueError, match="^times must be nonnegative$"):
+        qsde.mean_flow(coeffs, np.zeros(3), NEGATIVE_GRIDS[grid])
+    assert not calls
+
+
+RHO_MIXED = np.eye(2) / 2
+
+# every caller of the time rule: (name in its messages, call on (spec, coeffs,
+# times), whether it takes one time rather than a list)
+TIME_RULE_CALLERS = {
+    "propagate": ("times", lambda spec, coeffs, t: list(qsde.propagate(coeffs.a, np.ones(3), t)), False),
+    "mean_flow": ("times", lambda spec, coeffs, t: qsde.mean_flow(coeffs, np.zeros(3), t), False),
+    "pi_trace_flow": (
+        "times",
+        lambda spec, coeffs, t: second_moment.pi_trace_flow(second_moment.lambda_operator(spec, coeffs), t),
+        False,
+    ),
+    "mean_two_point_ccr": (
+        "tau",
+        lambda spec, coeffs, t: qsde.mean_two_point_ccr(coeffs, spec.constants, np.ones(3), t),
+        False,
+    ),
+    "two_point_commutator lags": (
+        "tau",
+        lambda spec, coeffs, t: oracle.two_point_commutator(oracle.pauli_representation(), spec, RHO_MIXED, 1.0, t),
+        False,
+    ),
+    "two_point_commutator s": (
+        "propagation time",
+        lambda spec, coeffs, t: oracle.two_point_commutator(oracle.pauli_representation(), spec, RHO_MIXED, t, [0.5]),
+        True,
+    ),
+    "lindblad_propagate": (
+        "propagation time",
+        lambda spec, coeffs, t: oracle.lindblad_propagate(oracle.pauli_representation(), spec, RHO_MIXED, t),
+        True,
+    ),
+    "contraction_norm": ("tau", lambda spec, coeffs, t: decoherence.contraction_norm(coeffs.a, np.eye(3), t), True),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(TIME_RULE_CALLERS))
+@pytest.mark.parametrize(
+    "scalar, vector, message",
+    [
+        (-0.5, [-0.4, 0.5], "must be nonnegative$"),
+        (np.nan, [0.5, np.nan], "must be finite$"),
+        ([[0.5]], [[0.0, 1.0]], "must be one-dimensional, got shape "),
+    ],
+    ids=["negative", "nan", "2-D"],
+)
+def test_time_rule_refusals_name_their_caller(worked, monkeypatch, caller, scalar, vector, message):
+    # each is refused before any exponential is formed, with the caller's name
+    spec, coeffs = worked
+    what, call, one_time = TIME_RULE_CALLERS[caller]
+    for module in (qsde, oracle, decoherence):
+        monkeypatch.setattr(module, "expm", lambda m: pytest.fail("an exponential was formed"))
+    with pytest.raises(ValueError, match="^%s %s" % (what, message)):
+        call(spec, coeffs, scalar if one_time else vector)
+
+
+@pytest.mark.parametrize("caller", sorted(TIME_RULE_CALLERS))
+def test_time_rule_accepts_zero(worked, caller):
+    spec, coeffs = worked
+    _, call, one_time = TIME_RULE_CALLERS[caller]
+    call(spec, coeffs, 0.0 if one_time else [0.0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -391,7 +470,7 @@ def test_flows_refuse_wrong_shapes(worked, pauli):
         list(qsde.propagate(coeffs.a, np.ones(3), [[0.0, 1.0]]))
     with pytest.raises(ValueError, match=r"mu0 has shape \(2,\), expected \(3,\)"):
         qsde.mean_flow(coeffs, [0.0, 0.0], [0.0, 1.0])
-    with pytest.raises(ValueError, match=r"tau must be a list of lags, got shape \(1, 2\)"):
+    with pytest.raises(ValueError, match=r"tau must be one-dimensional, got shape \(1, 2\)"):
         qsde.mean_two_point_ccr(coeffs, pauli, [0.0, 0.0, 1.0], [[0.0, 1.0]])
 
 
@@ -401,3 +480,12 @@ def test_mean_flow_refuses_a_trajectory_that_overflows(worked):
     assert np.isfinite(mu).all()
     with pytest.raises(ValueError, match=r"^mean trajectory is not finite at t = 5e\+299$"):
         qsde.mean_flow(coeffs, np.zeros(3), [0.0, 1.0, 5e299, 1e300])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e160])
+def test_build_coefficients_refuses_a_drift_that_overflows(pauli, scale):
+    # finite entries whose quadratic products overflow: refused with no
+    # overflow warning (warnings are errors under pytest)
+    spec = qsde.system_spec(pauli, [0.0, 0.0, 1.0], [[scale, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="^drift is not finite: the model's entries overflow it$"):
+        qsde.build_coefficients(spec)

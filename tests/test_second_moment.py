@@ -243,7 +243,7 @@ def test_hermitian_abscissa_rejects_non_real_restriction():
         projected_restriction(*system)
 
 
-@pytest.mark.parametrize("times", [np.linspace(0.0, 5.0, 41), [0.0, 0.3, 1.1, 2.7], [2.7, 0.3, 1.1], [-0.4, 0.5], [1.0, 1.0], [0.8], []])
+@pytest.mark.parametrize("times", [np.linspace(0.0, 5.0, 41), [0.0, 0.3, 1.1, 2.7], [2.7, 0.3, 1.1], [0.4, 0.0, 0.5], [1.0, 1.0], [0.8], []])
 def test_trace_flow_matches_per_point_expm_on_gell_mann(times, monkeypatch):
     op = second_moment.lambda_operator(*gell_mann_system())
     vec0 = np.eye(8).flatten(order="F")

@@ -349,3 +349,54 @@ def test_strength_squared_keeps_the_power():
     # the residual table divides by eps**2, whose last bit can differ from eps * eps
     for eps in (0.2, 0.1, 0.05, -0.3, 1.5e-154, 1.3e154):
         assert weak.strength_squared(eps) == eps**2
+
+
+def test_pauli_gamma_refuses_an_energy_that_is_not_a_3_vector():
+    for energy in ([0.0, 1.0], np.ones((3, 1))):
+        with pytest.raises(ValueError, match="^energy must be a 3-vector$"):
+            weak.pauli_gamma(M_REF, energy=energy)
+
+
+def test_tau_hat_refused_when_every_rate_vanishes(pauli, reference):
+    _, md = reference
+    flat = qsde.build_coefficients(qsde.system_spec(pauli, [0.0, 0.0, 1.0], np.zeros((2, 3)), np.zeros(2)))
+    res = weak.stability_and_thresholds(flat, md)
+    assert res.tau_hat_coefficient is None
+    with pytest.raises(ValueError, match="^all decay rates vanish, no decoherence time scale$"):
+        res.tau_hat(0.1)
+
+
+def test_limit_refuses_a_zero_mode_rate_that_is_not_real(pauli):
+    # a complex coupling whose zero-mode rate has an imaginary part
+    m = [[-0.9 + 1j, -0.8 + 1j, 0.3 + 0.4j], [0.3 + 0.3j, 0.2 + 0.4j, -0.2 - 0.2j]]
+    coeffs = qsde.build_coefficients(qsde.system_spec(pauli, [0.1, -0.4, -0.2], m, [-0.7, 0.4]))
+    md = modes.eigenmodes(coeffs.a0, pauli.alpha)
+    with pytest.raises(ValueError, match=r"^zero-mode rate is not real: \(.*j\)$"):
+        weak.invariant_mean_limit(coeffs, md)
+
+
+def test_limit_refuses_a_zero_mode_that_does_not_decay(reference, monkeypatch):
+    # the rates of a stable coupling with their signs flipped
+    spec, md = reference
+    real = weak.nu_values
+    monkeypatch.setattr(weak, "nu_values", lambda coeffs, modes: -real(coeffs, modes))
+    with pytest.raises(ValueError, match=r"^zero mode does not decay \(Re nu = 4\)$"):
+        weak.invariant_mean_limit(qsde.build_coefficients(spec), md)
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("atilde", "coupling drift failed quadratic homogeneity"), ("b", "affine drift failed quadratic homogeneity")],
+)
+def test_scaled_coefficients_refuse_a_build_that_is_not_homogeneous(reference, monkeypatch, field, message):
+    # the build at strength eps off by 1e-9 in one block, as a rounding fault would be
+    spec, _ = reference
+    real = weak.build_coefficients
+
+    def faulty(s):
+        coeffs = real(s)
+        return coeffs if s is spec else replace(coeffs, **{field: getattr(coeffs, field) + 1e-9})
+
+    monkeypatch.setattr(weak, "build_coefficients", faulty)
+    with pytest.raises(model.ConsistencyError, match="^%s$" % message):
+        weak.scaled_coefficients(spec, 0.5)
