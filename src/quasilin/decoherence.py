@@ -231,7 +231,7 @@ class TauBoundSearch:
 def optimize_tau_bound(a, ccr_matrix, budget: int = 64, seed: int = 0) -> TauBoundSearch:
     """Grid search over (lam, K) for the smallest certified bound on tau*.
 
-    lam runs over 32 geometrically spaced points in (0.01, 0.99) * |sigma(A)|;
+    lam runs over min(32, budget) geometric points in (0.01, 0.99) * |sigma(A)|;
     K runs over the identity followed by seeded random positive definite
     samples S^T S + 1e-6 I normalized to unit trace.  K is the outer loop,
     lam the inner (ascending); ties keep the smaller lam.  Each K costs one
@@ -247,7 +247,7 @@ def optimize_tau_bound(a, ccr_matrix, budget: int = 64, seed: int = 0) -> TauBou
         raise ValueError("budget must be at least 1")
     a, sa, t, q = _schur_drift(a)
     n = len(a)
-    lams = np.geomspace(0.01 * -sa, 0.99 * -sa, 32).tolist()
+    lams = np.geomspace(0.01 * -sa, 0.99 * -sa, min(32, budget)).tolist()
     rng = np.random.default_rng(seed)
 
     def candidates():

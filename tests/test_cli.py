@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from quasilin import cli, decoherence, model, modes, oracle, qsde
+from quasilin import cli, composite, decoherence, model, modes, oracle, qsde, second_moment
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
 
@@ -823,7 +823,7 @@ def test_oracle_on_lossless_qubit_skips_stationary_rows(tmp_path, capsys):
         stdout,
         re.MULTILINE,
     )
-    assert "all pass" in stdout
+    assert "FAIL" not in stdout
 
 
 def test_decoherence_says_why_it_exits_4(tmp_path, capsys, monkeypatch):
@@ -834,7 +834,77 @@ def test_decoherence_says_why_it_exits_4(tmp_path, capsys, monkeypatch):
     low = decoherence.TauBoundSearch(0.25, 1.0, np.eye(3), "identity", 0, 64)
     monkeypatch.setattr(decoherence, "optimize_tau_bound", lambda *args, **kwargs: low)
     assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out]) == 4
-    assert capsys.readouterr().out.splitlines()[-1] == "FAIL: tau* exceeds the certified bound"
+    tau = float(pathlib.Path(out, "decoherence.csv").read_text().splitlines()[1].split(",")[0])
+    assert abs(tau - 0.5) < 1e-9
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL: tau_star = %r is not <= 0.25" % tau
+
+
+def _wrap(monkeypatch, module, name, change):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: change(real(*args, **kwargs), *args))
+
+
+# each check row pushed over its bound on the bundled config: (argv, patch, failing labels)
+FAILING_ROWS = {
+    "validate": (
+        ["validate"],
+        lambda mp: mp.setattr(model, "validate", lambda *a, **k: model.ValidationReport(False, [("alpha-sym", (0, 1), 1.0)])),
+        ["qubit", "qubit_b"],
+    ),
+    "steady": (["steady"], lambda mp: _wrap(mp, qsde, "steady_mean", lambda mu, coeffs: mu + 1e-3), ["steady_residual"]),
+    "spectrum-sandwich": (
+        ["spectrum"],
+        lambda mp: _wrap(mp, second_moment, "pi_trace_flow", lambda flow, op, times: flow - 1.0),
+        ["sandwich_slack"],
+    ),
+    # lifts the drift's eigenvalues only: the 3 x 3 drift, not the second-moment generator
+    "spectrum-abscissa": (
+        ["spectrum"],
+        lambda mp: _wrap(mp, np.linalg, "eigvals", lambda ev, m: ev + (1.0 if m.shape == (3, 3) else 0.0)),
+        ["twice_abscissa_excess"],
+    ),
+    "decoherence": (["decoherence"], lambda mp: mp.setattr(decoherence, "tau_star", lambda a, ccr: 100.0), ["tau_star"]),
+    "composite": (
+        ["composite"],
+        lambda mp: _wrap(mp, composite, "composite_dispersion", lambda d, spec, x: d + 1e-3),
+        ["dispersion"],
+    ),
+    # the last row NaN after finite ones: Python's max skips it
+    "composite-nan": (
+        ["composite"],
+        lambda mp: _wrap(mp, composite, "composite_dispersion", lambda d, spec, x: d * np.nan),
+        ["dispersion"],
+    ),
+    "oracle": (["oracle"], lambda mp: mp.setattr(oracle, "representation_check", lambda rep: 1.0), ["representation"]),
+    "oracle-nan": (["oracle"], lambda mp: mp.setattr(oracle, "representation_check", lambda rep: np.nan), ["representation"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_ROWS))
+def test_every_check_row_fails_through_the_one_rule(tmp_path, capsys, monkeypatch, case):
+    argv, patch, labels = FAILING_ROWS[case]
+    out = tmp_path / "o"
+    argv = argv + ["--config", REPO_CONFIG, "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    patch(monkeypatch)
+    assert cli.main(argv) == 4
+    stdout = capsys.readouterr().out
+    fails = re.findall(r"^FAIL: (\S+) = (\S+) is not <= (\S+)$", stdout, re.MULTILINE)
+    assert [label for label, _, _ in fails] == labels
+    assert all(not float(value) <= float(bound) for _, value, bound in fails)
+    assert len([line for line in stdout.splitlines() if line.startswith("FAIL")]) == len(labels)
+    if case.endswith("nan"):
+        assert [value for _, value, _ in fails] == ["nan"]
+    table = {"validate": "validate.csv", "composite": "composite.csv", "oracle": "oracle.csv"}.get(argv[0])
+    if table:
+        with open(out / table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        column = "system" if argv[0] == "validate" else "check"
+        verdict = "passed" if argv[0] == "validate" else "pass"
+        assert [row[column] for row in rows if row[verdict] == "0"] == labels
+    if case == "composite-nan":
+        assert "worst path residual nan" in stdout
 
 
 def test_oversized_budget_exits_three_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from quasilin import cli, composite, decoherence, modes, qsde
-from conftest import random_pauli_spec, random_stable_pauli_spec
+from quasilin import cli, composite, decoherence, model, modes, qsde
+from conftest import gell_mann_constants, random_pauli_spec, random_stable_pauli_spec
 
 
 def steady_ccr(spec, coeffs):
@@ -202,7 +202,7 @@ def kron_search(a, z0, budget, seed):
     """The (lam, K) grid search of optimize_tau_bound on the Kronecker solve."""
     n = a.shape[0]
     sa = qsde.spectral_abscissa(a)
-    lams = np.geomspace(0.01 * -sa, 0.99 * -sa, 32)
+    lams = np.geomspace(0.01 * -sa, 0.99 * -sa, min(32, budget))
     rng = np.random.default_rng(seed)
     base = np.linalg.norm(z0)
     best, evals, i = None, 0, 0
@@ -222,6 +222,23 @@ def kron_search(a, z0, budget, seed):
             if best is None or bound < best[0] or (bound == best[0] and lam < best[1]):
                 best = (bound, lam, label)
     return best, evals
+
+
+def test_small_budget_spans_the_shift_range_at_n35():
+    # a budget of 16 spreads its shifts over (0.01, 0.99) |sigma(A)|, not over
+    # the 16 smallest points of the 32-point grid, where the bound is several times worse
+    constants = composite.augment_constants(model.pauli_constants(), gell_mann_constants(3))
+    rng = np.random.default_rng(0)
+    spec = qsde.system_spec(constants, rng.uniform(-1, 1, 35), rng.uniform(-1, 1, (2, 35)), rng.uniform(-1, 1, 2))
+    coeffs = qsde.build_coefficients(spec)
+    sa = qsde.spectral_abscissa(coeffs.a)
+    z0 = steady_ccr(spec, coeffs)
+    search = decoherence.optimize_tau_bound(coeffs.a, z0, budget=16)
+    assert search.evaluations == 16 and search.k_label == "identity"
+    assert search.lam > 0.5 * -sa
+    smallest = np.geomspace(0.01 * -sa, 0.99 * -sa, 32)[:16]
+    old = min(decoherence.tau_upper_bound(coeffs.a, z0, lam, np.eye(35)) for lam in smallest)
+    assert decoherence.tau_star(coeffs.a, z0) <= search.bound < old / 4
 
 
 @pytest.mark.parametrize("n", [3, 8, 24])

@@ -98,6 +98,18 @@ def test_cli_reads_no_private_module_attribute():
     assert private == []
 
 
+def test_commands_return_check_rows_not_exit_codes():
+    # the exit code comes from run's one pass rule over the returned rows; a
+    # command returning an int literal or a conditional would fork that rule
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    returns = [(f.name, node) for f in commands for node in ast.walk(f) if isinstance(node, ast.Return)]
+    rows = (ast.List, ast.ListComp, ast.Name)
+    found = ["%s:%d" % (name, node.lineno) for name, node in returns if not isinstance(node.value, rows)]
+    assert len(commands) == 11 and len(returns) >= 11
+    assert found == []
+
+
 def test_no_kron_in_loops():
     # products of whole stacks are one broadcast, not an np.kron per item
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
