@@ -195,10 +195,13 @@ def _write_csv(out_dir, name, header, columns):
     """Write a table given column by column: a list of strings as it is, a
     float array as %.17g and an integer array through str."""
     path = os.path.join(out_dir, name)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*map(_cells, columns)))
+    try:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(zip(*map(_cells, columns)))
+    except OSError as e:
+        raise ConfigError("cannot write %s: %s" % (path, e))
     return path
 
 
@@ -278,8 +281,8 @@ def _real_mu(cfg, n):
 
 
 def cmd_validate(cfg, args, out_dir):
-    tol = 1e-10 if args.tol is None else _tol(args, cfg)
-    reports = {name: model.validate(spec.constants, tol=tol) for name, (spec, _) in cfg.systems.items()}
+    kw = {} if args.tol is None else {"tol": _tol(args, cfg)}  # without --tol, the default composite applies to each factor
+    reports = {name: model.validate(spec.constants, **kw) for name, (spec, _) in cfg.systems.items()}
     for name, rep in reports.items():
         print(
             "system %s: %s (%d violations, alpha PSD: %s)"
@@ -561,7 +564,10 @@ _PARSER.add_argument(
 def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     cfg = _load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("cannot write %s: %s" % (args.out, e))
     failed = [row for row in COMMANDS[args.command](cfg, args, args.out) if not _passes(*row[1:])]
     print("".join("FAIL: %s = %s is not <= %s\n" % row for row in failed), end="")
     return 4 if failed else 0

@@ -1,10 +1,9 @@
 """Direct coupling of two quasilinear models.
 
 The composite variable set stacks the two factors plus all cross products
-X1_j X2_k, indexed j-outer (slot n1 + n2 + j*n2 + k).  Closure of this
-larger set is automatic and the composite drift has an explicit block form;
-everything here is checked elsewhere against the generic single-system path
-on the augmented constants.
+X1_j X2_k, indexed j-outer (slot n1 + n2 + j*n2 + k).  Its closure follows
+from the factors'; the composite drift has an explicit block form.  Everything
+here is checked elsewhere against the generic path on the augmented constants.
 """
 
 from __future__ import annotations
@@ -49,13 +48,22 @@ def composite_spec(sys1: SystemSpec, sys2: SystemSpec, direct_coupling) -> Compo
     return CompositeSpec(sys1=sys1, sys2=sys2, direct_coupling=_frozen(e12)[0])
 
 
-def _tensor_constants(c1: StructureConstants, c2: StructureConstants) -> StructureConstants:
-    """Unvalidated constants of (X1, X2, X1 (x) X2), read off u1 (x) u2.
+def augment_constants(c1: StructureConstants, c2: StructureConstants) -> StructureConstants:
+    """Structure constants of the stacked set (X1, X2, X1 (x) X2).
 
-    The product (Y1_j (x) Y2_l)(Y1_k (x) Y2_m) has coefficient
-    u1[a, j, k] u2[b, l, m] on Y1_a (x) Y2_b.  The variables are the pairs
-    (i, 0), (0, i') and (i, i'), j-outer; the (0, 0) section is alpha.
+    Each factor is validated and the first that fails is refused (ValueError);
+    the product is not, since at (i, 0) and (0, i') its constants are the
+    factors' and a product of closed sets is closed.  The product
+    (Y1_j (x) Y2_l)(Y1_k (x) Y2_m) has coefficient u1[a, j, k] u2[b, l, m] on
+    Y1_a (x) Y2_b over the pairs (i, 0), (0, i'), (i, i'), j-outer; the (0, 0)
+    section is alpha.
     """
+    for k, report in enumerate(map(validate, (c1, c2)), 1):
+        if not report.passed:
+            raise ValueError(
+                "factor %d constants fail validation (%d violations, first %r)"
+                % (k, len(report.violations), report.violations[0])
+            )
     n1, n2 = c1.n, c2.n
     w = n2 + 1
     u12 = np.einsum("ajk,blm->abjlkm", _unital(c1), _unital(c2)).reshape((w * (n1 + 1),) * 3)
@@ -63,23 +71,6 @@ def _tensor_constants(c1: StructureConstants, c2: StructureConstants) -> Structu
     idx = np.concatenate([first, np.arange(1, w), (first[:, None] + np.arange(1, w)).ravel()])
     sel = u12[:, idx][:, :, idx]
     return structure_constants(sel[0].real, sel[idx])
-
-
-def augment_constants(c1: StructureConstants, c2: StructureConstants) -> StructureConstants:
-    """Structure constants of the stacked set (X1, X2, X1 (x) X2).
-
-    alpha is block diagonal (alpha1, alpha2, alpha1 (x) alpha2); beta is the
-    tensor product of the two unital structure tensors restricted to the
-    stacked variables.  The result is validated before being returned.
-    """
-    out = _tensor_constants(c1, c2)
-    report = validate(out)
-    if not report.passed:
-        raise ValueError(
-            "augmented constants fail validation (%d violations, first %r)"
-            % (len(report.violations), report.violations[0])
-        )
-    return out
 
 
 def _paired_coupling(spec: CompositeSpec):

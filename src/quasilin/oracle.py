@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .composite import _tensor_constants
+from .composite import augment_constants
 from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, pauli_constants
 from .qsde import _times, ito_matrix
 
@@ -61,9 +61,9 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
 
     Variable order: the first factor's variables (tensored with identity),
     the second factor's, then all cross products kron(X1_j, X2_k) with j
-    outermost.  Matches the index convention of composite.augment_constants;
-    the constants are not validated here, since representation_check tests
-    them against these explicit matrices.
+    outermost, the index convention of composite.augment_constants, which
+    gives the constants; representation_check tests those against these
+    explicit matrices.
     """
     d = rep1.dim * rep2.dim
     if d > MAX_DIM:
@@ -76,7 +76,7 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
     return HilbertRep(
         dim=d,
         variables=_frozen(*mats),
-        constants=_tensor_constants(rep1.constants, rep2.constants),
+        constants=augment_constants(rep1.constants, rep2.constants),
     )
 
 

@@ -88,3 +88,13 @@ def gell_mann_constants(d):
     alpha = np.einsum("jab,kba->jk", x, x).real / d
     beta = np.einsum("lab,jbc,kca->ljk", x, x, x) / 2.0
     return model.structure_constants(alpha, beta)
+
+
+def rotated_pauli_constants(seed, scale):
+    """Pauli constants in the basis X'_a = scale sum_i R[a, i] sigma_i, R a
+    seeded orthogonal matrix: a closed algebra whose constants grow like
+    scale^2 and whose composites' closure residual rounds like scale^6 eps."""
+    r, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    pauli = model.pauli_constants()
+    beta = scale * np.einsum("ji,kl,am,mil->ajk", r, r, r, pauli.beta)
+    return model.structure_constants(scale**2 * r @ pauli.alpha @ r.T, beta)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from quasilin import cli, composite, decoherence, model, modes, oracle, qsde, second_moment
+from conftest import rotated_pauli_constants
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
 
@@ -803,9 +804,48 @@ def test_oversized_grid_exits_three_before_allocating(tmp_path, capsys, monkeypa
 def test_composite_with_a_broken_factor_exits_four(tmp_path, capsys):
     sections = [[[[z.real, z.imag + 1e-6] for z in row] for row in sec] for sec in model.pauli_constants().beta]
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(pair_config(**{"qubit.beta": sections})))
-    assert cli.main(["composite", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
-    assert "numeric failure: augmented constants fail validation" in capsys.readouterr().err
+    for position, system in ((1, "qubit"), (2, "qubit_b")):
+        path.write_text(json.dumps(pair_config(**{system + ".beta": sections})))
+        assert cli.main(["composite", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert "numeric failure: factor %d constants fail validation" % position in capsys.readouterr().err
+
+
+def test_composite_accepts_factors_that_validate(tmp_path, capsys):
+    # rotated Pauli algebras at scale 10: each factor passes validate, while
+    # the product's closure residual exceeds 1e-10 by rounding alone
+    cfg = pair_config()
+    for seed, name in enumerate(("qubit", "qubit_b")):
+        c = rotated_pauli_constants(seed, 10.0)
+        beta = [[[[z.real, z.imag] for z in row] for row in sec] for sec in c.beta]
+        cfg["systems"][name]["constants"] = {"alpha": c.alpha.real.tolist(), "beta": beta}
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 0
+    assert cli.main(["composite", "--config", str(path), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "composite.csv").read_text().splitlines()))
+    assert len(rows) == 4 and all(row["pass"] == "1" for row in rows)
+    assert capsys.readouterr().err == ""
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["steady", "--config", REPO_CONFIG, "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write %s: " % (blocker / "sub")) and err.count("\n") == 1
+    out = tmp_path / "o"
+    (out / "steady.csv").mkdir(parents=True)
+    assert cli.main(["steady", "--config", REPO_CONFIG, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write %s: " % (out / "steady.csv")) and err.count("\n") == 1
+
+
+def test_decoherence_refuses_a_zero_ccr_matrix(tmp_path, capsys):
+    # a dephasing qubit: the steady mean is 0, so the stationary CCR matrix is 0
+    path = repo_config_with(tmp_path, "qubit", M=[[1, 0, 0], [1, 0, 0]])
+    assert cli.main(["decoherence", "--config", path, "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "numeric failure: zero CCR matrix: tau* = 0 and the bound is void\n"
 
 
 def test_oracle_on_lossless_qubit_skips_stationary_rows(tmp_path, capsys):

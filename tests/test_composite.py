@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quasilin import cli, composite, model, modes, oracle, qsde, weak
-from conftest import gell_mann_constants, gell_mann_matrices, random_pauli_spec
+from conftest import gell_mann_constants, gell_mann_matrices, random_pauli_spec, rotated_pauli_constants
 
 REPO_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "pauli.json")
 PAULI = model.pauli_constants()
@@ -179,7 +179,7 @@ def test_block_assembly_forms_no_augmented_data(monkeypatch):
     def refuse(*args):
         raise RuntimeError("the block path formed augmented data")
 
-    monkeypatch.setattr(composite, "_tensor_constants", refuse)
+    monkeypatch.setattr(composite, "augment_constants", refuse)
     monkeypatch.setattr(composite, "_paired_coupling", refuse)
     blocks = composite.composite_coefficients(spec)
     for field in ("a", "a0", "atilde", "b"):
@@ -221,20 +221,29 @@ def test_tensor_oracle_on_qubit_qutrit_composite(qubit_first):
         assert oracle.generator_identity_check(trep, composite.augmented_system(spec), co) < 1e-10
 
 
-@pytest.mark.parametrize("argv", [["composite"], ["oracle", "--composite"]], ids=["composite", "oracle-composite"])
-def test_composite_commands_validate_augmented_constants_once(argv, tmp_path, monkeypatch):
-    calls = []
-    real = model.validate
+@pytest.mark.parametrize("argv, builds", [(["composite"], 1), (["oracle", "--composite"], 2)], ids=["composite", "oracle-composite"])
+def test_composite_commands_validate_augmented_constants_once(argv, builds, tmp_path, monkeypatch):
+    """The n = 15 product is never validated; each n = 3 factor is validated
+    once per product build (the oracle builds one for its representation and
+    one for the augmented system)."""
+    calls, built = [], []
+    real_validate, real_augment = model.validate, composite.augment_constants
 
     def counting(constants, *args, **kwargs):
-        if constants.n == 15:
-            calls.append(constants.n)
-        return real(constants, *args, **kwargs)
+        calls.append(constants.n)
+        return real_validate(constants, *args, **kwargs)
+
+    def augment(*args):
+        built.append(args)
+        return real_augment(*args)
 
     monkeypatch.setattr(model, "validate", counting)
     monkeypatch.setattr(composite, "validate", counting)
+    monkeypatch.setattr(composite, "augment_constants", augment)
+    monkeypatch.setattr(oracle, "augment_constants", augment)
     assert cli.main([argv[0], "--config", REPO_CONFIG, "--out", str(tmp_path)] + argv[1:]) == 0
-    assert len(calls) == 1
+    assert len(built) == builds
+    assert calls == [3, 3] * builds
 
 
 def test_composite_command_builds_three_coefficient_sets(tmp_path, monkeypatch):
@@ -346,8 +355,27 @@ def test_composite_spec_shape_errors(pauli):
 
 def test_augment_constants_refuses_a_broken_factor(pauli):
     broken = model.structure_constants(pauli.alpha, pauli.beta + 1e-6j)
-    with pytest.raises(ValueError, match=r"augmented constants fail validation \(\d+ violations, first \('beta-herm'"):
-        composite.augment_constants(broken, pauli)
+    for position, pair in ((1, (broken, pauli)), (2, (pauli, broken))):
+        message = r"^factor %d constants fail validation \(\d+ violations, first \('beta-herm'" % position
+        with pytest.raises(ValueError, match=message):
+            composite.augment_constants(*pair)
+
+
+@pytest.mark.parametrize("scale", [1, 3, 10, 30])
+def test_augment_constants_accepts_exactly_when_both_factors_pass(scale):
+    """Factors that pass validate give a product, although at scale >= 10 the
+    product's own closure residual exceeds validate's absolute 1e-10 by
+    rounding alone; a factor broken in either position is refused by number."""
+    for seed in range(4):
+        good = rotated_pauli_constants(seed, scale)
+        assert model.validate(good).passed
+        aug = composite.augment_constants(good, rotated_pauli_constants(seed + 4, scale))
+        assert aug.n == 15 and model.validate(aug).passed == (scale < 10)
+        broken = model.structure_constants(good.alpha, good.beta + 1e-6j * scale)
+        assert not model.validate(broken).passed
+        for position, pair in ((1, (broken, good)), (2, (good, broken))):
+            with pytest.raises(ValueError, match="^factor %d constants fail validation" % position):
+                composite.augment_constants(*pair)
 
 
 def test_composite_dispersion_refuses_a_vector_of_the_wrong_length():

@@ -98,6 +98,33 @@ def test_cli_reads_no_private_module_attribute():
     assert private == []
 
 
+# private names that are shared rules, one owner each, read by sibling modules
+SHARED_PRIVATE = {
+    ("model", "_frozen"),
+    ("model", "_unital"),
+    ("qsde", "_times"),
+    ("qsde", "_finite_array"),
+    ("qsde", "_hurwitz_abscissa"),
+    ("modes", "_pd_sqrt"),
+}
+
+
+def test_modules_import_only_shared_private_names():
+    # any other private name imported from a sibling is a bridge around its
+    # public interface (a second, unchecked entry point into that module)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is not None:
+                found += [
+                    "%s:%d %s.%s" % (path.name, node.lineno, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_") and (node.module, alias.name) not in SHARED_PRIVATE
+                ]
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert found == []
+
+
 def test_commands_return_check_rows_not_exit_codes():
     # the exit code comes from run's one pass rule over the returned rows; a
     # command returning an int literal or a conditional would fork that rule
