@@ -56,22 +56,25 @@ def _array(x, what, ndim):
         shape.append(lengths.pop())
         level = list(chain.from_iterable(level))
     imag = {}
-    for i in [i for i, v in enumerate(level) if type(v) is not float]:
-        v = level[i]
-        if isinstance(v, bool):
-            raise ConfigError("%s must be a number, got a boolean" % what)
-        if isinstance(v, (int, float)):
-            level[i] = float(v)
-        elif isinstance(v, list) and len(v) == 2 and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in v):
-            level[i] = float(v[0])
-            if v[1] != 0:
-                imag[i] = v[1]
-        else:
-            raise ConfigError("%s must be a number or [re, im] pair, got %r" % (what, v))
-    out = np.array(level, dtype=float)
-    if imag:
-        out = out.astype(complex)
-        out.imag[list(imag)] = list(imag.values())
+    try:
+        for i in [i for i, v in enumerate(level) if type(v) is not float]:
+            v = level[i]
+            if isinstance(v, bool):
+                raise ConfigError("%s must be a number, got a boolean" % what)
+            if isinstance(v, (int, float)):
+                level[i] = float(v)
+            elif isinstance(v, list) and len(v) == 2 and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in v):
+                level[i] = float(v[0])
+                if v[1] != 0:
+                    imag[i] = v[1]
+            else:
+                raise ConfigError("%s must be a number or [re, im] pair, got %r" % (what, v))
+        out = np.array(level, dtype=float)
+        if imag:
+            out = out.astype(complex)
+            out.imag[list(imag)] = list(imag.values())
+    except OverflowError:
+        raise ConfigError("%s has an integer too large for a float" % what)
     return out.reshape(shape)
 
 

@@ -39,7 +39,7 @@ class CompositeSpec:
 
 
 def composite_spec(sys1: SystemSpec, sys2: SystemSpec, direct_coupling) -> CompositeSpec:
-    e12 = _finite_array(direct_coupling, "direct coupling", real=True)
+    e12 = _finite_array(direct_coupling, "direct coupling")
     if e12.shape != (sys1.constants.n, sys2.constants.n):
         raise ValueError(
             "direct coupling must be %d x %d, got %r"

@@ -28,10 +28,7 @@ __all__ = [
     "affine_mul",
     "diam_product",
     "dot_product",
-    "norm_bounds",
     "pauli_constants",
-    "quadratic_form",
-    "reduce_monomial",
     "structure_constants",
     "validate",
 ]
@@ -326,24 +323,6 @@ def diam_product(sections, u):
     return np.einsum("ljk,k->jl", sections, u)
 
 
-def norm_bounds(constants: StructureConstants):
-    """Operator-norm bounds implied by the constants alone.
-
-    Returns (tau, gamma, bounds): tau[k] = trace of section k, gamma is the
-    common radius sqrt(Tr alpha + |tau|^2 / 4), and bounds[k] = |tau_k|/2 +
-    gamma dominates ||X_k|| in every representation of the algebra.
-    """
-    tau = np.trace(constants.beta, axis1=1, axis2=2)
-    if np.max(np.abs(tau.imag)) < 1e-12 * max(1.0, np.max(np.abs(tau))):
-        tau = tau.real
-    rad = float(np.real(np.trace(constants.alpha))) + float(np.sum(np.abs(tau) ** 2)) / 4.0
-    if rad < 0.0:
-        raise ValueError("negative radicand, constants cannot come from a representation")
-    gamma = np.sqrt(rad)
-    bounds = np.abs(tau) / 2.0 + gamma
-    return tau, gamma, bounds
-
-
 @dataclass(frozen=True)
 class AffineOperator:
     """Operator written as const * I + linear . X (linear is an n-vector)."""
@@ -371,43 +350,3 @@ def affine_mul(a: AffineOperator, b: AffineOperator, constants: StructureConstan
     const = c0 * d0 + c @ constants.alpha @ d
     linear = c0 * d + d0 * c + np.einsum("j,ljk,k->l", c, constants.beta, d)
     return AffineOperator(const=const, linear=linear)
-
-
-def reduce_monomial(factor_indices, powers, constants: StructureConstants) -> AffineOperator:
-    """Reduce X_{j1}^{p1} X_{j2}^{p2} ... to affine form by left-folding.
-
-    factor_indices are 1-based variable labels; powers are positive integers
-    of the same length.
-    """
-    factor_indices = list(factor_indices)
-    powers = list(powers)
-    if len(factor_indices) != len(powers):
-        raise ValueError("factor_indices and powers must have equal length")
-    n = constants.n
-    acc = AffineOperator(1.0, np.zeros(n))
-    for j, p in zip(factor_indices, powers):
-        if not 1 <= j <= n:
-            raise ValueError("factor index %r outside 1..%d" % (j, n))
-        if int(p) != p or p < 1:
-            raise ValueError("powers must be positive integers, got %r" % (p,))
-        unit = AffineOperator(0.0, np.eye(n)[j - 1])
-        for _ in range(int(p)):
-            acc = affine_mul(acc, unit, constants)
-    return acc
-
-
-def quadratic_form(r_matrix, constants: StructureConstants):
-    """Reduce X^T R X (R real symmetric) to affine form.
-
-    Returns (const, linear) with const = <R, alpha> and linear[l] =
-    <R, beta_l>, both plain Frobenius pairings sum_jk R_jk (.)_jk.
-    """
-    r = np.asarray(r_matrix)
-    if r.shape != (constants.n, constants.n):
-        raise ValueError("R has shape %r, expected (%d, %d)" % (r.shape, constants.n, constants.n))
-    scale = max(1.0, float(np.max(np.abs(r))))
-    if np.max(np.abs(r - r.T)) > 1e-12 * scale:
-        raise ValueError("R must be symmetric")
-    const = complex(np.sum(r * constants.alpha))
-    linear = np.einsum("jk,ljk->l", r, constants.beta)
-    return const, linear

@@ -21,9 +21,7 @@ from .model import _frozen
 __all__ = [
     "EigenModes",
     "eigenmodes",
-    "mode_coordinates",
     "oscillation_period",
-    "upsilon",
 ]
 
 
@@ -57,16 +55,11 @@ def _alpha_roots(alpha):
 
 
 def _solve_upsilon(a0, alpha) -> np.ndarray:
+    """Solve alpha Upsilon = A0 and check antisymmetry of the result."""
     ups = np.linalg.solve(np.real(np.asarray(alpha)), np.asarray(a0))
     if np.max(np.abs(ups + ups.T)) > 1e-10:
         raise ValueError("alpha^-1 A0 is not antisymmetric; A0 is not Hamiltonian-only")
     return ups
-
-
-def upsilon(a0, alpha) -> np.ndarray:
-    """Solve alpha Upsilon = A0 and check antisymmetry of the result."""
-    _alpha_roots(alpha)
-    return _solve_upsilon(a0, alpha)
 
 
 def eigenmodes(a0, alpha) -> EigenModes:
@@ -130,22 +123,3 @@ def oscillation_period(modes: EigenModes):
     if len(pos) == 0:
         return None
     return float(2.0 * np.pi / np.min(pos))
-
-
-def mode_coordinates(modes: EigenModes):
-    """Real coordinate rows for each rotating pair and static mode.
-
-    Returns a list of (kind, omega, rows): for kind "rotating" the rows are
-    the 2 x n coefficient pair (xi_k, eta_k), the real and imaginary parts of
-    row k of Sigma^{-1} (so xi_k = (Re v_k)^T alpha^{-1/2} and
-    eta_k = -(Im v_k)^T alpha^{-1/2}), which evolve under the isolated flow as
-    a clockwise rotation at rate omega; for kind "static" a single frozen row.
-    """
-    out = []
-    for k, om in enumerate(modes.omegas):
-        row = modes.sigma_inv[k]
-        if om > modes.zero_tol:
-            out.append(("rotating", float(om), np.vstack([row.real, row.imag])))
-        elif abs(om) <= modes.zero_tol:
-            out.append(("static", 0.0, row.real[None, :]))
-    return out

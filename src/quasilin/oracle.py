@@ -20,7 +20,6 @@ from .qsde import _times, ito_matrix
 
 __all__ = [
     "HilbertRep",
-    "gksl_apply",
     "generator_identity_check",
     "heisenberg_superoperator",
     "lindblad_propagate",
@@ -136,15 +135,6 @@ def _apply(sup, xis) -> np.ndarray:
     if np.any(hermitian & ~(skew <= 1e-12 * scale)):
         raise ConsistencyError("GKSL output of a Hermitian input is not Hermitian")
     return out
-
-
-def gksl_apply(rep: HilbertRep, spec, xi) -> np.ndarray:
-    """Heisenberg-picture generator applied to a single matrix xi.
-
-    i[H, xi] + (1/2) sum_jk Omega_jk ([L_j, xi] L_k + L_j [xi, L_k]).
-    When xi is Hermitian the output is checked Hermitian (ConsistencyError).
-    """
-    return _apply(heisenberg_superoperator(rep, spec), [xi])[0]
 
 
 def state_superoperator(rep: HilbertRep, spec) -> np.ndarray:

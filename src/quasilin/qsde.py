@@ -16,15 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import StructureConstants, _frozen, _unital, diam_product, dot_product, reduce_monomial
+from .model import StructureConstants, _frozen, _unital, diam_product, dot_product
 
 __all__ = [
     "QsdeCoefficients",
     "SystemSpec",
     "build_coefficients",
     "dispersion",
-    "energy_rate",
-    "equilibrium_moment",
     "ito_matrix",
     "mean_flow",
     "mean_two_point_ccr",
@@ -65,13 +63,13 @@ class SystemSpec:
         return system_spec(self.constants, self.energy, eps * self.coupling, eps * self.offset)
 
 
-def _finite_array(x, what, real=False) -> np.ndarray:
-    """x as a new array with finite entries; with `real`, a float array, and
-    a non-zero imaginary part is refused."""
+def _finite_array(x, what) -> np.ndarray:
+    """x as a new float array; a non-zero imaginary part or a non-finite
+    entry is refused."""
     x = np.array(x)
-    if real and np.any(np.imag(x) != 0):
+    if np.any(np.imag(x) != 0):
         raise ValueError("%s must be real" % what)
-    x = np.array(np.real(x), dtype=float) if real else x
+    x = np.array(np.real(x), dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("%s must be finite" % what)
     return x
@@ -80,7 +78,7 @@ def _finite_array(x, what, real=False) -> np.ndarray:
 def _times(values, what) -> np.ndarray:
     """Times, lags or propagation times as a float vector: finite, real, one-dimensional
     and >= 0, as every flow runs forward, else ValueError naming `what`."""
-    values = _finite_array(values, what, real=True)
+    values = _finite_array(values, what)
     if values.ndim != 1:
         raise ValueError("%s must be one-dimensional, got shape %r" % (what, values.shape))
     if np.any(values < 0):
@@ -89,9 +87,9 @@ def _times(values, what) -> np.ndarray:
 
 
 def system_spec(constants, energy, coupling, offset=None) -> SystemSpec:
-    """Validate shapes and wrap (constants, E, M, N) as a SystemSpec; E must be real, E, M and N finite."""
+    """Validate shapes and wrap (constants, E, M, N) as a SystemSpec; E, M and N must be real and finite."""
     n = constants.n
-    energy = _finite_array(energy, "energy vector", real=True)
+    energy = _finite_array(energy, "energy vector")
     if energy.shape != (n,):
         raise ValueError("energy vector has shape %r, expected (%d,)" % (energy.shape, n))
     coupling = _finite_array(coupling, "coupling")
@@ -238,16 +236,6 @@ def steady_mean(coeffs: QsdeCoefficients) -> np.ndarray:
     return np.linalg.solve(coeffs.a, -coeffs.b)
 
 
-def equilibrium_moment(factor_indices, powers, constants: StructureConstants, mu_star) -> complex:
-    """Stationary expectation of the monomial prod_i X_{j_i}^{p_i}.
-
-    Reduces the monomial to affine form and evaluates it on the stationary
-    mean; exact because the reduced operator is affine in X.
-    """
-    red = reduce_monomial(factor_indices, powers, constants)
-    return complex(red.const + red.linear @ np.asarray(mu_star))
-
-
 def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
     """Stationary quasicharacteristic function lim E exp(i u . X) for each row u of us.
 
@@ -266,16 +254,6 @@ def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError("quasicharacteristic function is not finite")
     return vals
-
-
-def energy_rate(spec: SystemSpec, coeffs: QsdeCoefficients, mu) -> float:
-    """Time derivative of the mean energy E . mu at mean vector mu.
-
-    Equals E . (atilde mu + b): the Hamiltonian part of the drift never
-    moves the energy (E^T a0 = 0), so only the coupling part contributes.
-    """
-    val = spec.energy @ (coeffs.atilde @ np.asarray(mu) + coeffs.b)
-    return float(np.real_if_close(val))
 
 
 def mean_two_point_ccr(coeffs: QsdeCoefficients, constants: StructureConstants, mu_s, lags) -> np.ndarray:

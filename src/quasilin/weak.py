@@ -136,7 +136,8 @@ def eigenvalue_asymptotics_check(coeffs: QsdeCoefficients, modes: EigenModes, ep
 
 @dataclass(frozen=True)
 class PerturbationResult:
-    """Stability verdict and time/strength scales from the rates nu."""
+    """Stability verdict and time/strength scales from the rates nu; a scale
+    is None where it does not exist (tau_hat when every rate vanishes)."""
 
     nu: np.ndarray
     stable_for_small_eps: bool
@@ -144,11 +145,6 @@ class PerturbationResult:
     tau_hat_coefficient: float | None
     eps_hat: float | None
     eps_tilde: float | None
-
-    def tau_hat(self, eps: float) -> float:
-        if self.tau_hat_coefficient is None:
-            raise ValueError("all decay rates vanish, no decoherence time scale")
-        return self.tau_hat_coefficient / eps**2
 
 
 def stability_and_thresholds(coeffs: QsdeCoefficients, modes: EigenModes) -> PerturbationResult:

@@ -104,21 +104,18 @@ def test_capability_limit_exits_three(tmp_path):
 
 
 def test_complex_coupling_refused_by_spectrum_and_decoherence(tmp_path, capsys):
-    # a complex M gives a complex drift and a generator that does not keep
-    # Hermitian matrices Hermitian; both commands refuse and write nothing
+    # a complex M would give a complex drift and a generator that does not
+    # keep Hermitian matrices Hermitian; the config is refused before either
+    # command runs, and nothing is written
     with open(REPO_CONFIG) as fh:
         cfg = json.load(fh)
     cfg["systems"]["qubit"]["M"] = [[[1, 0.3], 0, 0], [0, 1, [0, 0.2]]]
     path = tmp_path / "complex.json"
     path.write_text(json.dumps(cfg))
-    refusals = {
-        "spectrum": "restriction to Hermitian matrices is not real (max imag 4.8)",
-        "decoherence": "drift must be real (max imag 1.2)",
-    }
-    for command, message in refusals.items():
+    for command in ("spectrum", "decoherence"):
         out = tmp_path / command
-        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 4
-        assert message in capsys.readouterr().err
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: system 'qubit': coupling must be real\n"
         assert not out.exists() or os.listdir(out) == []
 
 
@@ -538,7 +535,7 @@ def pair_config(**changes):
         else:
             name, key = path.split(".")
             target = cfg["systems"][name]
-            (target["constants"] if key == "beta" else target)[key] = value
+            (target["constants"] if key in ("alpha", "beta") else target)[key] = value
     return cfg
 
 
@@ -580,6 +577,19 @@ REFUSALS = [
     ("system name not a string", {"pair.systems": [["qubit"], "qubit_b"]}, "composite 'pair' must name two systems"),
     ("four-column M", {"qubit.M": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]}, "system 'qubit': coupling must be m x 3, got (2, 4)"),
 ] + [
+    # a JSON integer past the float range, as a leaf or an imaginary part
+    ("huge integer %s" % where, {path: _edit(value, index, 10**400)}, "%s has an integer too large for a float" % what)
+    for where, path, value, index, what in (
+        ("E", "qubit.E", [0.0, 0.0, 1.0], (2,), "E"),
+        ("M", "qubit_b.M", ROWS, (1, 2), "M"),
+        ("N", "qubit.N", [0.0, 0.0], (0,), "N"),
+        ("imaginary N", "qubit.N", [[0.0, 0.0], 0.0], (0, 1), "N"),
+        ("E12", "E12", np.diag([0.2, 0.1, 0.15]).tolist(), (1, 2), "E12"),
+        ("alpha", "qubit.alpha", np.eye(3).tolist(), (0, 0), "alpha"),
+        ("beta", "qubit.beta", SECTIONS, (1, 2, 0), "beta section"),
+        ("mu0", "mu0", [0.0, 0.0, 0.0], (1,), "mu0"),
+    )
+] + [
     (
         "%s %s" % (bad, where),
         {path: _edit(value, index, float(bad))},
@@ -589,7 +599,7 @@ REFUSALS = [
     for where, path, value, index, message in (
         ("E", "qubit.E", [0.0, 0.0, 1.0], (2,), "system 'qubit': energy vector must be finite"),
         ("M", "qubit_b.M", ROWS, (0, 1), "system 'qubit_b': coupling must be finite"),
-        ("complex M", "qubit.M", _edit(ROWS, (0, 0), [1.0, 0.5]), (1, 1), "system 'qubit': coupling must be finite"),
+        ("complex M", "qubit.M", _edit(ROWS, (0, 0), [1.0, 0.5]), (1, 1), "system 'qubit': coupling must be real"),
         ("N", "qubit.N", [0.0, 0.0], (1,), "system 'qubit': offset must be finite"),
         ("E12", "E12", np.diag([0.2, 0.1, 0.15]).tolist(), (2, 0), "composite 'pair': direct coupling must be finite"),
         ("mu0", "mu0", [0.0, 0.0, 0.0], (0,), "mu0 must be a finite real vector of length 3"),
@@ -615,10 +625,23 @@ def test_pair_config_is_accepted(tmp_path):
         assert cli.main([command, "--config", str(path), "--out", out]) == 0, command
 
 
-def test_complex_coupling_and_offset_are_accepted(tmp_path):
-    path = tmp_path / "complex.json"
-    path.write_text(json.dumps(pair_config(**{"qubit.M": _edit(ROWS, (0, 2), [0.0, 0.5]), "qubit.N": [[0.1, 0.2], 0.0]})))
-    assert cli.main(["steady", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+def test_complex_coupling_and_offset_are_refused(tmp_path, capsys):
+    # a complex M or N would give complex means of self-adjoint variables and
+    # a GKSL generator that leaves the Hermitian matrices
+    for key, value, message in (
+        ("M", [[1, [0, 0.5], 0], [0, 1, 0]], "coupling must be real"),
+        ("N", [[0, 0.5], 0], "offset must be real"),
+    ):
+        with open(REPO_CONFIG) as fh:
+            cfg = json.load(fh)
+        cfg["systems"]["qubit"][key] = value
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("steady", "mean-flow", "oracle"):
+            out = tmp_path / key / command
+            assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == "config error: system 'qubit': %s\n" % message
+            assert not out.exists() or os.listdir(out) == []
 
 
 def test_oracle_builds_one_superoperator(tmp_path, monkeypatch):
@@ -660,6 +683,7 @@ def test_qcf_u_refusals_exit_two(tmp_path, capsys):
         ([[0.0, 0.0]], "qcf_u vectors must have length 3, got 2"),
         ([[float("nan"), 0.0, 0.0]], "qcf_u entries must be finite"),
         ([[float("inf"), 0.0, 0.0]], "qcf_u entries must be finite"),
+        ([[0.0, 10**400, 0.0]], "qcf_u has an integer too large for a float"),
     ):
         cfgpath = qubit_config(tmp_path, qcf_u=qcf_u)
         assert cli.main(["qcf", "--config", cfgpath, "--out", str(out)]) == 2

@@ -164,3 +164,44 @@ def test_long_einsums_are_optimized():
                     found.append("%s:%d" % (path.name, node.lineno))
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+# public names kept without a caller in src/, bench/ or the acceptance tests
+UNCALLED_PUBLIC = {
+    ("model", "affine_mul"): "the product step that multi-point moments (ROADMAP item 10) fold through",
+    ("second_moment", "apply_lambda"): "the matrix-free form of Lambda that lambda_operator is tested against",
+    ("decoherence", "tau_upper_bound"): "the single-certificate bound that the batched search is tested against",
+}
+
+
+def _names_read(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # a name in a submodule's __all__ is read somewhere in src/ other than its
+    # own definition, by the benchmark or by an acceptance criterion; one that
+    # only its own unit tests reach is surface without a user
+    root = SRC.parent.parent
+    callers = [*SRC.glob("*.py"), *(root / "bench").glob("*.py"), root / "tests" / "test_acceptance.py"]
+    read = set().union(*map(_names_read, callers))
+    exported = [
+        (path.stem, name)
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+        for name in importlib.import_module("quasilin." + path.stem).__all__
+    ]
+    assert len(exported) >= 60
+    uncalled = [pair for pair in exported if pair[1] not in read and pair not in UNCALLED_PUBLIC]
+    assert ["%s.%s" % pair for pair in uncalled] == []
+    # an allow-listed name that gained a caller leaves the list
+    assert sorted(pair for pair in UNCALLED_PUBLIC if pair[1] in read) == []

@@ -117,35 +117,6 @@ def test_slice_layouts_match_loops(pauli):
         np.testing.assert_allclose(bt_first[l], 1j * pauli.theta[l], atol=1e-15)
 
 
-def test_norm_bounds_pauli(pauli):
-    tau, gamma, bounds = model.norm_bounds(pauli)
-    np.testing.assert_allclose(tau, np.zeros(3), atol=1e-15)
-    assert abs(gamma - np.sqrt(3.0)) < 1e-14
-    np.testing.assert_allclose(bounds, np.sqrt(3.0) * np.ones(3), atol=1e-14)
-    # each sigma_k has operator norm 1, safely inside the bound
-    assert all(b >= 1.0 for b in bounds)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.floats(-3.0, 3.0, allow_nan=False),
-    st.floats(-3.0, 3.0, allow_nan=False),
-)
-def test_norm_bound_dominates_scalar_spectrum(c, d):
-    # eigenvalues of any X with X^2 = c + d X are roots of r^2 - d r - c
-    disc = d * d + 4.0 * c
-    constants = model.structure_constants([[c]], [[[d]]])
-    if c + d * d / 4.0 < 0.0:
-        with pytest.raises(ValueError):
-            model.norm_bounds(constants)
-        return
-    tau, gamma, bounds = model.norm_bounds(constants)
-    assert abs(tau[0] - d) < 1e-12
-    if disc >= 0.0:
-        roots = [(d + np.sqrt(disc)) / 2.0, (d - np.sqrt(disc)) / 2.0]
-        assert bounds[0] >= max(abs(r) for r in roots) - 1e-12
-
-
 def _affine_to_matrix(op):
     out = op.const * np.eye(2, dtype=complex)
     for l in range(3):
@@ -164,58 +135,6 @@ def test_affine_mul_matches_matrix_product(pauli):
             _affine_to_matrix(a) @ _affine_to_matrix(b),
             atol=1e-12,
         )
-
-
-def test_reduce_monomial_pauli_words(pauli):
-    # X1 X2 X1 = -X2 and X_k^2 = I
-    red = model.reduce_monomial([1, 2, 1], [1, 1, 1], pauli)
-    assert abs(red.const) < 1e-15
-    np.testing.assert_allclose(red.linear, [0.0, -1.0, 0.0], atol=1e-15)
-    for k in (1, 2, 3):
-        sq = model.reduce_monomial([k], [2], pauli)
-        assert abs(sq.const - 1.0) < 1e-15
-        np.testing.assert_allclose(sq.linear, np.zeros(3), atol=1e-15)
-
-
-def test_reduce_monomial_against_matrix_fold(pauli):
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        idx = list(rng.integers(1, 4, size=4))
-        pw = list(rng.integers(1, 3, size=4))
-        red = model.reduce_monomial(idx, pw, pauli)
-        ref = np.eye(2, dtype=complex)
-        for j, p in zip(idx, pw):
-            for _ in range(p):
-                ref = ref @ SIGMA[j - 1]
-        np.testing.assert_allclose(_affine_to_matrix(red), ref, atol=1e-12)
-
-
-def test_quadratic_form_against_affine_chain(pauli):
-    rng = np.random.default_rng(13)
-    r = rng.normal(size=(3, 3))
-    r = (r + r.T) / 2.0
-    qf_const, qf_linear = model.quadratic_form(r, pauli)
-    acc = model.AffineOperator(0.0 + 0j, np.zeros(3, dtype=complex))
-    for j in range(3):
-        for k in range(3):
-            term = model.affine_mul(
-                model.AffineOperator(0.0 + 0j, np.eye(3, dtype=complex)[j]),
-                model.AffineOperator(0.0 + 0j, np.eye(3, dtype=complex)[k]),
-                pauli,
-            )
-            acc = model.AffineOperator(
-                acc.const + r[j, k] * term.const,
-                acc.linear + r[j, k] * term.linear,
-            )
-    assert abs(qf_const - acc.const) < 1e-12
-    np.testing.assert_allclose(qf_linear, acc.linear, atol=1e-12)
-
-
-def test_quadratic_form_rejects_asymmetric(pauli):
-    r = np.zeros((3, 3))
-    r[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        model.quadratic_form(r, pauli)
 
 
 def _einsum_validate(constants, tol=1e-10):
@@ -498,24 +417,3 @@ def test_affine_mul_refuses_operators_of_the_wrong_length(pauli, lengths):
     a, b = (model.AffineOperator(0.0, np.ones(k)) for k in lengths)
     with pytest.raises(ValueError, match="^operator length does not match constants$"):
         model.affine_mul(a, b, pauli)
-
-
-@pytest.mark.parametrize(
-    "indices, powers, message",
-    [
-        ([1, 2], [1], "^factor_indices and powers must have equal length$"),
-        ([0], [1], "^factor index 0 outside 1..3$"),
-        ([4], [1], "^factor index 4 outside 1..3$"),
-        ([1], [0], "^powers must be positive integers, got 0$"),
-        ([1], [1.5], "^powers must be positive integers, got 1.5$"),
-    ],
-    ids=["unequal lengths", "index 0", "index n + 1", "power 0", "power 1.5"],
-)
-def test_reduce_monomial_refusals(pauli, indices, powers, message):
-    with pytest.raises(ValueError, match=message):
-        model.reduce_monomial(indices, powers, pauli)
-
-
-def test_quadratic_form_refuses_wrong_shape(pauli):
-    with pytest.raises(ValueError, match=r"^R has shape \(2, 2\), expected \(3, 3\)$"):
-        model.quadratic_form(np.eye(2), pauli)

@@ -69,23 +69,23 @@ def test_mode_rows_rotate_under_isolated_flow(worked, pauli):
     """d/dt rows = -omega BJ rows along dx/dt = A0 x, a clockwise rotation."""
     _, coeffs = worked
     md = modes.eigenmodes(coeffs.a0, pauli.alpha)
-    coords = modes.mode_coordinates(md)
-    kinds = [c[0] for c in coords]
-    assert kinds.count("rotating") == 1 and kinds.count("static") == 1
-    for kind, om, rows in coords:
-        if kind == "rotating":
-            np.testing.assert_allclose(rows @ coeffs.a0, -om * BJ @ rows, atol=1e-10)
-        else:
-            np.testing.assert_allclose(rows @ coeffs.a0, np.zeros_like(rows), atol=1e-10)
+    rotating = md.omegas > md.zero_tol
+    static = np.abs(md.omegas) <= md.zero_tol
+    assert rotating.sum() == 1 and static.sum() == 1
+    for om, row in zip(md.omegas[rotating], md.sigma_inv[rotating]):
+        rows = np.vstack([row.real, row.imag])
+        np.testing.assert_allclose(rows @ coeffs.a0, -om * BJ @ rows, atol=1e-10)
+    for row in md.sigma_inv[static]:
+        np.testing.assert_allclose(row.real @ coeffs.a0, np.zeros(3), atol=1e-10)
 
 
 def test_upsilon_antisymmetric_and_refusals(worked, pauli):
     _, coeffs = worked
-    ups = modes.upsilon(coeffs.a0, pauli.alpha)
+    ups = modes._solve_upsilon(coeffs.a0, pauli.alpha)
     np.testing.assert_allclose(ups, -ups.T, atol=1e-12)
     # the damped drift is not an isolated flow
-    with pytest.raises(ValueError):
-        modes.upsilon(coeffs.a, pauli.alpha)
+    with pytest.raises(ValueError, match="A0 is not Hamiltonian-only$"):
+        modes.eigenmodes(coeffs.a, pauli.alpha)
     # degenerate alpha is refused
     with pytest.raises(ValueError):
         modes.eigenmodes(coeffs.a0, np.diag([1.0, 1.0, 0.0]))
@@ -217,25 +217,6 @@ def test_mode_conventions_hold_exactly(name):
         assert np.array_equal(v[:, n - 1 - k], np.conj(v[:, k]))
     lead = v[np.argmax(np.abs(v), axis=0), np.arange(n)]
     assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
-
-
-@pytest.mark.parametrize("name", MODE_DRAWS)
-def test_mode_coordinates_read_sigma_inverse(name):
-    """The rows equal (alpha^{-1/2} Re v_k, -alpha^{-1/2} Im v_k), formed from alpha."""
-    a0, alpha, _ = _mode_draw(name)
-    md = modes.eigenmodes(a0, alpha)
-    iroot = modes._alpha_roots(alpha)[1]
-    coords = modes.mode_coordinates(md)
-    expected = []
-    for k, om in enumerate(md.omegas):
-        vk = md.vectors[:, k]
-        if om > md.zero_tol:
-            expected.append(("rotating", float(om), np.vstack([iroot @ vk.real, -(iroot @ vk.imag)])))
-        elif abs(om) <= md.zero_tol:
-            expected.append(("static", 0.0, (iroot @ vk.real)[None, :]))
-    assert [c[:2] for c in coords] == [e[:2] for e in expected]
-    for (_, _, rows), (_, _, ref) in zip(coords, expected):
-        np.testing.assert_array_equal(rows, ref)
 
 
 @pytest.mark.parametrize(

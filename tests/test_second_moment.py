@@ -228,9 +228,10 @@ def test_real_trace_flow_matches_complex_flow(worked):
 
 def complex_coupling_system():
     # M with complex entries: Lambda no longer maps Hermitian matrices to
-    # Hermitian ones
-    spec = qsde.system_spec(
-        model.pauli_constants(), [0.0, 0.0, 1.0], [[1.0 + 0.3j, 0.0, 0.0], [0.0, 1.0, 0.2j]], [0.0, 0.0]
+    # Hermitian ones.  system_spec refuses such an M, so the spec is built
+    # directly to reach lambda_operator's own check
+    spec = qsde.SystemSpec(
+        model.pauli_constants(), np.array([0.0, 0.0, 1.0]), np.array([[1.0 + 0.3j, 0.0, 0.0], [0.0, 1.0, 0.2j]]), np.zeros(2)
     )
     return spec, qsde.build_coefficients(spec)
 
