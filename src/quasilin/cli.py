@@ -315,7 +315,7 @@ def cmd_mean_flow(cfg, args, out_dir):
     name, _, coeffs, _ = cfg.system()
     times = _grid(args, cfg)
     mu0 = _real_mu(cfg, coeffs.n)
-    flow = np.real(qsde.mean_flow(coeffs, mu0, times))
+    flow = qsde.mean_flow(coeffs, mu0, times)
     header = ["t"] + ["mu_%d" % (j + 1) for j in range(coeffs.n)]
     path = _write_csv(out_dir, "mean_flow.csv", header, [times, *flow.T])
     print("system %s: %d grid points, wrote %s" % (name, len(times), path))
@@ -399,14 +399,14 @@ def cmd_decoherence(cfg, args, out_dir):
     mu = qsde.steady_mean(coeffs)
     ccr = model.dot_product(spec.constants.theta, mu)
     tau = deco_mod.tau_star(coeffs.a, ccr)
-    search = deco_mod.optimize_tau_bound(coeffs.a, ccr, budget=budget, seed=_seed(args, cfg))
+    seed = _seed(args, cfg)
+    search = deco_mod.optimize_tau_bound(coeffs.a, ccr, budget=budget, seed=seed)
     floats = np.array([[tau], [search.bound], [search.lam]])
-    ints = np.array([[search.seed], [search.evaluations]])
     header = ["tau_star", "best_bound", "lam", "k_label", "seed", "evaluations"]
-    _write_csv(out_dir, "decoherence.csv", header, [*floats, [search.k_label], *ints])
+    _write_csv(out_dir, "decoherence.csv", header, [*floats, [search.k_label], *np.array([[seed], [budget]])])
     print(
         "system %s: tau* = %.8g, certified bound %.8g (lam %.6g, %s, seed %d)"
-        % (name, tau, search.bound, search.lam, search.k_label, search.seed)
+        % (name, tau, search.bound, search.lam, search.k_label, seed)
     )
     return [("tau_star", tau, search.bound)]
 
@@ -496,8 +496,8 @@ def cmd_oracle(cfg, args, out_dir):
         name, (cspec, reps) = cfg.composite()
         if reps is None:
             raise ConfigError("oracle only has representations for pauli-based systems")
-        rep = oracle_mod.tensor_representation(*reps)
         spec = composite_mod.augmented_system(cspec)
+        rep = oracle_mod.tensor_representation(*reps, spec.constants)
         coeffs = composite_mod.composite_coefficients(cspec)
     else:
         name, spec, coeffs, rep = cfg.system()
@@ -566,6 +566,8 @@ _PARSER.add_argument(
 
 def run(argv=None) -> int:
     args = _PARSER.parse_args(argv)
+    if args.composite and args.command != "oracle":
+        raise ConfigError("--composite applies to oracle only, not to %s" % args.command)
     cfg = _load_config(args.config)
     try:
         os.makedirs(args.out, exist_ok=True)

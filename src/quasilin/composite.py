@@ -82,10 +82,10 @@ def _paired_coupling(spec: CompositeSpec):
     s1, s2 = spec.sys1, spec.sys2
     n1, n2 = s1.constants.n, s2.constants.n
     first = np.arange(s1.m + s2.m) % ((s1.m + s2.m) // 2) < s1.m // 2
-    m = np.zeros((s1.m + s2.m, n1 + n2 + n1 * n2), dtype=np.result_type(s1.coupling, s2.coupling))
+    m = np.zeros((s1.m + s2.m, n1 + n2 + n1 * n2))
     m[first, :n1] = s1.coupling
     m[~first, n1 : n1 + n2] = s2.coupling
-    offset = np.zeros(s1.m + s2.m, dtype=np.result_type(s1.offset, s2.offset))
+    offset = np.zeros(s1.m + s2.m)
     offset[first], offset[~first] = s1.offset, s2.offset
     return m, offset
 
@@ -117,7 +117,7 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
     n1, n2 = c1.n, c2.n
     n12 = n1 * n2
     th1, th2 = c1.theta, c2.theta
-    e12 = np.asarray(spec.direct_coupling, dtype=float)
+    e12 = spec.direct_coupling
     i1, i2 = np.eye(n1), np.eye(n2)
 
     f1 = 2.0 * np.einsum("jip,pk->ijk", th1, e12).reshape(n1, n12)
@@ -125,8 +125,8 @@ def composite_coefficients(spec: CompositeSpec) -> QsdeCoefficients:
     # factor 1's theta and Re(beta) sections with their last index contracted into E12
     th1e = np.einsum("jip,pq->jiq", th1, e12)
     rb1e = np.einsum("jip,pq->jiq", c1.beta.real, e12)
-    g1 = 2.0 * np.einsum("jiq,kq->ikj", th1e, np.real(c2.alpha)).reshape(n12, n1)
-    g2 = 2.0 * np.einsum("ip,pq,lkq->ikl", np.real(c1.alpha), e12, th2).reshape(n12, n2)
+    g1 = 2.0 * np.einsum("jiq,kq->ikj", th1e, c2.alpha).reshape(n12, n1)
+    g2 = 2.0 * np.einsum("ip,pq,lkq->ikl", c1.alpha, e12, th2).reshape(n12, n2)
     g12 = 2.0 * (
         np.einsum("jiq,lkq->ikjl", th1e, c2.beta.real) + np.einsum("jiq,lkq->ikjl", rb1e, th2)
     ).reshape(n12, n12)

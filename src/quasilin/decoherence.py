@@ -11,7 +11,6 @@ refused before any solve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,8 +223,6 @@ class TauBoundSearch:
     lam: float
     k_matrix: np.ndarray
     k_label: str
-    seed: int
-    evaluations: int
 
 
 def optimize_tau_bound(a, ccr_matrix, budget: int = 64, seed: int = 0) -> TauBoundSearch:
@@ -234,7 +231,8 @@ def optimize_tau_bound(a, ccr_matrix, budget: int = 64, seed: int = 0) -> TauBou
     lam runs over min(32, budget) geometric points in (0.01, 0.99) * |sigma(A)|;
     K runs over the identity followed by seeded random positive definite
     samples S^T S + 1e-6 I normalized to unit trace.  K is the outer loop,
-    lam the inner (ascending); ties keep the smaller lam.  Each K costs one
+    lam the inner (ascending), over exactly `budget` pairs (the last K may
+    get fewer lams); ties keep the smaller lam.  Each K costs one
     Schur-basis transform, one `trsyl` per lam, one stacked `eigvalsh` of G
     and one stacked solve over its lams (no eigenvectors: ||G|| is the top
     eigenvalue and ||G^{-1/2} Z0||_F^2 = Re tr(Z0^H G^{-1} Z0)); strict decay
@@ -249,21 +247,15 @@ def optimize_tau_bound(a, ccr_matrix, budget: int = 64, seed: int = 0) -> TauBou
     n = len(a)
     lams = np.geomspace(0.01 * -sa, 0.99 * -sa, min(32, budget)).tolist()
     rng = np.random.default_rng(seed)
-
-    def candidates():
-        yield "identity", np.eye(n)
-        for i in itertools.count():
+    label, k, best = "identity", np.eye(n), None
+    for i, start in enumerate(range(0, budget, len(lams))):
+        if i:
             s = rng.standard_normal((n, n))
             w = s.T @ s + 1e-6 * np.eye(n)
-            yield "sample-%d" % i, w / np.trace(w)
-
-    best, evals, pool = None, 0, candidates()
-    while evals < budget:
-        label, k = next(pool)
-        batch = lams[: budget - evals]
+            label, k = "sample-%d" % (i - 1), w / np.trace(w)
+        batch = lams[: budget - start]
         bounds = _certified_bounds(a, sa, t, q, k, ccr_matrix, batch)[1]
-        evals += len(batch)
-        i = int(np.argmin(bounds))
-        if best is None or bounds[i] < best[0] or (bounds[i] == best[0] and batch[i] < best[1]):
-            best = (float(bounds[i]), batch[i], k, label)
-    return TauBoundSearch(*best, seed=seed, evaluations=evals)
+        j = int(np.argmin(bounds))
+        if best is None or bounds[j] < best[0] or (bounds[j] == best[0] and batch[j] < best[1]):
+            best = (float(bounds[j]), batch[j], k, label)
+    return TauBoundSearch(*best)

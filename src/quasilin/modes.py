@@ -27,13 +27,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenModes:
-    """Frequencies (descending), unitary eigenbasis V, and Sigma = sqrt(alpha) V."""
+    """Frequencies (descending; a static mode's is exactly 0), unitary eigenbasis V, and Sigma = sqrt(alpha) V."""
 
     omegas: np.ndarray
     vectors: np.ndarray
     sigma: np.ndarray
     sigma_inv: np.ndarray
-    zero_tol: float
 
 
 def _pd_sqrt(w, v):
@@ -69,7 +68,7 @@ def eigenmodes(a0, alpha) -> EigenModes:
     antisymmetric, is block diagonal.  A 2 x 2 block [[0, w], [-w, 0]] on
     Schur vectors (q_p, q_p+1) gives the pair v = (q_p + i sign(w) q_p+1)/sqrt(2)
     at |w| and its conjugate at -|w|; every other Schur vector, and each block
-    with |w| <= zero_tol, is a real static mode at frequency exactly 0.
+    with |w| <= 1e-9 max(1, max |w|), is a real static mode at frequency exactly 0.
 
     Conventions: omegas sorted descending; each eigenvector has its
     largest-magnitude entry real positive; negative-frequency eigenvectors
@@ -109,7 +108,7 @@ def eigenmodes(a0, alpha) -> EigenModes:
     if np.max(np.abs(recon - a0)) > 1e-9 * scale:
         raise ValueError("eigendecomposition failed to reproduce A0")
     omegas, v, sigma, sigma_inv = _frozen(omegas, v, sigma, sigma_inv)
-    return EigenModes(omegas=omegas, vectors=v, sigma=sigma, sigma_inv=sigma_inv, zero_tol=zero_tol)
+    return EigenModes(omegas=omegas, vectors=v, sigma=sigma, sigma_inv=sigma_inv)
 
 
 def _lead(magnitude, cols):
@@ -119,7 +118,7 @@ def _lead(magnitude, cols):
 
 def oscillation_period(modes: EigenModes):
     """Common period 2 pi / (smallest positive frequency), or None if static."""
-    pos = modes.omegas[modes.omegas > modes.zero_tol]
+    pos = modes.omegas[modes.omegas > 0]
     if len(pos) == 0:
         return None
     return float(2.0 * np.pi / np.min(pos))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .composite import augment_constants
 from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, pauli_constants
 from .qsde import _times, ito_matrix
 
@@ -55,14 +54,15 @@ def pauli_representation() -> HilbertRep:
     )
 
 
-def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
-    """Composite representation on the tensor product space.
+def tensor_representation(rep1: HilbertRep, rep2: HilbertRep, constants: StructureConstants) -> HilbertRep:
+    """Composite representation on the tensor product space, carrying `constants`.
 
     Variable order: the first factor's variables (tensored with identity),
     the second factor's, then all cross products kron(X1_j, X2_k) with j
-    outermost, the index convention of composite.augment_constants, which
-    gives the constants; representation_check tests those against these
-    explicit matrices.
+    outermost, the index convention of composite.augment_constants.  The
+    caller hands in the constants (the augmented system's); constants of
+    the wrong size are refused (ValueError), and representation_check
+    tests the others against these explicit matrices.
     """
     d = rep1.dim * rep2.dim
     if d > MAX_DIM:
@@ -72,10 +72,12 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep) -> HilbertRep:
     # prod[a, b] = kron(Y1_a, Y2_b) over the stacked (I, X_1..X_n) of each factor
     prod = (y1[:, None, :, None, :, None] * y2[:, None, :, None, :]).reshape(len(y1), len(y2), d, d)
     mats = np.concatenate([prod[1:, 0], prod[0, 1:], prod[1:, 1:].reshape(-1, d, d)], dtype=complex)
+    if constants.n != len(mats):
+        raise ValueError("constants have n = %d, the representation %d variables" % (constants.n, len(mats)))
     return HilbertRep(
         dim=d,
         variables=_frozen(*mats),
-        constants=augment_constants(rep1.constants, rep2.constants),
+        constants=constants,
     )
 
 

@@ -134,9 +134,12 @@ def build_coefficients(spec: SystemSpec) -> QsdeCoefficients:
     where S_l..[j, k] = S[k, l, j] fixes the first coefficient index of the
     sections S = theta, Re(beta).  The Hamiltonian-only part a0 = 2 theta<>E
     is returned separately since the split drives the weak-coupling analysis.
-    A drift that overflows (|M| near 1e300, say) is refused (ValueError).
+    An alpha with a nonzero imaginary part (validate's alpha-imag violation)
+    and a drift that overflows (|M| near 1e300, say) are refused (ValueError).
     """
     c = spec.constants
+    if np.iscomplexobj(c.alpha) and np.any(c.alpha.imag != 0):
+        raise ValueError("constants fail alpha-imag: alpha must be real (max imag %g)" % np.max(np.abs(c.alpha.imag)))
     th, n = c.theta, c.n
     m_mat = spec.coupling
     jm = ito_matrix(spec.m).imag

@@ -163,7 +163,7 @@ def stability_and_thresholds(coeffs: QsdeCoefficients, modes: EigenModes) -> Per
     tau_coeff = 1.0 / max_abs if max_abs > _RATE_FLOOR else None
 
     om = modes.omegas
-    pos = om > modes.zero_tol
+    pos = om > 0
     if not np.any(pos):
         eps_hat = None
         eps_tilde = None
@@ -197,8 +197,7 @@ def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndar
     lim mu*(eps) = -(1/nu_k0) Sigma e_k0 e_k0^T Sigma^{-1} sb, independent of
     eps and invariant under rescaling the unit-strength coupling.
     """
-    om = modes.omegas
-    zero_idx = np.where(np.abs(om) <= modes.zero_tol)[0]
+    zero_idx = np.flatnonzero(modes.omegas == 0)
     if len(zero_idx) != 1:
         raise ValueError(
             "need exactly one zero eigenfrequency, found %d" % len(zero_idx)
@@ -213,8 +212,7 @@ def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndar
     if nu0.real >= 0.0:
         raise ValueError("zero mode does not decay (Re nu = %g)" % nu0.real)
     # v_k0 is real, so sqrt(alpha) v v^T alpha^{-1/2} = Sigma e_k0 e_k0^T Sigma^{-1}
-    limit = -(1.0 / nu0.real) * modes.sigma[:, k0].real * (modes.sigma_inv[k0].real @ coeffs.b)
-    return np.real_if_close(limit, tol=1000).astype(float)
+    return -(1.0 / nu0.real) * modes.sigma[:, k0].real * (modes.sigma_inv[k0].real @ coeffs.b)
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,41 @@ def test_complex_coupling_refused_by_spectrum_and_decoherence(tmp_path, capsys):
         assert not out.exists() or os.listdir(out) == []
 
 
+def test_complex_alpha_refused_by_every_analysis(tmp_path, capsys):
+    # the qubit's constants written out with alpha[0, 1] = 0.3i: validate
+    # reports the violations, and every command that builds a drift refuses
+    # alpha before b carries its imaginary part into a result
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
+    beta = [[[[0, x] if x else 0 for x in row] for row in section] for section in model.PAULI_THETA.tolist()]
+    cfg["systems"]["qubit"]["constants"] = {"alpha": [[1, [0, 0.3], 0], [[0, -0.3], 1, 0], [0, 0, 1]], "beta": beta}
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "validate")]) == 4
+    assert "system qubit: FAIL (18 violations" in capsys.readouterr().out
+    for command in ("coeffs", "mean-flow", "steady", "qcf", "spectrum", "modes", "decoherence", "weak", "oracle"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 4, command
+        assert capsys.readouterr().err == "numeric failure: constants fail alpha-imag: alpha must be real (max imag 0.3)\n"
+        assert os.listdir(out) == []
+
+
+def test_composite_flag_is_refused_outside_oracle(tmp_path, capsys):
+    # only oracle has a composite mode; any other command would ignore the
+    # flag and report the single system, so run refuses it before reading
+    # the config and writes nothing
+    others = sorted(set(cli.COMMANDS) - {"oracle"})
+    assert len(others) == 10
+    for command in others:
+        out = tmp_path / command
+        assert cli.main([command, "--config", REPO_CONFIG, "--out", str(out), "--composite"]) == 2, command
+        assert capsys.readouterr().err == "config error: --composite applies to oracle only, not to %s\n" % command
+        assert not out.exists()
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["steady", "--config", missing, "--out", str(tmp_path / "m"), "--composite"]) == 2
+    assert capsys.readouterr().err == "config error: --composite applies to oracle only, not to steady\n"
+
+
 def test_numeric_failure_exits_four(tmp_path):
     cfg = {
         "systems": {
@@ -895,7 +930,7 @@ def test_decoherence_says_why_it_exits_4(tmp_path, capsys, monkeypatch):
     assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out]) == 0
     assert "FAIL" not in capsys.readouterr().out
     # a bound below tau* = 1/2 of the bundled qubit
-    low = decoherence.TauBoundSearch(0.25, 1.0, np.eye(3), "identity", 0, 64)
+    low = decoherence.TauBoundSearch(0.25, 1.0, np.eye(3), "identity")
     monkeypatch.setattr(decoherence, "optimize_tau_bound", lambda *args, **kwargs: low)
     assert cli.main(["decoherence", "--config", REPO_CONFIG, "--out", out]) == 4
     tau = float(pathlib.Path(out, "decoherence.csv").read_text().splitlines()[1].split(",")[0])

@@ -156,7 +156,6 @@ def test_bound_dominates_tau_star_random():
         ts = decoherence.tau_star(coeffs.a, z0)
         search = decoherence.optimize_tau_bound(coeffs.a, z0, budget=48, seed=1)
         assert ts <= search.bound + 1e-12
-        assert search.evaluations <= 48
 
 
 @pytest.mark.parametrize(
@@ -234,7 +233,7 @@ def test_small_budget_spans_the_shift_range_at_n35():
     sa = qsde.spectral_abscissa(coeffs.a)
     z0 = steady_ccr(spec, coeffs)
     search = decoherence.optimize_tau_bound(coeffs.a, z0, budget=16)
-    assert search.evaluations == 16 and search.k_label == "identity"
+    assert search.k_label == "identity"
     assert search.lam > 0.5 * -sa
     smallest = np.geomspace(0.01 * -sa, 0.99 * -sa, 32)[:16]
     old = min(decoherence.tau_upper_bound(coeffs.a, z0, lam, np.eye(35)) for lam in smallest)
@@ -271,7 +270,7 @@ def test_search_matches_kronecker_search_on_pauli_pair(budget):
     (bound, lam, label), evals = kron_search(coeffs.a, z0, budget=budget, seed=3)
     assert search.lam == lam
     assert search.k_label == label
-    assert search.evaluations == evals == budget
+    assert evals == budget
     assert abs(search.bound - bound) <= 1e-12 * abs(bound)
 
 
@@ -364,8 +363,7 @@ def test_search_makes_one_stacked_eigh_per_k(monkeypatch, worked, budget):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: eigh_calls.append(args))
-    search = decoherence.optimize_tau_bound(coeffs.a, steady_ccr(spec, coeffs), budget=budget)
-    assert search.evaluations == budget
+    decoherence.optimize_tau_bound(coeffs.a, steady_ccr(spec, coeffs), budget=budget)
     assert eigh_calls == []
     assert len(batches) == math.ceil(budget / 32)
     assert sum(shape[0] for shape in batches) == budget

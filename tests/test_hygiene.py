@@ -98,6 +98,18 @@ def test_cli_reads_no_private_module_attribute():
     assert private == []
 
 
+def test_oracle_imports_only_model_and_qsde():
+    # the oracle is the independent check of the other modules: it takes the
+    # algebra's types and shared rules from model and qsde, and is handed any
+    # derived data (the composite's product constants, say), never builds it
+    tree = ast.parse((SRC / "oracle.py").read_text(), filename="oracle.py")
+    siblings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            siblings.update([node.module] if node.module else [alias.name for alias in node.names])
+    assert siblings == {"model", "qsde"}
+
+
 # private names that are shared rules, one owner each, read by sibling modules
 SHARED_PRIVATE = {
     ("model", "_frozen"),

@@ -60,7 +60,7 @@ def test_conjugate_pairing(pauli):
 def test_zero_mode_vector_is_real(worked, pauli):
     _, coeffs = worked
     md = modes.eigenmodes(coeffs.a0, pauli.alpha)
-    zero_cols = [k for k, om in enumerate(md.omegas) if abs(om) <= md.zero_tol]
+    zero_cols = [k for k, om in enumerate(md.omegas) if om == 0]
     assert len(zero_cols) == 1
     assert np.abs(md.vectors[:, zero_cols[0]].imag).max() < 1e-12
 
@@ -69,8 +69,8 @@ def test_mode_rows_rotate_under_isolated_flow(worked, pauli):
     """d/dt rows = -omega BJ rows along dx/dt = A0 x, a clockwise rotation."""
     _, coeffs = worked
     md = modes.eigenmodes(coeffs.a0, pauli.alpha)
-    rotating = md.omegas > md.zero_tol
-    static = np.abs(md.omegas) <= md.zero_tol
+    rotating = md.omegas > 0
+    static = md.omegas == 0
     assert rotating.sum() == 1 and static.sum() == 1
     for om, row in zip(md.omegas[rotating], md.sigma_inv[rotating]):
         rows = np.vstack([row.real, row.imag])

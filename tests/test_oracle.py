@@ -58,10 +58,15 @@ def loop_two_point_commutator(rep, spec, rho0, s, t):
     return out
 
 
+def tensor_rep(rep1, rep2):
+    """The tensor representation carrying the product constants of its factors."""
+    return oracle.tensor_representation(rep1, rep2, composite.augment_constants(rep1.constants, rep2.constants))
+
+
 def random_cases(rng, count):
     """Random (rep, spec) pairs on the Pauli and Pauli (x) Pauli representations."""
     qubit = oracle.pauli_representation()
-    pair = oracle.tensor_representation(qubit, qubit)
+    pair = tensor_rep(qubit, qubit)
     for i in range(count):
         if i % 2:
             yield qubit, random_pauli_spec(rng, m=2 if i % 4 == 1 else 4)
@@ -82,7 +87,7 @@ def test_superoperator_matches_column_loop():
 
 def test_representation_check_matches_index_loop():
     qubit = oracle.pauli_representation()
-    pair = oracle.tensor_representation(qubit, qubit)
+    pair = tensor_rep(qubit, qubit)
     assert oracle.representation_check(qubit) == loop_representation_check(qubit) == 0.0
     # a perturbed table, so the residual compared is not zero
     bent = oracle.HilbertRep(
@@ -105,7 +110,7 @@ def kron_loop_variables(rep1, rep2):
 
 @pytest.mark.parametrize("rep1, rep2", [(QUBIT, QUBIT), (QUBIT, QUTRIT), (QUTRIT, QUBIT)], ids=["PxP", "PxG3", "G3xP"])
 def test_tensor_variables_equal_kron_loop(rep1, rep2):
-    got = oracle.tensor_representation(rep1, rep2).variables
+    got = tensor_rep(rep1, rep2).variables
     want = kron_loop_variables(rep1, rep2)
     assert len(got) == len(want) == (rep1.constants.n + 1) * (rep2.constants.n + 1) - 1
     assert all(x.dtype == complex and not x.flags.writeable for x in got)
@@ -116,7 +121,7 @@ def test_tensor_variables_equal_kron_loop(rep1, rep2):
 def test_stacked_two_point_commutator_equals_single_lags(pair):
     # one stacked expm over the lags gives the single-lag matrices bit for bit
     rng = np.random.default_rng(32)
-    rep = oracle.tensor_representation(QUBIT, QUBIT) if pair else QUBIT
+    rep = tensor_rep(QUBIT, QUBIT) if pair else QUBIT
     rho0 = np.eye(rep.dim, dtype=complex) / rep.dim
     for _ in range(5):
         if pair:
@@ -266,7 +271,7 @@ def test_two_point_commutator_checks_the_state(worked, monkeypatch):
 
 def test_tensor_representation_dim_limit():
     rep = oracle.pauli_representation()
-    four = oracle.tensor_representation(rep, rep)
+    four = tensor_rep(rep, rep)
     assert four.dim == 4
     assert oracle.representation_check(four) < 1e-12
     # dim 16 sits exactly on the limit; realize the Pauli table there with
@@ -279,7 +284,9 @@ def test_tensor_representation_dim_limit():
     )
     assert oracle.representation_check(sixteen) < 1e-12
     with pytest.raises(model.CapabilityLimit):
-        oracle.tensor_representation(sixteen, rep)
+        tensor_rep(sixteen, rep)
+    with pytest.raises(ValueError, match="constants have n = 3, the representation 15 variables"):
+        oracle.tensor_representation(rep, rep, rep.constants)
 
 
 def test_trace_drift_raises_consistency_error(worked, monkeypatch):

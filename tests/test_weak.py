@@ -124,7 +124,7 @@ def matched_for_spectrum(monkeypatch, eigs, omegas, nu):
     drift spectrum is `eigs` and the predictions are i omegas + nu."""
     n = len(omegas)
     eye = np.eye(n)
-    md = modes.EigenModes(omegas=omegas, vectors=eye, sigma=eye, sigma_inv=eye, zero_tol=1e-9)
+    md = modes.EigenModes(omegas=omegas, vectors=eye, sigma=eye, sigma_inv=eye)
     coeffs = qsde.QsdeCoefficients(a=np.diag(nu), a0=np.zeros((n, n)), atilde=np.diag(nu), b=np.zeros(n))
     monkeypatch.setattr(np.linalg, "eigvals", lambda _: eigs)
     return weak.eigenvalue_asymptotics_check(coeffs, md, [1.0])[0].matched
@@ -162,7 +162,7 @@ def test_sorted_matching_equals_set_scan_with_exact_ties(monkeypatch):
 def sqrt_alpha_invariant_limit(coeffs, md):
     """Reference limit -(1/nu_k0) sqrt(alpha) v v^T alpha^{-1/2} sb, with the
     square roots rebuilt from Sigma V^* and V Sigma^{-1}."""
-    k0 = int(np.flatnonzero(np.abs(md.omegas) <= md.zero_tol)[0])
+    k0 = int(np.flatnonzero(md.omegas == 0)[0])
     nu0 = weak.nu_values(coeffs, md)[k0].real
     v0 = md.vectors[:, k0].real
     root = (md.sigma @ md.vectors.conj().T).real
