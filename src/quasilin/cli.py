@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import sys
@@ -36,6 +37,8 @@ __all__ = ["main", "run"]
 
 _MAX_GRID_STEPS = 100_000  # time grid points; refused before any grid array is allocated
 _MAX_BUDGET = 4096  # decoherence bound evaluations (128 batches of 32 shifts); refused before any solve
+
+_REAL = (int, float)  # the exact types of a JSON number; bool, a subclass of int, is not one
 
 
 class ConfigError(Exception):
@@ -63,7 +66,7 @@ def _array(x, what, ndim):
                 raise ConfigError("%s must be a number, got a boolean" % what)
             if isinstance(v, (int, float)):
                 level[i] = float(v)
-            elif isinstance(v, list) and len(v) == 2 and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in v):
+            elif isinstance(v, list) and len(v) == 2 and type(v[0]) in _REAL and type(v[1]) in _REAL:
                 level[i] = float(v[0])
                 if v[1] != 0:
                     imag[i] = v[1]
@@ -176,14 +179,29 @@ class Config:
 
 
 def _load_config(path):
+    """The Config in the UTF-8 JSON file `path`, read with the cyclic collector
+    paused.  The decoded JSON is a tree without reference cycles, so reference
+    counting frees what is dropped and the collector would find nothing; left
+    on, the thousands of lists of a large config set off collector passes that
+    promote them, and a later full collection lands inside some analysis."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise ConfigError("cannot read config %s: %s" % (path, e))
-    except json.JSONDecodeError as e:
-        raise ConfigError("config %s is not valid JSON: %s" % (path, e))
-    return Config(raw, path)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as e:
+            raise ConfigError("cannot read config %s: %s" % (path, e))
+        except UnicodeDecodeError as e:
+            raise ConfigError("config %s is not UTF-8: %s" % (path, e))
+        except json.JSONDecodeError as e:
+            raise ConfigError("config %s is not valid JSON: %s" % (path, e))
+        except RecursionError:
+            raise ConfigError("config %s is nested too deeply" % path)
+        return Config(raw, path)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _cells(column):

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import pathlib
@@ -80,6 +81,78 @@ def test_config_errors_exit_two(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"systems": {}}))
     assert cli.main(["validate", "--config", str(empty), "--out", str(tmp_path)]) == 2
+
+
+def test_load_config_runs_no_collection(tmp_path):
+    # the decoded JSON has no reference cycles, so the load pauses the cyclic
+    # collector; at a threshold of 50 the 600 qcf_u rows would set off passes
+    path = qubit_config(tmp_path, qcf_u=[[1.0, 0.0, 0.0]] * 600)
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.set_threshold(50)
+    gc.callbacks.append(count)
+    try:
+        cfg = cli._load_config(path)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*threshold)
+    assert len(cfg.analysis["qcf_u"]) == 600
+    assert generations == []
+    assert gc.isenabled()
+
+
+with open(REPO_CONFIG, encoding="utf-8") as fh:
+    _REPO_TEXT = fh.read()
+
+RAW_CONFIGS = {
+    "missing file": (None, "cannot read config "),
+    "malformed JSON": (b"{not json", " is not valid JSON: "),
+    "leading 0xff byte": (b"\xff{}", " is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"),
+    "Latin-1 system name": (_REPO_TEXT.replace('"qubit"', '"qub\xe9t"').encode("latin-1"), " is not UTF-8: 'utf-8' codec can't decode byte 0xe9"),
+    "100000 nested lists": (b"[" * 100_000 + b"]" * 100_000, " is nested too deeply"),
+    "alpha nested 5000 deep": (
+        _REPO_TEXT.replace('"constants": "pauli"', '"constants": {"alpha": %s1%s, "beta": [[[0]]]}' % ("[" * 5000, "]" * 5000)).encode(),
+        " is nested too deeply",
+    ),
+    "top level a list": (b"[]", "top level of "),
+}
+
+
+@pytest.mark.parametrize("collector", ["enabled", "disabled"])
+@pytest.mark.parametrize("case", sorted(RAW_CONFIGS))
+def test_unreadable_configs_exit_two_and_keep_the_collector_state(tmp_path, capsys, case, collector):
+    text, message = RAW_CONFIGS[case]
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_bytes(text)
+    out = tmp_path / "o"
+    before = gc.isenabled()
+    gc.enable() if collector == "enabled" else gc.disable()
+    try:
+        code = cli.main(["validate", "--config", str(path), "--out", str(out)])
+        after = gc.isenabled()
+    finally:
+        gc.enable() if before else gc.disable()
+    assert code == 2
+    assert after == (collector == "enabled")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and str(path) in err
+    assert not out.exists()
+
+
+def test_interrupted_load_restores_the_collector(tmp_path, monkeypatch):
+    def interrupt(fh):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "load", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cli._load_config(qubit_config(tmp_path))
+    assert gc.isenabled()
 
 
 def test_capability_limit_exits_three(tmp_path):
