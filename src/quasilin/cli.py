@@ -38,8 +38,6 @@ __all__ = ["main", "run"]
 _MAX_GRID_STEPS = 100_000  # time grid points; refused before any grid array is allocated
 _MAX_BUDGET = 4096  # decoherence bound evaluations (128 batches of 32 shifts); refused before any solve
 
-_REAL = (int, float)  # the exact types of a JSON number; bool, a subclass of int, is not one
-
 
 class ConfigError(Exception):
     """Malformed configuration or command line."""
@@ -66,7 +64,7 @@ def _array(x, what, ndim):
                 raise ConfigError("%s must be a number, got a boolean" % what)
             if isinstance(v, (int, float)):
                 level[i] = float(v)
-            elif isinstance(v, list) and len(v) == 2 and type(v[0]) in _REAL and type(v[1]) in _REAL:
+            elif isinstance(v, list) and len(v) == 2 and type(v[0]) in (int, float) and type(v[1]) in (int, float):
                 level[i] = float(v[0])
                 if v[1] != 0:
                     imag[i] = v[1]
@@ -179,11 +177,15 @@ class Config:
 
 
 def _load_config(path):
-    """The Config in the UTF-8 JSON file `path`, read with the cyclic collector
-    paused.  The decoded JSON is a tree without reference cycles, so reference
-    counting frees what is dropped and the collector would find nothing; left
-    on, the thousands of lists of a large config set off collector passes that
-    promote them, and a later full collection lands inside some analysis."""
+    """The Config in the UTF-8 JSON file `path`, read and built with the cyclic
+    collector paused.  The pause is process-wide and spans `json.load` and the
+    whole `Config` build (structure constants, system and composite specs),
+    so another thread of the process runs without the collector meanwhile.
+    The decoded JSON is a tree, and the build makes arrays and records that
+    refer only to what they hold, so reference counting frees all that is
+    dropped and the collector would find nothing.  Left on, the thousands of
+    lists of a large config set off collector passes that promote them, and
+    a later full collection lands inside some analysis."""
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -106,6 +106,20 @@ def test_load_config_runs_no_collection(tmp_path):
     assert gc.isenabled()
 
 
+def test_load_config_leaves_no_cycles():
+    # what the paused load allocates, systems and composites included, is
+    # freed by reference counting: the collector finds nothing after it
+    gc.collect()
+    gc.disable()
+    try:
+        cfg = cli._load_config(REPO_CONFIG)
+        assert cfg.composites
+        del cfg
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 with open(REPO_CONFIG, encoding="utf-8") as fh:
     _REPO_TEXT = fh.read()
 
