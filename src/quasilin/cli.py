@@ -309,12 +309,12 @@ def cmd_validate(cfg, args, out_dir):
     for name, rep in reports.items():
         print(
             "system %s: %s (%d violations, alpha PSD: %s)"
-            % (name, "PASS" if rep.passed else "FAIL", len(rep.violations), "yes" if rep.alpha_psd else "no")
+            % (name, "PASS" if rep.passed else "FAIL", rep.total, "yes" if rep.alpha_psd else "no")
         )
-    flags = np.array([(r.passed, len(r.violations), r.alpha_psd, r.independence_assumed) for r in reports.values()], dtype=int)
+    flags = np.array([(r.passed, r.total, r.alpha_psd, r.independence_assumed) for r in reports.values()], dtype=int)
     header = ["system", "passed", "violations", "alpha_psd", "independence_assumed"]
     _write_csv(out_dir, "validate.csv", header, [list(cfg.systems), *flags.T])
-    return [(name, len(r.violations), 0) for name, r in reports.items()]
+    return [(name, r.total, 0) for name, r in reports.items()]
 
 
 def cmd_coeffs(cfg, args, out_dir):

@@ -62,7 +62,7 @@ def augment_constants(c1: StructureConstants, c2: StructureConstants) -> Structu
         if not report.passed:
             raise ValueError(
                 "factor %d constants fail validation (%d violations, first %r)"
-                % (k, len(report.violations), report.violations[0])
+                % (k, report.total, report.violations[0])
             )
     n1, n2 = c1.n, c2.n
     w = n2 + 1

@@ -35,6 +35,7 @@ __all__ = [
 
 MAX_DIM = 16
 _BLOCK_ENTRIES = 1 << 18  # complex entries per j-row block of validate()'s dense closure residual
+_KEPT = 3  # violations a ValidationReport lists; the rest are only counted
 # validate() fills the closure residual from sparse products when this many
 # times their product count p is at most the n^5 of the dense fill.  Measured
 # on random sparse Hermitian beta (one BLAS thread, 2-core Xeon), the sparse
@@ -118,47 +119,67 @@ def pauli_constants() -> StructureConstants:
 class ValidationReport:
     """Outcome of validate().
 
-    violations is a list of (constraint id, index tuple, residual), one entry
-    per offending index tuple (0-based).  alpha_psd is informational: the
-    constants of a genuine representation always have alpha positive
-    semidefinite, but PSD failure alone does not invalidate the closure
-    identities.  Linear independence of (I, X_1..X_n) cannot be decided from
-    the constants, so it is carried as an assumption.
+    counts maps each constraint id, in check order, to its number of
+    violations, and total is their sum.  violations lists the first _KEPT
+    of them as (constraint id, index tuple, residual), in check order and,
+    within one constraint, in C order of the 0-based index tuples.
+    alpha_psd is informational: the constants of a genuine representation
+    always have alpha positive semidefinite, but PSD failure alone does not
+    invalidate the closure identities.  Linear independence of
+    (I, X_1..X_n) cannot be decided from the constants, so it is carried as
+    an assumption.
     """
 
     passed: bool
+    counts: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
     alpha_psd: bool = True
     independence_assumed: bool = True
 
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
-def _collect(violations, label, residual, tol, j0=0):
+
+def _collect(label, residual, tol, j0=0):
+    """(count, first _KEPT violations in C order) of residual's entries above tol.
+
+    j0 is added to the first index of each violation.
+    """
     if residual.max() <= tol:  # NaN fails every comparison
-        return
-    for idx in np.argwhere(~(residual <= tol)):
-        key = (int(idx[0]) + j0,) + tuple(int(i) for i in idx[1:])
-        violations.append((label, key, float(residual[tuple(idx)])))
+        return 0, []
+    bad = ~(residual <= tol)
+    flat = np.flatnonzero(bad)[:_KEPT]
+    keys = np.column_stack(np.unravel_index(flat, residual.shape))
+    keys[:, 0] += j0
+    first = [(label, tuple(key), res) for key, res in zip(keys.tolist(), residual.ravel()[flat].tolist())]
+    return int(np.count_nonzero(bad)), first
 
 
-def _join_products(beta):
+def _nonzeros(beta):
+    """Indices (j, k, l) of the nonzero beta_ljk, in (j, k, l) order."""
+    return np.nonzero(beta.transpose(1, 2, 0))
+
+
+def _join_products(n, nz):
     """Products per sum of the sparse closure fill: sum_l c_l d_l.
 
-    c_l counts the nonzeros of section l, d_l those with middle (first sum)
-    or last (second sum) index l; the larger of the two sums is returned.
+    From the nonzeros nz (_nonzeros), c_l counts those of section l and d_l
+    those with middle (first sum) or last (second sum) index l; the larger
+    of the two sums is returned.
     """
-    nz = beta != 0
-    sections = nz.sum(axis=(1, 2))
-    return max(int(sections @ nz.sum(axis=(0, 2))), int(sections @ nz.sum(axis=(0, 1))))
+    middle, last, sections = (np.bincount(i, minlength=n) for i in nz)
+    return max(int(sections @ middle), int(sections @ last))
 
 
 def _assoc_linear_dense(constants: StructureConstants, tol):
-    """assoc-linear violations from BLAS products, one block of j-rows at a time.
+    """assoc-linear (count, first violations) from BLAS products, one block of j-rows at a time.
 
     Each block holds the residual [j, k, s, r] of at most _BLOCK_ENTRIES
     complex entries: O(n^5) time, O(n^3) memory.
     """
     alpha, beta, n = constants.alpha, constants.beta, constants.n
-    violations = []
+    count, first = 0, []
     flat_t = beta.reshape(n, n * n).T  # [(k, s), l] = beta_ksl
     right = beta.transpose(1, 2, 0).reshape(n, n * n)  # [l, (s, r)] = beta_lsr
     diag = np.arange(n)
@@ -169,8 +190,10 @@ def _assoc_linear_dense(constants: StructureConstants, tol):
         con2 -= (flat_t @ block).reshape(-1, n, n, n)
         con2[:, :, diag, diag] += alpha[j0 : j0 + rows, :, None]
         con2[diag[: len(con2)], :, :, diag[j0 : j0 + rows]] -= alpha
-        _collect(violations, "assoc-linear", np.abs(con2), tol, j0)
-    return violations
+        found, violations = _collect("assoc-linear", np.abs(con2), tol, j0)
+        count += found
+        first += violations[: _KEPT - len(first)]
+    return count, first
 
 
 def _unital(c: StructureConstants) -> np.ndarray:
@@ -185,68 +208,99 @@ def _unital(c: StructureConstants) -> np.ndarray:
     return u
 
 
-def _entries(a):
-    """Index arrays and values of the nonzeros of a, in C order."""
-    idx = np.nonzero(a)
-    return idx, a[idx]
+def _ptr(counts):
+    """Start of each run of the given lengths, and the end of the last."""
+    return np.concatenate([[0], np.cumsum(counts)])
 
 
-def _csr(rows, cols, vals, shape):
-    """CSR array of entries at distinct positions whose rows come in a few sorted runs."""
-    from scipy.sparse import csr_array  # ~25 ms to import, paid only where the sparse fill runs
-
-    order = np.argsort(rows, kind="stable")  # timsort merges the sorted runs in linear time
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
-    return csr_array((vals[order], cols[order], indptr), shape=shape)
+def _runs(starts, lengths):
+    """Concatenated index ranges [starts[i], starts[i] + lengths[i])."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts + lengths - ends, lengths) + np.arange(ends[-1])
 
 
-def _assoc_linear_sparse(constants: StructureConstants, tol):
-    """assoc-linear violations from sparse products over the nonzeros of beta.
+def _assoc_linear_sparse(constants: StructureConstants, tol, nz):
+    """assoc-linear (count, first violations) from sparse products over the nonzeros nz of beta.
 
-    With u the unital structure tensor (_unital: u_0jk = alpha_jk,
+    nz indexes the nonzero beta_ljk in (j, k, l) order (_nonzeros).  With u
+    the unital structure tensor (_unital: u_0jk = alpha_jk,
     u_r0s = delta_rs, u_rj0 = delta_rj) the residual at j, k, s, r >= 1 is
         sum_m u_mjk u_rms - sum_m u_mks u_rjm,
     the m = 0 terms being the alpha terms.  For a block of s values it is one
     CSR product X Y with rows (j, k) and columns (s, r): X = [u_mjk | u_mks'
     for every j] and Y = [u_rms ; -delta_ss' u_rj'm], the second sum
-    contracting over (s', j', m).  A product holds only the positions it
-    reaches; every other position has residual exactly 0 and passes every
-    tol >= 0.  X and Y hold about _BLOCK_ENTRIES / 2 entries each, which
-    keeps the peak memory near the dense fill's.
+    contracting over (s', j', m).  Each row of X and Y lists its entries by
+    column.  Read in (j, k, l) order, beta's nonzeros are already u_mab in
+    (a, b, m) order, u_rms in (m, s, r) order and u_rjm in (j, m, r) order
+    once the m = 0 entries go in: alpha_ab ahead of each (a, b) run,
+    delta_rs ahead of all, delta_rj ahead of each j run.  A product holds
+    only the positions it reaches; every other position has residual
+    exactly 0 and passes every tol >= 0.  X and Y hold about
+    _BLOCK_ENTRIES / 2 entries each, which keeps the peak memory near the
+    dense fill's.
     """
-    n, w = constants.n, constants.n + 1
-    u = _unital(constants)
-    (a, b, m), v = _entries(u[:, 1:, 1:].transpose(1, 2, 0))  # u_mab
-    (m1, s1, r1), v1 = _entries(u[1:, :, 1:].transpose(1, 2, 0))  # u_rms
-    (j2, m2, r2), v2 = _entries(u[1:, 1:, :].transpose(1, 2, 0))  # u_rjm
+    from scipy.sparse import csr_array  # ~25 ms to import, paid only where the sparse fill runs
+
+    alpha, beta, n = constants.alpha, constants.beta, constants.n
+    w = n + 1
+    j, k, l = nz
+    vb = beta[l, j, k]
+    runs = np.bincount(j * n + k, minlength=n * n)  # beta entries per (j, k)
+    at_run = _ptr(runs)
+    at_j = at_run[:-1:n]
+    units = np.arange(n, dtype=np.int32)
+    # u_mab, (a, b, m) order
+    ab = np.flatnonzero(alpha)
+    m = np.insert(l + 1, at_run[ab], 0).astype(np.int32)
+    b = np.insert(k, at_run[ab], ab % n).astype(np.int32)
+    v = np.insert(vb, at_run[ab], alpha.ravel()[ab])
+    at_ab = _ptr(runs + (alpha != 0).ravel())
+    # u_rjm, (j, m, r) order, with the row lengths of its m = 0 and m >= 1 rows
+    r_jm = np.insert(l, at_j, units).astype(np.int32)
+    v_jm = -np.insert(vb, at_j, 1.0)
+    per_jm = np.insert(runs.reshape(n, n), 0, 1, axis=1).ravel()
     width = max(1, _BLOCK_ENTRIES // (2 * max(1, len(v))))  # s values per block
-    t = np.arange(n)[:, None]
-    found = []
+    shift = np.column_stack([np.zeros(n * n, np.int32), np.repeat(units * w, n)])  # X column shift per run
+    count, keys, residuals = 0, [], []
     for s0 in range(0, n, width):
         ns = min(width, n - s0)
-        x_in = (b >= s0) & (b < s0 + ns)
-        y_in = (s1 >= s0) & (s1 < s0 + ns)
-        x = _csr(
-            np.concatenate([a * n + b, (t * n + a[x_in]).ravel()]),
-            np.concatenate([m, (w + ((b[x_in] - s0) * n + t) * w + m[x_in]).ravel()]),
-            np.concatenate([v, np.tile(v[x_in], n)]),
-            (n * n, w + ns * n * w),
+        # X row (j, k): the run u_mjk at column m, then the runs u_mks, s in
+        # the block, at column w + ((s - s0) n + j) w + m
+        lo = np.tile(at_ab[units * n + s0], n)
+        lengths = np.column_stack([np.diff(at_ab), np.tile(at_ab[units * n + s0 + ns], n) - lo])
+        at = _runs(np.column_stack([at_ab[:-1], lo + len(v)]).ravel(), lengths.ravel())
+        x_cols = np.concatenate([m, w + (b - s0) * (n * w) + m])[at] + np.repeat(shift.ravel(), lengths.ravel())
+        x = csr_array(
+            (np.concatenate([v, v])[at], x_cols, _ptr(lengths.sum(axis=1)).astype(np.int32)),
+            shape=(n * n, w + ns * n * w),
         )
-        y = _csr(
-            np.concatenate([m1[y_in], (w + (t[:ns] * n + j2) * w + m2).ravel()]),
-            np.concatenate([(s1[y_in] - s0) * n + r1[y_in], (t[:ns] * n + r2).ravel()]),
-            np.concatenate([v1[y_in], -np.tile(v2, ns)]),
-            (w + ns * n * w, ns * n),
+        # Y row m: u_rms, s in the block, at column (s - s0) n + r; row
+        # w + ((s - s0) n + j) w + m: -u_rjm at column (s - s0) n + r
+        inside = (k >= s0) & (k < s0 + ns)
+        y_cols = [units[:ns] * w + s0, (k[inside] - s0) * n + l[inside], (r_jm + n * units[:ns, None]).ravel()]
+        y_rows = [[ns], np.bincount(j[inside], minlength=n), np.tile(per_jm, ns)]
+        y = csr_array(
+            (
+                np.concatenate([np.ones(ns), vb[inside], np.tile(v_jm, ns)]),
+                np.concatenate(y_cols).astype(np.int32),
+                _ptr(np.concatenate(y_rows)).astype(np.int32),
+            ),
+            shape=(w + ns * n * w, ns * n),
         )
         total = x @ y
         residual = np.abs(total.data)
         bad = np.flatnonzero(~(residual <= tol))
-        s, r = np.divmod(total.indices[bad], n)
-        found.append((np.searchsorted(total.indptr, bad, side="right") - 1, s + s0, r, residual[bad]))
-    jk, s, r, residual = map(np.concatenate, zip(*found))
-    order = np.lexsort((r, s, jk))
-    keys = np.column_stack([*np.divmod(jk[order], n), s[order], r[order]])
-    return [("assoc-linear", tuple(key), res) for key, res in zip(keys.tolist(), residual[order].tolist())]
+        count += len(bad)
+        key = (np.searchsorted(total.indptr, bad, side="right") - 1) * n**2 + total.indices[bad] + s0 * n
+        if len(key) > _KEPT:  # a later block may hold earlier (j, k): keep each block's first
+            part = np.argpartition(key, _KEPT - 1)[:_KEPT]
+            key, bad = key[part], bad[part]
+        keys.append(key)
+        residuals.append(residual[bad])
+    keys, residuals = np.concatenate(keys), np.concatenate(residuals)
+    first = np.argsort(keys)[:_KEPT]
+    index = np.column_stack(np.unravel_index(keys[first], (n,) * 4))
+    return count, [("assoc-linear", tuple(key), res) for key, res in zip(index.tolist(), residuals[first].tolist())]
 
 
 def validate(constants: StructureConstants, tol: float = 1e-10) -> ValidationReport:
@@ -255,9 +309,10 @@ def validate(constants: StructureConstants, tol: float = 1e-10) -> ValidationRep
     Checks, in order: alpha symmetric, alpha real, each section of beta
     Hermitian, then the two product-consistency identities that make the
     multiplication table associative (the mixed alpha/beta identity and the
-    pure beta closure identity).  Returns a report, not an exception, of
-    every violation (non-finite included) in (j, k, s, r) order; tol must be
-    a finite number >= 0.
+    pure beta closure identity).  Returns a report, not an exception, that
+    counts the violations (non-finite included) of each constraint and lists
+    the first _KEPT in (constraint, j, k, s, r) order; tol must be a finite
+    number >= 0.
 
     The closure identity has n^4 entries and is filled one of two ways.
     When alpha and beta are finite and _SPARSE_GAIN * p <= n^5, p being the
@@ -265,44 +320,41 @@ def validate(constants: StructureConstants, tol: float = 1e-10) -> ValidationRep
     is allocated, sparse products over the nonzeros of beta fill it
     (_assoc_linear_sparse); otherwise BLAS products do, in O(n^5) time with
     one O(n^3) block of j-rows in memory at a time (_assoc_linear_dense).
-    Both give the same keys, residuals within round-off.  On one core of a
-    2-core Xeon the fills take 12 vs 50 ms (sparse vs dense) on Pauli x
-    qutrit (n = 35) and 0.32 vs 2.2 s on the qutrit pair (n = 80).
+    Both give the same counts and keys, residuals within round-off.  On one
+    core of a 2-core Xeon the fills take 4.3 vs 33 ms (sparse vs dense) on
+    Pauli x qutrit (n = 35) and 0.13 vs 1.8 s on the qutrit pair (n = 80).
     """
     tol = float(tol)
     if not 0.0 <= tol < np.inf:
         raise ValueError("tol must be a finite number >= 0, got %r" % tol)
     alpha, beta, n = constants.alpha, constants.beta, constants.n
-    violations = []
 
     with np.errstate(invalid="ignore"):  # inf - inf residuals are NaN and fail
-        _collect(violations, "alpha-sym", np.abs(alpha - alpha.T), tol)
-        _collect(violations, "alpha-imag", np.abs(np.imag(alpha)), tol)
-        _collect(
-            violations,
-            "beta-herm",
-            np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))),
-            tol,
-        )
+        found = {
+            "alpha-sym": _collect("alpha-sym", np.abs(alpha - alpha.T), tol),
+            "alpha-imag": _collect("alpha-imag", np.abs(np.imag(alpha)), tol),
+            "beta-herm": _collect("beta-herm", np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))), tol),
+        }
 
         # sum_l (alpha_ls beta_jkl - alpha_jl beta_ksl) = 0, indexed (j, k, s)
         flat = beta.reshape(n, n * n)
         con1 = (flat.T @ alpha).reshape(n, n, n) - (alpha @ flat).reshape(n, n, n)
-        _collect(violations, "assoc-const", np.abs(con1), tol)
+        found["assoc-const"] = _collect("assoc-const", np.abs(con1), tol)
 
         # alpha_jk d_rs - alpha_ks d_rj + sum_l (beta_jkl beta_lsr - beta_ksl beta_jlr)
         #   = 0, indexed (j, k, s, r)
-        finite = np.isfinite(alpha).all() and np.isfinite(beta).all()
-        sparse = finite and _SPARSE_GAIN * _join_products(beta) <= n**5
-        violations += (_assoc_linear_sparse if sparse else _assoc_linear_dense)(constants, tol)
+        nz = _nonzeros(beta) if np.isfinite(alpha).all() and np.isfinite(beta).all() else None
+        if nz is not None and _SPARSE_GAIN * _join_products(n, nz) <= n**5:
+            found["assoc-linear"] = _assoc_linear_sparse(constants, tol, nz)
+        else:
+            found["assoc-linear"] = _assoc_linear_dense(constants, tol)
 
     alpha_psd = bool(
         np.isfinite(alpha).all() and np.linalg.eigvalsh((alpha + np.conj(alpha).T) / 2.0).min() >= -tol
     )
-
-    return ValidationReport(
-        passed=not violations, violations=violations, alpha_psd=alpha_psd
-    )
+    counts = {label: count for label, (count, _) in found.items()}
+    violations = [v for _, first in found.values() for v in first][:_KEPT]
+    return ValidationReport(passed=not any(counts.values()), counts=counts, violations=violations, alpha_psd=alpha_psd)
 
 
 def dot_product(sections, u):

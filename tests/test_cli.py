@@ -282,6 +282,31 @@ def test_validate_reports_failure(tmp_path):
     assert name == "broken" and passed == "0" and int(violations) > 0
 
 
+def test_validate_counts_violations_of_random_constants(tmp_path, capsys):
+    # alpha = I and a random complex beta at n = 35: every violation is
+    # counted, none is listed
+    n = 35
+    rng = np.random.default_rng(0)
+    beta = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    cfg = {
+        "systems": {
+            "random": {
+                "constants": {"alpha": np.eye(n).tolist(), "beta": np.stack([beta.real, beta.imag], axis=-1).tolist()},
+                "E": np.zeros(n).tolist(),
+                "M": np.zeros((2, n)).tolist(),
+                "N": [0.0, 0.0],
+            }
+        },
+        "analysis": {"system": "random"},
+    }
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert cli.main(["validate", "--config", str(path), "--out", str(out)]) == 4
+    assert capsys.readouterr().out.splitlines()[0] == "system random: FAIL (1586340 violations, alpha PSD: yes)"
+    assert (out / "validate.csv").read_text().splitlines()[1] == "random,0,1586340,1,1"
+
+
 def test_validate_nan_constant_exits_four(tmp_path):
     beta = model.pauli_constants().beta
     sections = [[[[z.real, z.imag] if z.imag else z.real for z in row] for row in sec] for sec in beta]
@@ -1034,7 +1059,7 @@ def _wrap(monkeypatch, module, name, change):
 FAILING_ROWS = {
     "validate": (
         ["validate"],
-        lambda mp: mp.setattr(model, "validate", lambda *a, **k: model.ValidationReport(False, [("alpha-sym", (0, 1), 1.0)])),
+        lambda mp: mp.setattr(model, "validate", lambda *a, **k: model.ValidationReport(False, {"alpha-sym": 1}, [("alpha-sym", (0, 1), 1.0)])),
         ["qubit", "qubit_b"],
     ),
     "steady": (["steady"], lambda mp: _wrap(mp, qsde, "steady_mean", lambda mu, coeffs: mu + 1e-3), ["steady_residual"]),

@@ -13,6 +13,13 @@ SIGMA = [
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
+LABELS = ["alpha-sym", "alpha-imag", "beta-herm", "assoc-const", "assoc-linear"]
+
+
+@pytest.fixture
+def list_all(monkeypatch):
+    # reports and fills list every violation, not only the first few
+    monkeypatch.setattr(model, "_KEPT", 10**9)
 
 
 def test_pauli_constants_shape_and_validation(pauli):
@@ -21,6 +28,7 @@ def test_pauli_constants_shape_and_validation(pauli):
     report = model.validate(pauli)
     assert report.passed
     assert report.violations == []
+    assert report.counts == dict.fromkeys(LABELS, 0) and report.total == 0
     assert report.alpha_psd
 
 
@@ -174,9 +182,16 @@ def _same_violations(got, want):
     np.testing.assert_allclose([v[2] for v in got], [v[2] for v in want], rtol=0, atol=1e-13)
 
 
+def _same_report(report, want):
+    # a report against a full reference list: the counts, and the first
+    # _KEPT violations
+    assert report.counts == {label: sum(v[0] == label for v in want) for label in LABELS}
+    _same_violations(report.violations, want[: model._KEPT])
+
+
 @pytest.mark.parametrize("noise", [1e-6, 1e-9])
 @pytest.mark.parametrize("n", [3, 8, 15])
-def test_validate_matches_einsum_reference_on_perturbed_constants(n, noise):
+def test_validate_matches_einsum_reference_on_perturbed_constants(list_all, n, noise):
     exact = _exact_constants(n)
     assert model.validate(exact).passed
     rng = np.random.default_rng(100 * n + int(-np.log10(noise)))
@@ -185,10 +200,10 @@ def test_validate_matches_einsum_reference_on_perturbed_constants(n, noise):
     constants = model.structure_constants(alpha, beta)
     report = model.validate(constants)
     assert not report.passed
-    _same_violations(report.violations, _einsum_validate(constants))
+    _same_report(report, _einsum_validate(constants))
 
 
-def test_validate_matches_einsum_reference_across_row_blocks():
+def test_validate_matches_einsum_reference_across_row_blocks(list_all):
     # n = 26 spans two j-row blocks, the last one partial; alpha = 0 and a
     # sparse beta keep the violation list small
     n = 26
@@ -200,31 +215,30 @@ def test_validate_matches_einsum_reference_across_row_blocks():
     report = model.validate(constants)
     want = _einsum_validate(constants)
     assert any(v[0] == "assoc-linear" and v[1][0] >= n // 2 for v in want)
-    _same_violations(report.violations, want)
+    _same_report(report, want)
 
 
-@pytest.mark.parametrize("j", [0, 25])
-def test_validate_reports_planted_closure_violation_row(j):
+def _planted(n, j):
     # beta_{1,j,2} beta_{3,1,4} is the only nonzero product: it enters the
     # closure identity at (j, k, s, r) = (j, 2, 4, 3)
-    n = 26
     beta = np.zeros((n, n, n), dtype=complex)
     beta[1, j, 2] = 0.5
     beta[3, 1, 4] = 0.5
-    report = model.validate(model.structure_constants(np.zeros((n, n)), beta))
+    return model.structure_constants(np.zeros((n, n)), beta)
+
+
+@pytest.mark.parametrize("j", [0, 25])
+def test_validate_reports_planted_closure_violation_row(list_all, j):
+    report = model.validate(_planted(26, j))
     linear = [v for v in report.violations if v[0] == "assoc-linear"]
     assert linear == [("assoc-linear", (j, 2, 4, 3), 0.25)]
+    assert report.counts["assoc-linear"] == 1
 
 
 def test_validate_memory_stays_below_one_n4_array():
     n = 40
     constants = model.structure_constants(np.zeros((n, n)), np.zeros((n, n, n)))
-    tracemalloc.start()
-    try:
-        report = model.validate(constants)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = _traced_peak(lambda: model.validate(constants))
     assert report.passed
     assert peak < 16e6  # one n^4 complex array is 41 MB
 
@@ -234,7 +248,7 @@ def test_validate_fails_nan_in_beta(pauli):
     beta[2, 0, 1] = np.nan
     report = model.validate(model.structure_constants(pauli.alpha, beta))
     assert not report.passed
-    assert {v[0] for v in report.violations} >= {"beta-herm", "assoc-linear"}
+    assert report.counts["beta-herm"] and report.counts["assoc-linear"]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -247,7 +261,7 @@ def test_validate_fails_non_finite_alpha(pauli, bad):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_validate_non_finite_alpha_is_silent(pauli, bad):
+def test_validate_non_finite_alpha_is_silent(list_all, pauli, bad):
     # inf - inf in the residuals is NaN: the entry fails, with no numpy warning
     alpha = pauli.alpha.copy()
     alpha[1, 1] = bad
@@ -257,17 +271,24 @@ def test_validate_non_finite_alpha_is_silent(pauli, bad):
     assert not report.passed and not report.alpha_psd
     labels = [v[0] for v in report.violations]
     assert labels == ["alpha-sym"] + ["assoc-const"] * 15 + ["assoc-linear"] * 5
+    assert report.counts == {"alpha-sym": 1, "alpha-imag": 0, "beta-herm": 0, "assoc-const": 15, "assoc-linear": 5}
     assert report.violations[0][1] == (1, 1)
     for label in set(labels):
         keys = [v[1] for v in report.violations if v[0] == label]
         assert keys == sorted(keys)
 
 
+def _sparse_fill(constants, tol):
+    return model._assoc_linear_sparse(constants, tol, model._nonzeros(constants.beta))
+
+
 def _fills_agree(constants, tol=1e-10):
-    # the two fills of the closure residual: same keys in the same order,
-    # residuals within round-off; returns the violations
-    dense = model._assoc_linear_dense(constants, tol)
-    _same_violations(model._assoc_linear_sparse(constants, tol), dense)
+    # the two fills of the closure residual: the same count, the same keys in
+    # the same order, residuals within round-off; returns the violations
+    count, dense = model._assoc_linear_dense(constants, tol)
+    sparse_count, sparse = _sparse_fill(constants, tol)
+    assert sparse_count == count and len(dense) == min(count, model._KEPT)
+    _same_violations(sparse, dense)
     return dense
 
 
@@ -278,7 +299,7 @@ def test_fills_agree_on_exact_constants(n):
 
 @pytest.mark.parametrize("noise", [1e-6, 1e-9])
 @pytest.mark.parametrize("n", [3, 8, 15, 35])
-def test_fills_agree_on_pattern_confined_perturbations(n, noise):
+def test_fills_agree_on_pattern_confined_perturbations(list_all, n, noise):
     # perturb only beta's nonzeros and alpha, so the sparse pattern is kept
     exact = _exact_constants(n)
     rng = np.random.default_rng(10 * n + int(-np.log10(noise)))
@@ -288,7 +309,7 @@ def test_fills_agree_on_pattern_confined_perturbations(n, noise):
     assert _fills_agree(model.structure_constants(alpha, beta))
 
 
-def test_dense_fill_matches_einsum_reference_across_row_blocks():
+def test_dense_fill_matches_einsum_reference_across_row_blocks(list_all):
     # validate() sends this sparse beta to the sparse fill; the dense fill's
     # two j-row blocks (the last one partial) are checked here
     n = 26
@@ -297,17 +318,53 @@ def test_dense_fill_matches_einsum_reference_across_row_blocks():
     constants = model.structure_constants(np.zeros((n, n)), beta)
     want = [v for v in _einsum_validate(constants) if v[0] == "assoc-linear"]
     assert any(v[1][0] >= n // 2 for v in want)
-    _same_violations(model._assoc_linear_dense(constants, 1e-10), want)
+    count, found = model._assoc_linear_dense(constants, 1e-10)
+    assert count == len(want)
+    _same_violations(found, want)
 
 
-@pytest.mark.parametrize("fill", [model._assoc_linear_dense, model._assoc_linear_sparse])
+@pytest.mark.parametrize("fill", [model._assoc_linear_dense, _sparse_fill], ids=["_assoc_linear_dense", "_assoc_linear_sparse"])
 @pytest.mark.parametrize("j", [0, 25])
 def test_fills_report_planted_closure_violation_row(fill, j):
-    n = 26
-    beta = np.zeros((n, n, n), dtype=complex)
-    beta[1, j, 2] = 0.5
-    beta[3, 1, 4] = 0.5
-    assert fill(model.structure_constants(np.zeros((n, n)), beta), 1e-10) == [("assoc-linear", (j, 2, 4, 3), 0.25)]
+    assert fill(_planted(26, j), 1e-10) == (1, [("assoc-linear", (j, 2, 4, 3), 0.25)])
+
+
+def _blocks(constants, monkeypatch, count):
+    # shrink the fills' block size so that the sparse fill runs in `count`
+    # blocks of s values; returns the block width
+    n, entries = constants.n, np.count_nonzero(constants.alpha) + np.count_nonzero(constants.beta)
+    width = -(-n // count)
+    assert -(-n // width) == count
+    monkeypatch.setattr(model, "_BLOCK_ENTRIES", 2 * entries * width)
+    return width
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _exact_constants(35),
+        lambda: _perturbed(_exact_constants(35), 35),
+        lambda: _planted(26, 0),
+        lambda: _planted(26, 25),
+    ],
+    ids=["pauli-qutrit", "pauli-qutrit-perturbed", "planted-0", "planted-25"],
+)
+def test_sparse_fill_in_several_s_blocks(monkeypatch, make):
+    # block widths below n run the sparse fill's s-block loop (one block of
+    # width 61 at n = 35 otherwise): in 3 and in 4 blocks the fills agree and
+    # the report matches the reference, first _KEPT or every violation
+    constants = make()
+    want = _einsum_validate(constants)
+    n, entries = constants.n, np.count_nonzero(constants.alpha) + np.count_nonzero(constants.beta)
+    for blocks, kept in [(3, 3), (4, 3), (3, 10**9)]:
+        width = -(-n // blocks)
+        assert -(-n // width) == blocks
+        monkeypatch.setattr(model, "_BLOCK_ENTRIES", 2 * entries * width)
+        monkeypatch.setattr(model, "_KEPT", kept)
+        _fills_agree(constants)
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "_assoc_linear_dense", _refuse)
+            _same_report(model.validate(constants), want)
 
 
 @settings(max_examples=40, deadline=None)
@@ -339,7 +396,9 @@ def test_fills_agree_on_sparse_hermitian_perturbations(data):
             alpha[k, j] += d
     tol = data.draw(st.sampled_from([0.0, 2.0**-40, 2.0**-30, 1e-10, 1e-3]))
     constants = model.structure_constants(alpha, beta)
-    assert model._assoc_linear_sparse(constants, tol) == model._assoc_linear_dense(constants, tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_KEPT", 10**9)
+        assert _sparse_fill(constants, tol) == model._assoc_linear_dense(constants, tol)
 
 
 def _refuse(*args):
@@ -350,6 +409,13 @@ def _perturbed_pauli_pauli():
     exact = _exact_constants(15)
     rng = np.random.default_rng(15)
     return model.structure_constants(exact.alpha, exact.beta + 1e-9 * rng.normal(size=exact.beta.shape))
+
+
+def _perturbed(exact, seed):
+    # noise on beta's nonzeros and on alpha: the sparse pattern is kept
+    rng = np.random.default_rng(seed)
+    beta = exact.beta + 1e-9 * (rng.normal(size=exact.beta.shape) + 1j * rng.normal(size=exact.beta.shape)) * (exact.beta != 0)
+    return model.structure_constants(exact.alpha + 1e-9 * rng.normal(size=exact.alpha.shape), beta)
 
 
 def _non_finite(which, bad):
@@ -385,16 +451,43 @@ def test_validate_takes_sparse_fill_on_composites(monkeypatch, n):
     assert model.validate(constants).passed
 
 
-def test_sparse_validate_memory_stays_below_one_n4_array():
-    constants = _exact_constants(35)
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        report = model.validate(constants)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_sparse_validate_memory_stays_below_one_n4_array():
+    # one n^4 complex array is 24 MB.  The peak is 8.08 MB once scipy.sparse
+    # is imported (the first call imports it, 1.3 MB more), and was 9.47 MB
+    # while the fill built its operands through sorts and copies
+    constants = _exact_constants(35)
+    model.validate(constants)
+    report, peak = _traced_peak(lambda: model.validate(constants))
     assert report.passed
-    assert peak < 16e6  # one n^4 complex array is 24 MB
+    assert peak < 9e6
+
+
+def test_validate_counts_violations_of_random_constants():
+    # alpha = I and a random complex beta at n = 35 violate almost every
+    # identity: the report counts them (the dense fill), lists the first
+    # _KEPT and stays small; a list of all 1,586,340 peaked at 279 MB
+    n = 35
+    rng = np.random.default_rng(0)
+    beta = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    report, peak = _traced_peak(lambda: model.validate(model.structure_constants(np.eye(n), beta)))
+    assert not report.passed and report.alpha_psd
+    assert report.counts == {"alpha-sym": 0, "alpha-imag": 0, "beta-herm": 42875, "assoc-const": 42840, "assoc-linear": 1500625}
+    assert report.total == 1586340
+    assert [v[:2] for v in report.violations] == [("beta-herm", (0, 0, k)) for k in range(model._KEPT)]
+    assert all(type(i) is int for v in report.violations for i in v[1]) and all(type(v[2]) is float for v in report.violations)
+    herm = [abs(beta[0, 0, k] - np.conj(beta[0, k, 0])) for k in range(model._KEPT)]
+    np.testing.assert_allclose([v[2] for v in report.violations], herm, rtol=1e-15)
+    assert peak < 32e6
 
 
 def test_structure_constants_store_a_complex_alpha_with_zero_imaginary_part_as_real(pauli):
