@@ -79,13 +79,21 @@ def _array(x, what, ndim):
     return out.reshape(shape)
 
 
-def _constants(cfg):
-    """The constants of a config entry and their oracle representation, or None."""
+def _known(obj, keys, what):
+    """Refuse the first key of the object `what` that is not in `keys`."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError("%s has unknown key %r" % (what, key))
+
+
+def _constants(cfg, name):
+    """The constants of system `name` and their oracle representation, or None."""
     if cfg == "pauli":
         rep = oracle_mod.pauli_representation()
         return rep.constants, rep
     if not isinstance(cfg, dict) or "alpha" not in cfg or "beta" not in cfg:
         raise ConfigError('constants must be "pauli" or {"alpha": ..., "beta": [...]}')
+    _known(cfg, ("alpha", "beta"), "constants of system %r" % name)
     alpha = _array(cfg["alpha"], "alpha", 2)
     if not isinstance(cfg["beta"], list) or not cfg["beta"]:
         raise ConfigError("beta must be a non-empty list of sections")
@@ -99,10 +107,11 @@ def _constants(cfg):
 def _system(cfg, name):
     if not isinstance(cfg, dict):
         raise ConfigError("system %r must be an object" % name)
+    _known(cfg, ("constants", "E", "M", "N"), "system %r" % name)
     for key in ("constants", "E", "M"):
         if key not in cfg:
             raise ConfigError("system %r is missing %r" % (name, key))
-    constants, rep = _constants(cfg["constants"])
+    constants, rep = _constants(cfg["constants"], name)
     energy = _array(cfg["E"], "E", 1)
     coupling = _array(cfg["M"], "M", 2)
     offset = _array(cfg["N"], "N", 1) if "N" in cfg else None
@@ -117,16 +126,18 @@ class Config:
     def __init__(self, raw, path):
         if not isinstance(raw, dict):
             raise ConfigError("top level of %s must be an object" % path)
+        _known(raw, ("systems", "composites", "analysis"), "top level of %s" % path)
         systems = raw.get("systems")
         if not isinstance(systems, dict) or not systems:
             raise ConfigError('config needs a non-empty "systems" object')
         self.systems = {name: _system(cfg, name) for name, cfg in systems.items()}
-        self.composites, composites = {}, raw.get("composites") or {}
+        self.composites, composites = {}, raw.get("composites", {})
         if not isinstance(composites, dict):
             raise ConfigError('"composites" must be an object')
         for name, cfg in composites.items():
             if not isinstance(cfg, dict) or "systems" not in cfg or "E12" not in cfg:
                 raise ConfigError('composite %r needs "systems" and "E12"' % name)
+            _known(cfg, ("systems", "E12"), "composite %r" % name)
             pair = cfg["systems"]
             if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(s, str) for s in pair):
                 raise ConfigError("composite %r must name two systems" % name)
@@ -140,9 +151,11 @@ class Config:
             except ValueError as e:
                 raise ConfigError("composite %r: %s" % (name, e))
             self.composites[name] = cspec, None if rep1 is None or rep2 is None else (rep1, rep2)
-        self.analysis = raw.get("analysis") or {}
+        self.analysis = raw.get("analysis", {})
         if not isinstance(self.analysis, dict):
             raise ConfigError('"analysis" must be an object')
+        keys = ("system", "composite", "eps", "grid", "mu0", "seed", "tol", "budget", "qcf_u")
+        _known(self.analysis, keys, '"analysis"')
 
     def system(self):
         """The selected system as (name, spec, coefficients, representation or None)."""

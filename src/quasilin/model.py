@@ -149,10 +149,10 @@ def _collect(label, residual, tol, j0=0):
     if residual.max() <= tol:  # NaN fails every comparison
         return 0, []
     bad = ~(residual <= tol)
-    flat = np.flatnonzero(bad)[:_KEPT]
-    keys = np.column_stack(np.unravel_index(flat, residual.shape))
+    index = np.unravel_index(np.flatnonzero(bad)[:_KEPT], residual.shape)  # residual may be a strided view
+    keys = np.column_stack(index)
     keys[:, 0] += j0
-    first = [(label, tuple(key), res) for key, res in zip(keys.tolist(), residual.ravel()[flat].tolist())]
+    first = [(label, tuple(key), res) for key, res in zip(keys.tolist(), residual[index].tolist())]
     return int(np.count_nonzero(bad)), first
 
 
@@ -162,38 +162,14 @@ def _nonzeros(beta):
 
 
 def _join_products(n, nz):
-    """Products per sum of the sparse closure fill: sum_l c_l d_l.
+    """Products per sum of beta's nonzeros nz (_nonzeros): sum_l c_l d_l.
 
-    From the nonzeros nz (_nonzeros), c_l counts those of section l and d_l
-    those with middle (first sum) or last (second sum) index l; the larger
-    of the two sums is returned.
+    c_l counts the nonzeros of section l and d_l those with middle (first
+    sum) or last (second sum) index l; the larger of the two sums is
+    returned.  These beta-beta products are most of the sparse fill's work.
     """
     middle, last, sections = (np.bincount(i, minlength=n) for i in nz)
     return max(int(sections @ middle), int(sections @ last))
-
-
-def _assoc_linear_dense(constants: StructureConstants, tol):
-    """assoc-linear (count, first violations) from BLAS products, one block of j-rows at a time.
-
-    Each block holds the residual [j, k, s, r] of at most _BLOCK_ENTRIES
-    complex entries: O(n^5) time, O(n^3) memory.
-    """
-    alpha, beta, n = constants.alpha, constants.beta, constants.n
-    count, first = 0, []
-    flat_t = beta.reshape(n, n * n).T  # [(k, s), l] = beta_ksl
-    right = beta.transpose(1, 2, 0).reshape(n, n * n)  # [l, (s, r)] = beta_lsr
-    diag = np.arange(n)
-    rows = max(1, _BLOCK_ENTRIES // n**3)
-    for j0 in range(0, n, rows):
-        block = beta[:, j0 : j0 + rows, :].transpose(1, 2, 0)  # [j, k, l] = beta_jkl, read as [j, l, r] = beta_jlr
-        con2 = (block.reshape(-1, n) @ right).reshape(-1, n, n, n)
-        con2 -= (flat_t @ block).reshape(-1, n, n, n)
-        con2[:, :, diag, diag] += alpha[j0 : j0 + rows, :, None]
-        con2[diag[: len(con2)], :, :, diag[j0 : j0 + rows]] -= alpha
-        found, violations = _collect("assoc-linear", np.abs(con2), tol, j0)
-        count += found
-        first += violations[: _KEPT - len(first)]
-    return count, first
 
 
 def _unital(c: StructureConstants) -> np.ndarray:
@@ -208,6 +184,28 @@ def _unital(c: StructureConstants) -> np.ndarray:
     return u
 
 
+def _closure_dense(constants: StructureConstants, tol):
+    """Closure residual R (validate) as {label: (count, first violations)}, from BLAS products.
+
+    One block of j-rows at a time holds R[j, k, s, r] for r = 0..n, at most
+    _BLOCK_ENTRIES complex entries: O(n^5) time, O(n^3) memory.
+    """
+    n, w = constants.n, constants.n + 1
+    t = np.ascontiguousarray(_unital(constants).transpose(1, 2, 0))  # t[a, b, m] = u_mab
+    left = t[1:, 1:].reshape(n * n, w)  # [(j, k), m] = u_mjk
+    right = t[:, 1:].reshape(w, n * w)  # [m, (s, r)] = u_rms
+    rows = max(1, _BLOCK_ENTRIES // (n * n * w))
+    found = {"assoc-const": (0, []), "assoc-linear": (0, [])}
+    for j0 in range(0, n, rows):
+        p = left[j0 * n : (j0 + rows) * n] @ right
+        p -= (left @ t[1 + j0 : 1 + j0 + rows]).reshape(p.shape)  # [j, (k, s), r] = sum_m u_mks u_rjm
+        residual = np.abs(p).reshape(-1, n, n, w)
+        for label, part in zip(found, (residual[..., 0], residual[..., 1:])):
+            count, first = _collect(label, part, tol, j0)
+            found[label] = (found[label][0] + count, (found[label][1] + first)[:_KEPT])
+    return found
+
+
 def _ptr(counts):
     """Start of each run of the given lengths, and the end of the last."""
     return np.concatenate([[0], np.cumsum(counts)])
@@ -219,135 +217,132 @@ def _runs(starts, lengths):
     return np.repeat(starts + lengths - ends, lengths) + np.arange(ends[-1])
 
 
-def _assoc_linear_sparse(constants: StructureConstants, tol, nz):
-    """assoc-linear (count, first violations) from sparse products over the nonzeros nz of beta.
+def _closure_sparse(constants: StructureConstants, tol, nz):
+    """Closure residual R (validate) as {label: (count, first violations)}, from sparse products.
 
-    nz indexes the nonzero beta_ljk in (j, k, l) order (_nonzeros).  With u
-    the unital structure tensor (_unital: u_0jk = alpha_jk,
-    u_r0s = delta_rs, u_rj0 = delta_rj) the residual at j, k, s, r >= 1 is
-        sum_m u_mjk u_rms - sum_m u_mks u_rjm,
-    the m = 0 terms being the alpha terms.  For a block of s values it is one
-    CSR product X Y with rows (j, k) and columns (s, r): X = [u_mjk | u_mks'
-    for every j] and Y = [u_rms ; -delta_ss' u_rj'm], the second sum
-    contracting over (s', j', m).  Each row of X and Y lists its entries by
-    column.  Read in (j, k, l) order, beta's nonzeros are already u_mab in
-    (a, b, m) order, u_rms in (m, s, r) order and u_rjm in (j, m, r) order
-    once the m = 0 entries go in: alpha_ab ahead of each (a, b) run,
-    delta_rs ahead of all, delta_rj ahead of each j run.  A product holds
-    only the positions it reaches; every other position has residual
-    exactly 0 and passes every tol >= 0.  X and Y hold about
-    _BLOCK_ENTRIES / 2 entries each, which keeps the peak memory near the
-    dense fill's.
+    nz indexes the nonzero beta_ljk in (j, k, l) order (_nonzeros).  For a
+    block of s values R is one CSR product X Y with rows (j, k) and columns
+    (s, r), r = 0..n: X = [u_mjk | u_mks' for every j] and
+    Y = [u_rms ; -delta_ss' u_rj'm], the second sum contracting over
+    (s', j', m).  Every operand reads one list, u's nonzeros u_mab with
+    a, b >= 1 in (a, b, m) order: beta's nonzeros in (j, k, l) order with
+    alpha_ab ahead of each (a, b) run.  X and the rows m >= 1 of Y's first
+    sum read it as it is, Y's second-sum rows with u_jj0 = 1 ahead of each
+    a-run; Y's row m = 0 holds u_s0s = 1.  Each row lists its entries by
+    column.  A product holds only the positions it reaches; every other
+    position has residual exactly 0 and passes every tol >= 0.  X and Y hold
+    about _BLOCK_ENTRIES / 2 entries each, which keeps the peak memory near
+    the dense fill's.
     """
     from scipy.sparse import csr_array  # ~25 ms to import, paid only where the sparse fill runs
 
     alpha, beta, n = constants.alpha, constants.beta, constants.n
     w = n + 1
     j, k, l = nz
-    vb = beta[l, j, k]
     runs = np.bincount(j * n + k, minlength=n * n)  # beta entries per (j, k)
-    at_run = _ptr(runs)
-    at_j = at_run[:-1:n]
-    units = np.arange(n, dtype=np.int32)
-    # u_mab, (a, b, m) order
+    # the list: u_mab at (a, b, m) = (j, k, l + 1), with alpha_ab at m = 0 ahead of each (a, b) run
     ab = np.flatnonzero(alpha)
-    m = np.insert(l + 1, at_run[ab], 0).astype(np.int32)
-    b = np.insert(k, at_run[ab], ab % n).astype(np.int32)
-    v = np.insert(vb, at_run[ab], alpha.ravel()[ab])
-    at_ab = _ptr(runs + (alpha != 0).ravel())
-    # u_rjm, (j, m, r) order, with the row lengths of its m = 0 and m >= 1 rows
-    r_jm = np.insert(l, at_j, units).astype(np.int32)
-    v_jm = -np.insert(vb, at_j, 1.0)
-    per_jm = np.insert(runs.reshape(n, n), 0, 1, axis=1).ravel()
+    at = _ptr(runs)[ab]
+    m = np.insert(l + 1, at, 0).astype(np.int32)
+    b = np.insert(k, at, ab % n).astype(np.int32)
+    v = np.insert(beta[l, j, k], at, alpha.ravel()[ab])
+    at_ab = _ptr(runs + (alpha != 0).ravel())  # start of each (a, b) run
+    units = np.arange(n, dtype=np.int32)
+    # -u_rjm in (j, m, r) order: the list with u_jj0 = 1 ahead of each a-run, and its row lengths
+    r_jm = np.insert(m, at_ab[:-1:n], units + 1)
+    v_jm = -np.insert(v, at_ab[:-1:n], 1.0)
+    per_jm = np.insert(np.diff(at_ab).reshape(n, n), 0, 1, axis=1).ravel()
     width = max(1, _BLOCK_ENTRIES // (2 * max(1, len(v))))  # s values per block
     shift = np.column_stack([np.zeros(n * n, np.int32), np.repeat(units * w, n)])  # X column shift per run
-    count, keys, residuals = 0, [], []
+    kept = {"assoc-const": [], "assoc-linear": []}  # per block: (count, candidate keys, their residuals)
     for s0 in range(0, n, width):
         ns = min(width, n - s0)
+        lo, hi = at_ab[units * n + s0], at_ab[units * n + s0 + ns]  # the runs (a, s), s in the block
         # X row (j, k): the run u_mjk at column m, then the runs u_mks, s in
         # the block, at column w + ((s - s0) n + j) w + m
-        lo = np.tile(at_ab[units * n + s0], n)
-        lengths = np.column_stack([np.diff(at_ab), np.tile(at_ab[units * n + s0 + ns], n) - lo])
-        at = _runs(np.column_stack([at_ab[:-1], lo + len(v)]).ravel(), lengths.ravel())
+        lengths = np.column_stack([np.diff(at_ab), np.tile(hi - lo, n)])
+        at = _runs(np.column_stack([at_ab[:-1], np.tile(lo, n) + len(v)]).ravel(), lengths.ravel())
         x_cols = np.concatenate([m, w + (b - s0) * (n * w) + m])[at] + np.repeat(shift.ravel(), lengths.ravel())
         x = csr_array(
             (np.concatenate([v, v])[at], x_cols, _ptr(lengths.sum(axis=1)).astype(np.int32)),
             shape=(n * n, w + ns * n * w),
         )
-        # Y row m: u_rms, s in the block, at column (s - s0) n + r; row
-        # w + ((s - s0) n + j) w + m: -u_rjm at column (s - s0) n + r
-        inside = (k >= s0) & (k < s0 + ns)
-        y_cols = [units[:ns] * w + s0, (k[inside] - s0) * n + l[inside], (r_jm + n * units[:ns, None]).ravel()]
-        y_rows = [[ns], np.bincount(j[inside], minlength=n), np.tile(per_jm, ns)]
+        # Y row m: u_rms, s in the block, at column (s - s0) w + r; row
+        # w + ((s - s0) n + j) w + m: -u_rjm at column (s - s0) w + r
+        first_sum = _runs(lo, hi - lo)
+        y_cols = [units[:ns] * (w + 1) + s0 + 1, (b[first_sum] - s0) * w + m[first_sum], (r_jm + w * units[:ns, None]).ravel()]
         y = csr_array(
             (
-                np.concatenate([np.ones(ns), vb[inside], np.tile(v_jm, ns)]),
+                np.concatenate([np.ones(ns), v[first_sum], np.tile(v_jm, ns)]),
                 np.concatenate(y_cols).astype(np.int32),
-                _ptr(np.concatenate(y_rows)).astype(np.int32),
+                _ptr(np.concatenate([[ns], hi - lo, np.tile(per_jm, ns)])).astype(np.int32),
             ),
-            shape=(w + ns * n * w, ns * n),
+            shape=(w + ns * n * w, ns * w),
         )
         total = x @ y
         residual = np.abs(total.data)
-        bad = np.flatnonzero(~(residual <= tol))
-        count += len(bad)
-        key = (np.searchsorted(total.indptr, bad, side="right") - 1) * n**2 + total.indices[bad] + s0 * n
-        if len(key) > _KEPT:  # a later block may hold earlier (j, k): keep each block's first
-            part = np.argpartition(key, _KEPT - 1)[:_KEPT]
-            key, bad = key[part], bad[part]
-        keys.append(key)
-        residuals.append(residual[bad])
-    keys, residuals = np.concatenate(keys), np.concatenate(residuals)
-    first = np.argsort(keys)[:_KEPT]
-    index = np.column_stack(np.unravel_index(keys[first], (n,) * 4))
-    return count, [("assoc-linear", tuple(key), res) for key, res in zip(index.tolist(), residuals[first].tolist())]
+        bad = ~(residual <= tol)
+        const = total.indices % w == 0  # column (s - s0) w + r at r = 0
+        for label, part in zip(kept, (bad & const, bad & ~const)):
+            pos = np.flatnonzero(part)
+            count = len(pos)
+            if count > _KEPT:  # entries run row by row: the first _KEPT in C order lie in the rows up to the _KEPT-th's
+                pos = pos[: np.searchsorted(pos, total.indptr[np.searchsorted(total.indptr, pos[_KEPT - 1], side="right")])]
+            # C-order position in R[j, k, s, r] over (n, n, n, w); a later block may hold earlier (j, k)
+            key = (np.searchsorted(total.indptr, pos, side="right") - 1) * (n * w) + total.indices[pos] + s0 * w
+            kept[label].append((count, key, residual[pos]))
+    found = {}
+    for ndim, (label, blocks) in enumerate(kept.items(), 3):
+        counts, keys, res = zip(*blocks)
+        keys, res = np.concatenate(keys), np.concatenate(res)
+        first = np.argsort(keys)[:_KEPT]
+        index = np.column_stack(np.unravel_index(keys[first], (n, n, n, w))) - [0, 0, 0, 1]  # X_r is column r - 1 of assoc-linear
+        found[label] = (sum(counts), [(label, tuple(i[:ndim]), r) for i, r in zip(index.tolist(), res[first].tolist())])
+    return found
 
 
 def validate(constants: StructureConstants, tol: float = 1e-10) -> ValidationReport:
     """Check the closure constraints on (alpha, beta) to absolute tolerance tol.
 
     Checks, in order: alpha symmetric, alpha real, each section of beta
-    Hermitian, then the two product-consistency identities that make the
-    multiplication table associative (the mixed alpha/beta identity and the
-    pure beta closure identity).  Returns a report, not an exception, that
-    counts the violations (non-finite included) of each constraint and lists
-    the first _KEPT in (constraint, j, k, s, r) order; tol must be a finite
-    number >= 0.
+    Hermitian, then one law: (I, X_1..X_n) multiply associatively,
+    (Y_j Y_k) Y_s = Y_j (Y_k Y_s) for j, k, s >= 1.  With u the unital
+    structure tensor (_unital) the coefficient of Y_r in the difference is
 
-    The closure identity has n^4 entries and is filled one of two ways.
-    When alpha and beta are finite and _SPARSE_GAIN * p <= n^5, p being the
-    products per sum that _join_products counts before anything of size n^4
-    is allocated, sparse products over the nonzeros of beta fill it
-    (_assoc_linear_sparse); otherwise BLAS products do, in O(n^5) time with
-    one O(n^3) block of j-rows in memory at a time (_assoc_linear_dense).
+        R[j, k, s, r] = sum_m u_mjk u_rms - sum_m u_mks u_rjm,  r = 0..n;
+
+    its r = 0 entries are assoc-const, indexed (j, k, s), and its r >= 1
+    entries assoc-linear, indexed (j, k, s, r - 1).  Returns a report, not
+    an exception, that counts the violations (non-finite included) of each
+    constraint and lists the first _KEPT in (constraint, j, k, s, r) order;
+    tol must be a finite number >= 0.
+
+    R is filled one of two ways; only the container differs.  When alpha
+    and beta are finite and _SPARSE_GAIN * p <= n^5, p being the products
+    per sum that _join_products counts before anything of size n^4 is
+    allocated, CSR products over the nonzeros of u fill it
+    (_closure_sparse); otherwise BLAS products over u do, in O(n^5) time
+    with one O(n^3) block of j-rows in memory at a time (_closure_dense).
     Both give the same counts and keys, residuals within round-off.  On one
-    core of a 2-core Xeon the fills take 4.3 vs 33 ms (sparse vs dense) on
-    Pauli x qutrit (n = 35) and 0.13 vs 1.8 s on the qutrit pair (n = 80).
+    core of a 2-core Xeon the fills take 2.6 vs 20 ms (sparse vs dense) on
+    Pauli x qutrit (n = 35) and 0.08 vs 1.0 s on the qutrit pair (n = 80).
     """
     tol = float(tol)
     if not 0.0 <= tol < np.inf:
         raise ValueError("tol must be a finite number >= 0, got %r" % tol)
     alpha, beta, n = constants.alpha, constants.beta, constants.n
 
-    with np.errstate(invalid="ignore"):  # inf - inf residuals are NaN and fail
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf residuals are NaN and fail
         found = {
             "alpha-sym": _collect("alpha-sym", np.abs(alpha - alpha.T), tol),
             "alpha-imag": _collect("alpha-imag", np.abs(np.imag(alpha)), tol),
             "beta-herm": _collect("beta-herm", np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))), tol),
         }
-
-        # sum_l (alpha_ls beta_jkl - alpha_jl beta_ksl) = 0, indexed (j, k, s)
-        flat = beta.reshape(n, n * n)
-        con1 = (flat.T @ alpha).reshape(n, n, n) - (alpha @ flat).reshape(n, n, n)
-        found["assoc-const"] = _collect("assoc-const", np.abs(con1), tol)
-
-        # alpha_jk d_rs - alpha_ks d_rj + sum_l (beta_jkl beta_lsr - beta_ksl beta_jlr)
-        #   = 0, indexed (j, k, s, r)
         nz = _nonzeros(beta) if np.isfinite(alpha).all() and np.isfinite(beta).all() else None
         if nz is not None and _SPARSE_GAIN * _join_products(n, nz) <= n**5:
-            found["assoc-linear"] = _assoc_linear_sparse(constants, tol, nz)
+            found.update(_closure_sparse(constants, tol, nz))
         else:
-            found["assoc-linear"] = _assoc_linear_dense(constants, tol)
+            found.update(_closure_dense(constants, tol))
 
     alpha_psd = bool(
         np.isfinite(alpha).all() and np.linalg.eigvalsh((alpha + np.conj(alpha).T) / 2.0).min() >= -tol

@@ -475,6 +475,23 @@ STRUCTURE_REFUSALS = {
         ["composite"], ("composites", "pair", "systems"), ["qubit", "nope"], "composite 'pair' references unknown system 'nope'"
     ),
     "analysis a list": (["steady"], ("analysis",), [1], '"analysis" must be an object'),
+    # a present section that is not an object is refused, falsy or null too
+    **{
+        "%s %s" % (section, label): (["steady"], (section,), value, '"%s" must be an object' % section)
+        for section in ("analysis", "composites")
+        for label, value in (("empty list", []), ("zero", 0), ("false", False), ("empty string", ""), ("null", None))
+    },
+    # unknown keys, misspelt ones included, name their object
+    "unknown top-level key": (["steady"], ("system",), {}, "has unknown key 'system'"),
+    "unknown system key": (["steady"], ("systems", "qubit", "n"), [0, 0], "system 'qubit' has unknown key 'n'"),
+    "unknown composite key": (["composite"], ("composites", "pair", "e12"), [[0.0]], "composite 'pair' has unknown key 'e12'"),
+    "unknown analysis key": (["decoherence"], ("analysis", "budjet"), 16, '"analysis" has unknown key \'budjet\''),
+    "unknown constants key": (
+        ["steady"],
+        ("systems", "qubit", "constants"),
+        {"alpha": [[1.0]], "beta": [[[0.0]]], "gamma": 0},
+        "constants of system 'qubit' has unknown key 'gamma'",
+    ),
 }
 
 

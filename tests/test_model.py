@@ -207,7 +207,7 @@ def test_validate_matches_einsum_reference_across_row_blocks(list_all):
     # n = 26 spans two j-row blocks, the last one partial; alpha = 0 and a
     # sparse beta keep the violation list small
     n = 26
-    rows = max(1, model._BLOCK_ENTRIES // n**3)
+    rows = max(1, model._BLOCK_ENTRIES // (n * n * (n + 1)))
     assert rows < n and n % rows
     rng = np.random.default_rng(26)
     beta = (rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))) * (rng.random((n, n, n)) < 0.004)
@@ -262,7 +262,10 @@ def test_validate_fails_non_finite_alpha(pauli, bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validate_non_finite_alpha_is_silent(list_all, pauli, bad):
-    # inf - inf in the residuals is NaN: the entry fails, with no numpy warning
+    # inf - inf and 0 * inf in the residuals are NaN: the entry fails, with no
+    # numpy warning.  Every entry of the closure residual whose sums read
+    # u_0jk = alpha_11 fails: the rows j = 1 and columns s = 1 of assoc-const,
+    # and the (1, 1, s, r) and (j, 1, 1, r) of assoc-linear
     alpha = pauli.alpha.copy()
     alpha[1, 1] = bad
     with warnings.catch_warnings():
@@ -270,26 +273,32 @@ def test_validate_non_finite_alpha_is_silent(list_all, pauli, bad):
         report = model.validate(model.structure_constants(alpha, pauli.beta))
     assert not report.passed and not report.alpha_psd
     labels = [v[0] for v in report.violations]
-    assert labels == ["alpha-sym"] + ["assoc-const"] * 15 + ["assoc-linear"] * 5
-    assert report.counts == {"alpha-sym": 1, "alpha-imag": 0, "beta-herm": 0, "assoc-const": 15, "assoc-linear": 5}
+    assert labels == ["alpha-sym"] + ["assoc-const"] * 15 + ["assoc-linear"] * 15
+    assert report.counts == {"alpha-sym": 1, "alpha-imag": 0, "beta-herm": 0, "assoc-const": 15, "assoc-linear": 15}
     assert report.violations[0][1] == (1, 1)
+    const = {key for key in np.ndindex(3, 3, 3) if key[0] == 1 or key[2] == 1}
+    assert {v[1] for v in report.violations if v[0] == "assoc-const"} == const
+    linear = {key for key in np.ndindex(3, 3, 3, 3) if key[:2] == (1, 1) or key[1:3] == (1, 1)}
+    assert {v[1] for v in report.violations if v[0] == "assoc-linear"} == linear
     for label in set(labels):
         keys = [v[1] for v in report.violations if v[0] == label]
         assert keys == sorted(keys)
 
 
 def _sparse_fill(constants, tol):
-    return model._assoc_linear_sparse(constants, tol, model._nonzeros(constants.beta))
+    return model._closure_sparse(constants, tol, model._nonzeros(constants.beta))
 
 
 def _fills_agree(constants, tol=1e-10):
-    # the two fills of the closure residual: the same count, the same keys in
-    # the same order, residuals within round-off; returns the violations
-    count, dense = model._assoc_linear_dense(constants, tol)
-    sparse_count, sparse = _sparse_fill(constants, tol)
-    assert sparse_count == count and len(dense) == min(count, model._KEPT)
-    _same_violations(sparse, dense)
-    return dense
+    # the two fills of the closure residual: for assoc-const and assoc-linear
+    # the same count, the same keys in the same order, residuals within
+    # round-off; returns the violations of both
+    dense, sparse = model._closure_dense(constants, tol), _sparse_fill(constants, tol)
+    assert list(dense) == list(sparse) == ["assoc-const", "assoc-linear"]
+    for (count, first), (sparse_count, sparse_first) in zip(dense.values(), sparse.values()):
+        assert sparse_count == count and len(first) == min(count, model._KEPT)
+        _same_violations(sparse_first, first)
+    return [v for _, first in dense.values() for v in first]
 
 
 @pytest.mark.parametrize("n", [3, 8, 15, 35])
@@ -316,17 +325,41 @@ def test_dense_fill_matches_einsum_reference_across_row_blocks(list_all):
     rng = np.random.default_rng(26)
     beta = (rng.normal(size=(n, n, n)) + 1j * rng.normal(size=(n, n, n))) * (rng.random((n, n, n)) < 0.004)
     constants = model.structure_constants(np.zeros((n, n)), beta)
-    want = [v for v in _einsum_validate(constants) if v[0] == "assoc-linear"]
-    assert any(v[1][0] >= n // 2 for v in want)
-    count, found = model._assoc_linear_dense(constants, 1e-10)
-    assert count == len(want)
-    _same_violations(found, want)
+    want = _einsum_validate(constants)
+    assert any(v[0] == "assoc-linear" and v[1][0] >= n // 2 for v in want)
+    for label, (count, found) in model._closure_dense(constants, 1e-10).items():
+        assert count == sum(v[0] == label for v in want)
+        _same_violations(found, [v for v in want if v[0] == label])
 
 
-@pytest.mark.parametrize("fill", [model._assoc_linear_dense, _sparse_fill], ids=["_assoc_linear_dense", "_assoc_linear_sparse"])
+FILLS = pytest.mark.parametrize("fill", [model._closure_dense, _sparse_fill], ids=["_closure_dense", "_closure_sparse"])
+
+
+@FILLS
 @pytest.mark.parametrize("j", [0, 25])
 def test_fills_report_planted_closure_violation_row(fill, j):
-    assert fill(_planted(26, j), 1e-10) == (1, [("assoc-linear", (j, 2, 4, 3), 0.25)])
+    assert fill(_planted(26, j), 1e-10) == {"assoc-const": (0, []), "assoc-linear": (1, [("assoc-linear", (j, 2, 4, 3), 0.25)])}
+
+
+def _planted_const(n, j):
+    # alpha_33 beta_{3,j,2} is the only product of alpha and beta: it enters
+    # the r = 0 column of the closure residual, assoc-const, at (j, 2, 3)
+    # through the first sum and at (3, j, 2) through the second; alpha's
+    # unit terms fail assoc-linear in every row
+    alpha, beta = np.zeros((n, n)), np.zeros((n, n, n), dtype=complex)
+    alpha[3, 3] = beta[3, j, 2] = 0.5
+    return model.structure_constants(alpha, beta)
+
+
+@FILLS
+@pytest.mark.parametrize("j", [0, 25])
+def test_fills_report_planted_assoc_const_row(list_all, fill, j):
+    constants = _planted_const(26, j)
+    found = fill(constants, 1e-10)
+    assert found["assoc-const"] == (2, sorted([("assoc-const", (j, 2, 3), 0.25), ("assoc-const", (3, j, 2), 0.25)]))
+    want = [v for v in _einsum_validate(constants) if v[0] == "assoc-linear"]
+    assert found["assoc-linear"][0] == len(want) > 0
+    _same_violations(found["assoc-linear"][1], want)
 
 
 def _blocks(constants, monkeypatch, count):
@@ -346,8 +379,10 @@ def _blocks(constants, monkeypatch, count):
         lambda: _perturbed(_exact_constants(35), 35),
         lambda: _planted(26, 0),
         lambda: _planted(26, 25),
+        lambda: _planted_const(26, 0),
+        lambda: _planted_const(26, 25),
     ],
-    ids=["pauli-qutrit", "pauli-qutrit-perturbed", "planted-0", "planted-25"],
+    ids=["pauli-qutrit", "pauli-qutrit-perturbed", "planted-0", "planted-25", "planted-const-0", "planted-const-25"],
 )
 def test_sparse_fill_in_several_s_blocks(monkeypatch, make):
     # block widths below n run the sparse fill's s-block loop (one block of
@@ -363,7 +398,7 @@ def test_sparse_fill_in_several_s_blocks(monkeypatch, make):
         monkeypatch.setattr(model, "_KEPT", kept)
         _fills_agree(constants)
         with monkeypatch.context() as mp:
-            mp.setattr(model, "_assoc_linear_dense", _refuse)
+            mp.setattr(model, "_closure_dense", _refuse)
             _same_report(model.validate(constants), want)
 
 
@@ -398,7 +433,7 @@ def test_fills_agree_on_sparse_hermitian_perturbations(data):
     constants = model.structure_constants(alpha, beta)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(model, "_KEPT", 10**9)
-        assert _sparse_fill(constants, tol) == model._assoc_linear_dense(constants, tol)
+        assert _sparse_fill(constants, tol) == model._closure_dense(constants, tol)
 
 
 def _refuse(*args):
@@ -440,14 +475,14 @@ def _non_finite(which, bad):
 )
 def test_validate_takes_dense_fill(monkeypatch, make):
     constants = make()
-    monkeypatch.setattr(model, "_assoc_linear_sparse", _refuse)
+    monkeypatch.setattr(model, "_closure_sparse", _refuse)
     model.validate(constants)
 
 
 @pytest.mark.parametrize("n", [15, 35])
 def test_validate_takes_sparse_fill_on_composites(monkeypatch, n):
     constants = _exact_constants(n)
-    monkeypatch.setattr(model, "_assoc_linear_dense", _refuse)
+    monkeypatch.setattr(model, "_closure_dense", _refuse)
     assert model.validate(constants).passed
 
 
