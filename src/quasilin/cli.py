@@ -345,8 +345,8 @@ def cmd_coeffs(cfg, args, out_dir):
 
 
 def cmd_mean_flow(cfg, args, out_dir):
-    name, _, coeffs, _ = cfg.system()
     times = _grid(args, cfg)
+    name, _, coeffs, _ = cfg.system()
     mu0 = _real_mu(cfg, coeffs.n)
     flow = qsde.mean_flow(coeffs, mu0, times)
     header = ["t"] + ["mu_%d" % (j + 1) for j in range(coeffs.n)]
@@ -356,8 +356,8 @@ def cmd_mean_flow(cfg, args, out_dir):
 
 
 def cmd_steady(cfg, args, out_dir):
-    name, _, coeffs, _ = cfg.system()
     tol = _tol(args, cfg)
+    name, _, coeffs, _ = cfg.system()
     mu = qsde.steady_mean(coeffs)
     resid = float(np.linalg.norm(coeffs.a @ mu + coeffs.b))
     _write_csv(out_dir, "steady.csv", ["component", "value"], [np.arange(1, coeffs.n + 1), mu])
@@ -367,7 +367,6 @@ def cmd_steady(cfg, args, out_dir):
 
 def cmd_qcf(cfg, args, out_dir):
     name, spec, coeffs, _ = cfg.system()
-    mu = qsde.steady_mean(coeffs)
     us = cfg.analysis.get("qcf_u")
     vectors = np.eye(coeffs.n) if us is None else _array(us, "qcf_u", 2)
     if np.iscomplexobj(vectors):
@@ -376,6 +375,7 @@ def cmd_qcf(cfg, args, out_dir):
         raise ConfigError("qcf_u entries must be finite")
     if vectors.shape[1] != coeffs.n:
         raise ConfigError("qcf_u vectors must have length %d, got %d" % (coeffs.n, vectors.shape[1]))
+    mu = qsde.steady_mean(coeffs)
     vals = qsde.qcf(spec.constants, mu, vectors)
     header = ["u_%d" % (j + 1) for j in range(coeffs.n)] + ["re", "im"]
     path = _write_csv(out_dir, "qcf.csv", header, [*vectors.T, vals.real, vals.imag])
@@ -384,9 +384,9 @@ def cmd_qcf(cfg, args, out_dir):
 
 
 def cmd_spectrum(cfg, args, out_dir):
-    name, spec, coeffs, _ = cfg.system()
     tol = _tol(args, cfg)
     times = _grid(args, cfg)
+    name, spec, coeffs, _ = cfg.system()
     op = second_moment.lambda_operator(spec, coeffs)
     drift = np.linalg.eigvals(coeffs.a)
     moment = np.linalg.eigvals(op)
@@ -425,14 +425,14 @@ def cmd_modes(cfg, args, out_dir):
 
 
 def cmd_decoherence(cfg, args, out_dir):
-    name, spec, coeffs, _ = cfg.system()
     budget = _number(cfg.analysis.get("budget", 64), "analysis.budget", integer=True, low=1)
     if budget > _MAX_BUDGET:
         raise CapabilityLimit("analysis.budget of %d exceeds %d" % (budget, _MAX_BUDGET))
+    seed = _seed(args, cfg)
+    name, spec, coeffs, _ = cfg.system()
     mu = qsde.steady_mean(coeffs)
     ccr = model.dot_product(spec.constants.theta, mu)
     tau = deco_mod.tau_star(coeffs.a, ccr)
-    seed = _seed(args, cfg)
     search = deco_mod.optimize_tau_bound(coeffs.a, ccr, budget=budget, seed=seed)
     floats = np.array([[tau], [search.bound], [search.lam]])
     header = ["tau_star", "best_bound", "lam", "k_label", "seed", "evaluations"]
@@ -445,10 +445,10 @@ def cmd_decoherence(cfg, args, out_dir):
 
 
 def cmd_weak(cfg, args, out_dir):
+    eps_list = _eps_list(args, cfg)
     name, spec, coeffs, _ = cfg.system()
     md = modes_mod.eigenmodes(coeffs.a0, spec.constants.alpha)
     result = weak_mod.stability_and_thresholds(coeffs, md)
-    eps_list = _eps_list(args, cfg)
     table = weak_mod.eigenvalue_asymptotics_check(coeffs, md, eps_list)
 
     scalars = {
@@ -500,13 +500,13 @@ def _check_table(out_dir, name, checks):
 
 
 def cmd_composite(cfg, args, out_dir):
-    name, (cspec, _) = cfg.composite()
     tol = _tol(args, cfg)
+    rng = np.random.default_rng(_seed(args, cfg))
+    name, (cspec, _) = cfg.composite()
     block = composite_mod.composite_coefficients(cspec)
     augmented = composite_mod.augmented_system(cspec)
     generic = qsde.build_coefficients(augmented)
 
-    rng = np.random.default_rng(_seed(args, cfg))
     x = rng.uniform(-1.0, 1.0, block.n)
     disp_block = composite_mod.composite_dispersion(cspec, x)
     disp_generic = qsde.dispersion(augmented, x)
