@@ -79,11 +79,19 @@ def _array(x, what, ndim):
     return out.reshape(shape)
 
 
-def _known(obj, keys, what):
-    """Refuse the first key of the object `what` that is not in `keys`."""
-    for key in obj:
-        if key not in keys:
+def _object(value, what, keys=None, required=()):
+    """`value` as the config object `what`, refused when it is not an object,
+    then at its first key outside `keys` (None allows any), then at the first
+    key of `required` it lacks."""
+    if not isinstance(value, dict):
+        raise ConfigError("%s must be an object" % what)
+    for key in value:
+        if keys is not None and key not in keys:
             raise ConfigError("%s has unknown key %r" % (what, key))
+    for key in required:
+        if key not in value:
+            raise ConfigError("%s is missing %r" % (what, key))
+    return value
 
 
 def _constants(cfg, name):
@@ -91,9 +99,9 @@ def _constants(cfg, name):
     if cfg == "pauli":
         rep = oracle_mod.pauli_representation()
         return rep.constants, rep
-    if not isinstance(cfg, dict) or "alpha" not in cfg or "beta" not in cfg:
+    if not isinstance(cfg, dict):
         raise ConfigError('constants must be "pauli" or {"alpha": ..., "beta": [...]}')
-    _known(cfg, ("alpha", "beta"), "constants of system %r" % name)
+    _object(cfg, "constants of system %r" % name, ("alpha", "beta"), ("alpha", "beta"))
     alpha = _array(cfg["alpha"], "alpha", 2)
     if not isinstance(cfg["beta"], list) or not cfg["beta"]:
         raise ConfigError("beta must be a non-empty list of sections")
@@ -105,12 +113,7 @@ def _constants(cfg, name):
 
 
 def _system(cfg, name):
-    if not isinstance(cfg, dict):
-        raise ConfigError("system %r must be an object" % name)
-    _known(cfg, ("constants", "E", "M", "N"), "system %r" % name)
-    for key in ("constants", "E", "M"):
-        if key not in cfg:
-            raise ConfigError("system %r is missing %r" % (name, key))
+    _object(cfg, "system %r" % name, ("constants", "E", "M", "N"), ("constants", "E", "M"))
     constants, rep = _constants(cfg["constants"], name)
     energy = _array(cfg["E"], "E", 1)
     coupling = _array(cfg["M"], "M", 2)
@@ -124,20 +127,14 @@ def _system(cfg, name):
 
 class Config:
     def __init__(self, raw, path):
-        if not isinstance(raw, dict):
-            raise ConfigError("top level of %s must be an object" % path)
-        _known(raw, ("systems", "composites", "analysis"), "top level of %s" % path)
+        _object(raw, "top level of %s" % path, ("systems", "composites", "analysis"))
         systems = raw.get("systems")
         if not isinstance(systems, dict) or not systems:
             raise ConfigError('config needs a non-empty "systems" object')
         self.systems = {name: _system(cfg, name) for name, cfg in systems.items()}
-        self.composites, composites = {}, raw.get("composites", {})
-        if not isinstance(composites, dict):
-            raise ConfigError('"composites" must be an object')
-        for name, cfg in composites.items():
-            if not isinstance(cfg, dict) or "systems" not in cfg or "E12" not in cfg:
-                raise ConfigError('composite %r needs "systems" and "E12"' % name)
-            _known(cfg, ("systems", "E12"), "composite %r" % name)
+        self.composites = {}
+        for name, cfg in _object(raw.get("composites", {}), '"composites"').items():
+            _object(cfg, "composite %r" % name, ("systems", "E12"), ("systems", "E12"))
             pair = cfg["systems"]
             if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(s, str) for s in pair):
                 raise ConfigError("composite %r must name two systems" % name)
@@ -151,11 +148,8 @@ class Config:
             except ValueError as e:
                 raise ConfigError("composite %r: %s" % (name, e))
             self.composites[name] = cspec, None if rep1 is None or rep2 is None else (rep1, rep2)
-        self.analysis = raw.get("analysis", {})
-        if not isinstance(self.analysis, dict):
-            raise ConfigError('"analysis" must be an object')
         keys = ("system", "composite", "eps", "grid", "mu0", "seed", "tol", "budget", "qcf_u")
-        _known(self.analysis, keys, '"analysis"')
+        self.analysis = _object(raw.get("analysis", {}), '"analysis"', keys)
 
     def system(self):
         """The selected system as (name, spec, coefficients, representation or None)."""

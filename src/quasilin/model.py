@@ -385,15 +385,13 @@ class AffineOperator:
 def affine_mul(a: AffineOperator, b: AffineOperator, constants: StructureConstants) -> AffineOperator:
     """Multiply two affine operators inside the algebra.
 
-    (c0 + c.X)(d0 + d.X) reduces through the constants to a new affine
-    operator.  The bilinear term uses plain transposes, no conjugation:
-    const picks up c^T alpha d, and component l of the linear part picks up
-    c^T beta_l d.
+    (c0 + c.X)(d0 + d.X) is one contraction of the unital structure tensor
+    (`_unital`) with (c0, c) and (d0, d): entry 0 of the result is the
+    constant and entries 1..n the linear part.  The bilinear term uses plain
+    transposes, no conjugation: const picks up c^T alpha d, and component l
+    of the linear part picks up c^T beta_l d.
     """
-    c0, c = a.const, a.linear
-    d0, d = b.const, b.linear
-    if c.shape[0] != constants.n or d.shape[0] != constants.n:
+    if a.linear.shape[0] != constants.n or b.linear.shape[0] != constants.n:
         raise ValueError("operator length does not match constants")
-    const = c0 * d0 + c @ constants.alpha @ d
-    linear = c0 * d + d0 * c + np.einsum("j,ljk,k->l", c, constants.beta, d)
-    return AffineOperator(const=const, linear=linear)
+    y = np.einsum("ljk,j,k->l", _unital(constants), np.r_[a.const, a.linear], np.r_[b.const, b.linear])
+    return AffineOperator(const=y[0], linear=y[1:])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, pauli_constants
+from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, _unital, pauli_constants
 from .qsde import _times, ito_matrix
 
 __all__ = [
@@ -82,11 +82,13 @@ def tensor_representation(rep1: HilbertRep, rep2: HilbertRep, constants: Structu
 
 
 def representation_check(rep: HilbertRep) -> float:
-    """Largest Frobenius residual of the multiplication table in this rep."""
+    """Largest Frobenius residual of the multiplication table in this rep:
+    X_j X_k - sum_l u[l, j, k] Y_l over Y = (I, X_1..X_n), u the unital
+    structure tensor of the constants."""
     mats = np.stack(rep.variables)
+    ys = np.concatenate([np.eye(rep.dim)[None], mats])
     resid = np.einsum("jab,kbc->jkac", mats, mats)
-    resid -= np.einsum("jk,ac->jkac", rep.constants.alpha, np.eye(rep.dim))
-    resid -= np.einsum("ljk,lac->jkac", rep.constants.beta, mats)
+    resid -= np.einsum("ljk,lac->jkac", _unital(rep.constants)[:, 1:, 1:], ys)
     return float(np.max(np.linalg.norm(resid, axis=(2, 3))))
 
 

@@ -173,29 +173,24 @@ def spectral_abscissa(a_matrix) -> float:
 def propagate(generator, state0, times):
     """Yield e^{t G} state0 for each t in times, in order; times are `_times`.
 
-    The chain starts from state0 at t = 0 and reaches each point from the
-    previous one by the step exponential e^{(t_i - t_{i-1}) G}, formed again
-    only when the step length changes.  A grid whose points before the last
-    equal t0 + i h bit for bit, h = (t_last - t0) / (N - 1), as np.linspace
-    gives, steps by h throughout; a zero step keeps the state.  A time
-    earlier than its predecessor restarts the chain as expm(t G) state0.
+    A uniform grid, whose points before the last equal t0 + i h bit for bit
+    with h = (t_last - t0) / (N - 1) > 0, as np.linspace gives, is one chain:
+    e^{t0 G} state0, then one step exponential e^{h G} per point.  Any other
+    list of times takes e^{t G} state0 at each point.  At t = 0 the state is
+    state0 itself.
     """
     gen = np.asarray(generator)
     state0 = np.asarray(state0)
     times = _times(times, "times")
-    steps = np.diff(times, prepend=0.0)
     count = len(times)
-    if count > 2:
-        h = (times[-1] - times[0]) / (count - 1)
-        if h > 0 and np.array_equal(times[:-1], times[0] + np.arange(count - 1) * h):
-            steps[1:] = h
-    state, length, step = state0, None, None
-    for t, dt in zip(times, steps):
-        if dt < 0:
-            state = expm(t * gen) @ state0
-        elif dt > 0:
-            if dt != length:
-                length, step = dt, expm(dt * gen)
+    h = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
+    uniform = h > 0 and np.array_equal(times[:-1], times[0] + np.arange(count - 1) * h)
+    step = None
+    for t in times:
+        if step is None:
+            state = state0 if t == 0 else expm(t * gen) @ state0
+            step = expm(h * gen) if uniform else None
+        else:
             state = step @ state
         yield state
 

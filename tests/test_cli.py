@@ -470,7 +470,20 @@ STRUCTURE_REFUSALS = {
     "system not an object": (["steady"], ("systems", "qubit"), [1.0], "system 'qubit' must be an object"),
     "system without M": (["steady"], ("systems", "qubit", "M"), DROP, "system 'qubit' is missing 'M'"),
     "top level a list": (["steady"], (), [], "top level of "),
-    "composite without E12": (["composite"], ("composites", "pair", "E12"), DROP, 'composite \'pair\' needs "systems" and "E12"'),
+    "composite without E12": (["composite"], ("composites", "pair", "E12"), DROP, "composite 'pair' is missing 'E12'"),
+    "composite without systems": (["composite"], ("composites", "pair", "systems"), DROP, "composite 'pair' is missing 'systems'"),
+    "composite not an object": (["composite"], ("composites", "pair"), ["qubit", "qubit_b"], "composite 'pair' must be an object"),
+    "constants without beta": (
+        ["steady"], ("systems", "qubit", "constants"), {"alpha": [[1.0]]}, "constants of system 'qubit' is missing 'beta'"
+    ),
+    # every object is refused at an unknown key before a missing one
+    "composite with a misspelt E12": (
+        ["composite"], ("composites", "pair"), {"systems": ["qubit", "qubit_b"], "e12": [[0.0]]},
+        "composite 'pair' has unknown key 'e12'",
+    ),
+    "constants with a misspelt beta": (
+        ["steady"], ("systems", "qubit", "constants"), {"alpha": [[1.0]], "bet": []}, "constants of system 'qubit' has unknown key 'bet'"
+    ),
     "composite of an unknown system": (
         ["composite"], ("composites", "pair", "systems"), ["qubit", "nope"], "composite 'pair' references unknown system 'nope'"
     ),

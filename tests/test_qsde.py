@@ -302,16 +302,18 @@ def count_exponentials(monkeypatch):
     return calls
 
 
-def test_propagate_one_exponential_per_step_length(worked, monkeypatch):
+def test_propagate_exponential_count_per_grid(worked, monkeypatch):
+    # a uniform grid from t0 = 0 is one chain with one step exponential;
+    # any other list takes one exponential per time above 0
     _, coeffs = worked
     calls = count_exponentials(monkeypatch)
     state0 = np.ones(3)
     expected = {
         "default": 1,
         "ulp-steps": 1,
-        "uneven": 3,
-        "unsorted": 3,  # restart at 2.7, restart at 0.3, step 0.8
-        "repeated": 2,  # first step 0.5, then the 1.0 step twice
+        "uneven": 3,  # t = 0 is state0 itself
+        "unsorted": 3,
+        "repeated": 6,  # no cache: each repeated time costs its own exponential
         "single": 1,
         "empty": 0,
     }
