@@ -146,27 +146,29 @@ def test_affine_mul_matches_matrix_product(pauli):
 
 
 def _einsum_validate(constants, tol=1e-10):
-    # reference: the closure identities as full n^4 einsums, flagged with > tol
+    # reference: the closure identities as full n^4 einsums; an entry fails
+    # unless residual <= tol, so a NaN residual fails, as in validate
     alpha, beta, n = constants.alpha, constants.beta, constants.n
     violations = []
 
     def collect(label, residual):
-        for idx in np.argwhere(residual > tol):
+        for idx in np.argwhere(~(residual <= tol)):
             violations.append((label, tuple(int(i) for i in idx), float(residual[tuple(idx)])))
 
-    collect("alpha-sym", np.abs(alpha - alpha.T))
-    collect("alpha-imag", np.abs(np.imag(alpha)))
-    collect("beta-herm", np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))))
-    con1 = np.einsum("ls,ljk->jks", alpha, beta) - np.einsum("jl,lks->jks", alpha, beta)
-    collect("assoc-const", np.abs(con1))
-    eye = np.eye(n)
-    con2 = (
-        np.einsum("jk,rs->jksr", alpha, eye)
-        - np.einsum("ks,rj->jksr", alpha, eye)
-        + np.einsum("ljk,rls->jksr", beta, beta)
-        - np.einsum("lks,rjl->jksr", beta, beta)
-    )
-    collect("assoc-linear", np.abs(con2))
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
+        collect("alpha-sym", np.abs(alpha - alpha.T))
+        collect("alpha-imag", np.abs(np.imag(alpha)))
+        collect("beta-herm", np.abs(beta - np.conj(np.transpose(beta, (0, 2, 1)))))
+        con1 = np.einsum("ls,ljk->jks", alpha, beta) - np.einsum("jl,lks->jks", alpha, beta)
+        collect("assoc-const", np.abs(con1))
+        eye = np.eye(n)
+        con2 = (
+            np.einsum("jk,rs->jksr", alpha, eye)
+            - np.einsum("ks,rj->jksr", alpha, eye)
+            + np.einsum("ljk,rls->jksr", beta, beta)
+            - np.einsum("lks,rjl->jksr", beta, beta)
+        )
+        collect("assoc-linear", np.abs(con2))
     return violations
 
 
@@ -216,6 +218,27 @@ def test_validate_matches_einsum_reference_across_row_blocks(list_all):
     want = _einsum_validate(constants)
     assert any(v[0] == "assoc-linear" and v[1][0] >= n // 2 for v in want)
     _same_report(report, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["alpha", "beta"])
+@pytest.mark.parametrize("n", [3, 15])
+def test_validate_matches_einsum_reference_on_non_finite_constants(n, where, bad):
+    # one non-finite entry at alpha[1, 1] or beta[1, 1, 1]: the counts and
+    # the first violations match the reference
+    exact = _exact_constants(n)
+    alpha, beta = exact.alpha.copy(), exact.beta.copy()
+    if where == "alpha":
+        alpha[1, 1] = bad
+    else:
+        beta[1, 1, 1] = bad
+    constants = model.structure_constants(alpha, beta)
+    want = _einsum_validate(constants)
+    _same_report(model.validate(constants), want)
+    counts = {(3, "alpha"): (1, 0, 15, 15), (15, "beta"): (0, 1, 29, 841)}.get((n, where))
+    if counts is not None:
+        labels = ("alpha-sym", "beta-herm", "assoc-const", "assoc-linear")
+        assert tuple(sum(v[0] == label for v in want) for label in labels) == counts
 
 
 def _planted(n, j):
