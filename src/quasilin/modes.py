@@ -117,7 +117,9 @@ def _lead(magnitude, cols):
 
 
 def oscillation_period(modes: EigenModes):
-    """Common period 2 pi / (smallest positive frequency), or None if static."""
+    """The slowest mode's period 2 pi / (smallest positive frequency), or None
+    if static.  It is a common period of all modes only when every frequency
+    is an integer multiple of the smallest."""
     pos = modes.omegas[modes.omegas > 0]
     if len(pos) == 0:
         return None

@@ -2,8 +2,9 @@
 
 Each run is one in-process `quasilin.cli.main` call on a committed config:
 the 12 commands on `configs/pauli.json`, each benchmark workload's commands
-on its config here, and one refusing config per exit code 2, 3 and 4 (plus
-a bad setting on a system that fails numerically).  `manifest.json` records
+on its config here, and one refusing config per exit code 2, 3 and 4, plus
+a bad setting on a system that fails numerically and constants that fail
+`validate` (a FAIL line, exit 4).  `manifest.json` records
 each run's command line, exit code, stdout and stderr (the output directory
 written as <out>), and `expected/<run>/` holds the CSV tables it wrote.
 `tests/test_golden.py` reruns every run and compares.
@@ -51,6 +52,7 @@ RUNS = {
     "tests/golden/refuse-grid-steps.json": ("mean-flow",),
     "tests/golden/refuse-lossless.json": ("decoherence",),
     "tests/golden/refuse-lossless-seed.json": ("decoherence",),
+    "tests/golden/refuse-complex-alpha.json": ("validate",),
 }
 
 
