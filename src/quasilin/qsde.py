@@ -175,7 +175,8 @@ def propagate(generator, state0, times):
 
     A uniform grid, whose points before the last equal t0 + i h bit for bit
     with h = (t_last - t0) / (N - 1) > 0, as np.linspace gives, is one chain:
-    e^{t0 G} state0, then one step exponential e^{h G} per point.  Any other
+    e^{t0 G} state0, then one product with the step exponential e^{h G} per
+    point.  Any other
     list of times takes e^{t G} state0 at each point.  At t = 0 the state is
     state0 itself.
     """

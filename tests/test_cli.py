@@ -1286,33 +1286,33 @@ def test_commands_on_mutated_configs_exit_cleanly(tmp_path, capsys):
 GOLDEN_CONFIGS = pathlib.Path(__file__).parent / "golden"
 
 
-def _complex_alpha_one_step(cfg):
+def _complex_alpha_one_step():
+    with open(REPO_CONFIG) as fh:
+        cfg = json.load(fh)
     beta = [[[[0, x] if x else 0 for x in row] for row in section] for section in model.PAULI_THETA.tolist()]
     cfg["systems"]["qubit"]["constants"] = {"alpha": [[1, [0, 0.3], 0], [[0, -0.3], 1, 0], [0, 0, 1]], "beta": beta}
     cfg["analysis"]["grid"] = [0, 5, 1]
+    return cfg
 
 
-def _broken_factor_bad_seed(cfg):
-    cfg.update(pair_config())
+def _broken_factor_bad_seed():
+    cfg = pair_config()
     sections = [[[[z.real, z.imag + 1e-6] for z in row] for row in sec] for sec in model.pauli_constants().beta]
     cfg["systems"]["qubit_b"]["constants"]["beta"] = sections
     cfg["analysis"]["seed"] = "x"
+    return cfg
 
 
-# name: (argv, config, its edit or None, message); each config fails numerically too
+# name: (argv, config file or builder, message); each config fails numerically too
 SETTINGS_BEFORE_NUMERICS = {
     "weak eps on repeated frequencies": (
-        ["weak", "--eps", "abc"], GOLDEN_CONFIGS / "gellmann-dense.json", None, "--eps must be a comma separated float list"
+        ["weak", "--eps", "abc"], GOLDEN_CONFIGS / "gellmann-dense.json", "--eps must be a comma separated float list"
     ),
     "decoherence seed on a lossless qubit": (
-        ["decoherence"], GOLDEN_CONFIGS / "refuse-lossless-seed.json", None, "analysis.seed must be an integer >= 0, got -1"
+        ["decoherence"], GOLDEN_CONFIGS / "refuse-lossless-seed.json", "analysis.seed must be an integer >= 0, got -1"
     ),
-    "composite seed on a broken factor": (
-        ["composite"], REPO_CONFIG, _broken_factor_bad_seed, "analysis.seed must be an integer >= 0, got 'x'"
-    ),
-    "mean-flow grid on a complex alpha": (
-        ["mean-flow"], REPO_CONFIG, _complex_alpha_one_step, "grid needs t1 > t0 and at least 2 steps"
-    ),
+    "composite seed on a broken factor": (["composite"], _broken_factor_bad_seed, "analysis.seed must be an integer >= 0, got 'x'"),
+    "mean-flow grid on a complex alpha": (["mean-flow"], _complex_alpha_one_step, "grid needs t1 > t0 and at least 2 steps"),
 }
 
 
@@ -1320,12 +1320,9 @@ SETTINGS_BEFORE_NUMERICS = {
 def test_bad_setting_exits_two_before_numeric_work(tmp_path, capsys, case):
     # every setting that does not need n is read before the system or
     # composite is built or analysed, so a bad one is a config error
-    argv, path, edit, message = SETTINGS_BEFORE_NUMERICS[case]
-    if edit is not None:
-        with open(path) as fh:
-            cfg = json.load(fh)
-        edit(cfg)
-        path = tmp_path / "config.json"
+    argv, path, message = SETTINGS_BEFORE_NUMERICS[case]
+    if callable(path):
+        cfg, path = path(), tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
     assert cli.main(argv[:1] + ["--config", str(path), "--out", str(out)] + argv[1:]) == 2
