@@ -14,7 +14,6 @@ has value <= bound, 2 config or schema problem, 3 capability limit exceeded,
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import json
 import os
@@ -213,23 +212,24 @@ def _load_config(path):
             gc.enable()
 
 
-def _cells(column):
-    if not isinstance(column, np.ndarray):
-        return column
-    if column.dtype.kind == "f":
-        return map("%.17g".__mod__, column.tolist())
-    return map(str, column.tolist())
+def _quote(cell):
+    """A text cell as csv's minimal quoting writes it: quoted, inner quotes
+    doubled, when it holds a comma, a quote, CR or LF."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"%s"' % cell.replace('"', '""')
+    return cell
 
 
 def _write_csv(out_dir, name, header, columns):
-    """Write a table given column by column: a list of strings as it is, a
-    float array as %.17g and an integer array through str."""
+    """Write a table given column by column, in one write: a float array as
+    %.17g, any other array through str and a list of strings through `_quote`
+    (csv's minimal quoting, as every table has two or more columns)."""
+    row = ",".join("%.17g" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
+    cells = [c.tolist() if isinstance(c, np.ndarray) else map(_quote, c) for c in columns]
     path = os.path.join(out_dir, name)
     try:
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(zip(*map(_cells, columns)))
+            fh.write(",".join(map(_quote, header)) + "\r\n" + "".join(map(row.__mod__, zip(*cells))))
     except OSError as e:
         raise ConfigError("cannot write %s: %s" % (path, e))
     return path
@@ -489,7 +489,7 @@ def _passes(value, bound):
 def _check_table(out_dir, name, checks):
     """CSV of (label, residual, bar, pass) rows; returns its path."""
     labels, resid, bars = zip(*checks)
-    passed = list(map(int, map(_passes, resid, bars)))
+    passed = np.array(list(map(_passes, resid, bars)), dtype=int)
     return _write_csv(out_dir, name, ["check", "residual", "tol", "pass"], [labels, np.array(resid), np.array(bars), passed])
 
 

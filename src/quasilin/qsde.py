@@ -176,7 +176,7 @@ def propagate(generator, state0, times):
     A uniform grid, whose points before the last equal t0 + i h bit for bit
     with h = (t_last - t0) / (N - 1) > 0, as np.linspace gives, is one chain:
     e^{t0 G} state0, then one product with the step exponential e^{h G} per
-    point.  Any other
+    point; e^{t0 G} is that step when t0 equals h bit for bit.  Any other
     list of times takes e^{t G} state0 at each point.  At t = 0 the state is
     state0 itself.
     """
@@ -186,13 +186,14 @@ def propagate(generator, state0, times):
     count = len(times)
     h = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     uniform = h > 0 and np.array_equal(times[:-1], times[0] + np.arange(count - 1) * h)
-    step = None
-    for t in times:
-        if step is None:
-            state = state0 if t == 0 else expm(t * gen) @ state0
-            step = expm(h * gen) if uniform else None
-        else:
+    step = expm(h * gen) if uniform else None
+    for i, t in enumerate(times):
+        if i and uniform:
             state = step @ state
+        elif t == 0:
+            state = state0
+        else:
+            state = (step if uniform and t == h else expm(t * gen)) @ state0
         yield state
 
 

@@ -902,23 +902,45 @@ def _ref_write_csv(out_dir, name, header, rows):
 
 
 def test_column_writer_matches_row_writer(tmp_path):
-    names = ["plain", 'has,comma and "quote"', "line\nbreak", "", " lead"]
-    floats = np.array([-0.0, float("nan"), 1.0 / 3.0, float("inf"), 5e-324])
-    ints = np.array([0, -7, 2**62, 1, 3], dtype=np.int64)
-    tol = np.full(5, 1e-8)
+    names = ["plain", 'has,comma and "quote"', "line\nbreak", "", " lead", "lone\rreturn"]
+    floats = np.array([-0.0, float("nan"), 1.0 / 3.0, float("inf"), 5e-324, -1e300])
+    ints = np.array([0, -7, 2**62, 1, 3, -(2**63)], dtype=np.int64)
+    tol = np.full(6, 1e-8)
     passed = (floats <= tol).astype(int)
     rows = [
         (names[i], np.float64(floats[i]), np.int64(ints[i]), float(tol[i]), int(passed[i]))
         for i in range(len(names))
     ]
-    header = ["name", "residual", "count", "tol", "pass"]
+    header = ["name", 'residual, "abs"', "count", "tol", "pass"]
     ref = _ref_write_csv(str(tmp_path), "ref.csv", header, rows)
     new = cli._write_csv(str(tmp_path), "new.csv", header, [names, floats, ints, tol, passed])
     expected = pathlib.Path(ref).read_bytes()
     assert pathlib.Path(new).read_bytes() == expected
-    assert b'"has,comma and ""quote"""' in expected and b"-0," in expected and b"nan" in expected
+    assert expected.startswith(b'name,"residual, ""abs""",count')
+    assert b'"has,comma and ""quote"""' in expected and b'"lone\rreturn"' in expected
+    assert b"-0," in expected and b"nan" in expected
     empty = cli._write_csv(str(tmp_path), "empty.csv", header, [[], np.zeros(0), np.zeros(0, dtype=int), [], []])
-    assert pathlib.Path(empty).read_bytes() == b"name,residual,count,tol,pass\r\n"
+    assert pathlib.Path(empty).read_bytes() == expected[: expected.index(b"\r\n") + 2]
+
+
+def test_every_golden_table_matches_row_writer(tmp_path, monkeypatch):
+    # each table of the golden runs against the row writer given the same cells
+    from test_golden import RUNS, write
+
+    written = []
+    column_writer = cli._write_csv
+
+    def capture(out_dir, name, header, columns):
+        path = column_writer(out_dir, name, header, columns)
+        ref = _ref_write_csv(str(tmp_path), "ref.csv", header, list(zip(*columns)))
+        written.append((path, pathlib.Path(path).read_bytes() == pathlib.Path(ref).read_bytes()))
+        return path
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    for run_id, run in RUNS.items():
+        write.run(run["argv"], tmp_path / run_id)
+    assert len(written) == sum(len(run["csv"]) for run in RUNS.values())
+    assert [path for path, same in written if not same] == []
 
 
 def test_coeffs_and_modes_tables_match_row_loops(tmp_path):

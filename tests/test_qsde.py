@@ -257,6 +257,7 @@ def test_two_point_ccr_against_oracle_random():
 PROPAGATE_GRIDS = {
     "default": np.linspace(0.0, 5.0, 41),
     "ulp-steps": np.linspace(0.0, 4.0, 30),
+    "t0-is-step": np.linspace(1.0, 5.0, 5),
     "uneven": [0.0, 0.3, 1.1, 2.7],
     "unsorted": [2.7, 0.3, 1.1],
     "repeated": [0.5, 0.5, 1.5, 1.5, 1.5, 2.5],
@@ -303,14 +304,15 @@ def count_exponentials(monkeypatch):
 
 
 def test_propagate_exponential_count_per_grid(worked, monkeypatch):
-    # a uniform grid from t0 = 0 is one chain with one step exponential;
-    # any other list takes one exponential per time above 0
+    # a uniform grid from t0 = 0 or t0 = h is one chain with one step
+    # exponential; any other list takes one exponential per time above 0
     _, coeffs = worked
     calls = count_exponentials(monkeypatch)
     state0 = np.ones(3)
     expected = {
         "default": 1,
         "ulp-steps": 1,
+        "t0-is-step": 1,
         "uneven": 3,  # t = 0 is state0 itself
         "unsorted": 3,
         "repeated": 6,  # no cache: each repeated time costs its own exponential
