@@ -352,7 +352,7 @@ def cmd_mean_flow(cfg, args, out_dir):
 def cmd_steady(cfg, args, out_dir):
     tol = _tol(args, cfg)
     name, _, coeffs, _ = cfg.system()
-    mu = qsde.steady_mean(coeffs)
+    mu = qsde.steady_mean(coeffs) + 0.0  # a solve's rounding sign would print as -0
     resid = float(np.linalg.norm(coeffs.a @ mu + coeffs.b))
     _write_csv(out_dir, "steady.csv", ["component", "value"], [np.arange(1, coeffs.n + 1), mu])
     print("system %s: steady mean %s, residual %.3g" % (name, np.array2string(mu, precision=8), resid))

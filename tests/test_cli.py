@@ -72,6 +72,14 @@ def test_steady_output_value(tmp_path):
     np.testing.assert_allclose(vals, [0.0, 0.0, 1.0], atol=1e-12)
 
 
+def test_steady_writes_no_negative_zero(tmp_path, capsys):
+    # the bundled qubit's solve rounds component 1 to -0.0
+    out = tmp_path / "out"
+    assert cli.main(["steady", "--config", REPO_CONFIG, "--out", str(out)]) == 0
+    assert "steady mean [0. 0. 1.]" in capsys.readouterr().out
+    assert (out / "steady.csv").read_text().split() == ["component,value", "1,0", "2,0", "3,1"]
+
+
 def test_config_errors_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
