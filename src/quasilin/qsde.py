@@ -236,22 +236,64 @@ def steady_mean(coeffs: QsdeCoefficients) -> np.ndarray:
     return np.linalg.solve(coeffs.a, -coeffs.b)
 
 
+# theta_m of Higham, Functions of Matrices (2008), Table A.3, m = 1..30, as
+# Al-Mohy & Higham use it (SIAM J. Sci. Comput. 33, 2011): while ||A||_1 <= theta_m
+# the degree-m Taylor polynomial T_m(A) = e^{A + dA} with ||dA||_1 <= 2^-53 ||A||_1.
+_THETA = np.array([
+    2.29e-16, 2.58e-8, 1.39e-5, 3.40e-4, 2.40e-3, 9.07e-3, 2.38e-2, 5.00e-2, 8.96e-2, 1.44e-1,
+    2.14e-1, 3.00e-1, 4.00e-1, 5.14e-1, 6.41e-1, 7.81e-1, 9.31e-1, 1.09, 1.26, 1.44,
+    1.62, 1.82, 2.01, 2.22, 2.43, 2.64, 2.86, 3.08, 3.31, 3.54,
+])
+_INV_FACTORIAL = 1.0 / np.cumprod([1.0, *range(1, 31)])  # 1 / k!, k = 0..30
+
+
 def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
     """Stationary quasicharacteristic function lim E exp(i u . X) for each row u of us.
 
-    Row 0 of exp(i G) applied to (1, mu*), where G[j, l] is the Y_l
-    coefficient of Y_j (u . X), Y = (I, X): one contraction of the unital
-    structure tensor with u, giving G = [[0, u^T], [alpha u, beta<>u]].
-    A value that overflows to inf or NaN is refused.
+    e^{i u . X} is an algebra element; the value is its coefficient row c_u
+    over Y = (I, X) dotted with (1, mu*).  G_u[j, l], the Y_l coefficient of
+    Y_j (u . X), is one contraction of the unital structure tensor with u,
+    G_u = [[0, u^T], [alpha u, beta<>u]], and c_u is row 0 of exp(i G_u),
+    found by Taylor with scaling and squaring inside the algebra: with
+    s = max(0, ceil(log2(||G_u||_1 / theta_30))), Horner steps of one row
+    times matrix product each form e_0^T T_m(i G_u / 2^s), m the least degree
+    with ||G_u||_1 / 2^s <= theta_m (_THETA, from Higham 2008, Table A.3;
+    theta_30 = 3.54), and s squarings by the algebra product
+    (c * c)_l = sum_jk u[l, j, k] c_j c_k give c_u.  That is at most
+    30 (n+1)^2 + s (n+1)^3 work per direction, against about (8 + s) (n+1)^3
+    for a dense exponential of G_u.  The squarings equal the matrix's only
+    for valid constants: (I, X) must multiply associatively (model.validate).
+    Each direction is computed on its own, so the values of a stack equal
+    those of one-row calls bit for bit.  A value that overflows to inf or
+    NaN is refused.
     """
-    n = constants.n
+    n, w = constants.n, constants.n + 1
     us = np.asarray(us)
     if us.ndim != 2 or us.shape[1] != n:
         raise ValueError("us has shape %r, expected (k, %d)" % (us.shape, n))
-    gens = np.einsum("ljk,uk->ujl", _unital(constants)[:, :, 1:], us)
+    right = _unital(constants).transpose(2, 1, 0).reshape(w, w * w)  # [k, (j, l)] = u_ljk
+    gens = 1j * (us[:, None, :] @ right[1:]).reshape(-1, w, w)
+    norms = np.abs(gens).sum(axis=1).max(axis=1)
+    if not np.isfinite(norms).all():
+        raise ValueError("quasicharacteristic function is not finite")
+    squarings = np.ceil(np.log2(np.maximum(norms, _THETA[-1]) / _THETA[-1])).astype(int)
+    gens *= np.ldexp(1.0, -squarings)[:, None, None]
+    degree = 1 + np.searchsorted(_THETA[:-1], np.ldexp(norms, -squarings))
+    powers = np.arange(degree.max(initial=1) + 1)[:, None]
+    terms = np.zeros((len(powers), len(us), 1, w), dtype=complex)  # [k, u] = e_0 / k! up to degree(u), else 0
+    terms[..., 0, 0] = np.where(powers <= degree, _INV_FACTORIAL[powers], 0.0)
+    row = terms[-1]
+    for term in terms[-2::-1]:  # Horner, row <- row iG + term; a direction is exactly 0 above its degree
+        row = row @ gens
+        row += term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, squarings.max(initial=0) + 1):
+            sq = np.flatnonzero(squarings >= i)
+            c = row[sq]
+            row[sq] = c @ (c @ right).reshape(-1, w, w)  # c * c = c G_c, G_c[j, l] = sum_k u_ljk c_k
     vec = np.concatenate([[1.0], np.asarray(mu_star, dtype=complex)])
-    vals = (expm(1j * gens) @ vec)[:, 0]
-    if not np.all(np.isfinite(vals)):
+    vals = (row @ vec[:, None])[:, 0, 0]
+    if not np.isfinite(vals).all():
         raise ValueError("quasicharacteristic function is not finite")
     return vals
 

@@ -38,9 +38,9 @@ def test_tau_star_zero_ccr_and_refusals(worked):
         decoherence.tau_star(coeffs.a0, steady_ccr(spec, coeffs))  # not Hurwitz
 
 
-def scan_tau_star(a, z0, horizon_factor=10.0):
+def scan_tau_star(a, z0, horizon_factor=10.0, width=1e-10):
     # reference: one expm per grid point up to the first hit, then bisection
-    # from Z0 to the same relative width; returns (tau, grid index of the hit)
+    # from Z0 to the given relative width; returns (tau, grid index of the hit)
     sa = qsde.spectral_abscissa(a)
     base = float(np.linalg.norm(z0))
     target = base / np.e
@@ -51,7 +51,7 @@ def scan_tau_star(a, z0, horizon_factor=10.0):
     grid = np.linspace(0.0, horizon_factor / abs(sa), decoherence.GRID_POINTS)
     hit = next(i for i in range(1, len(grid)) if excess(grid[i]) <= 0.0)
     lo, hi = grid[hit - 1], grid[hit]
-    while (hi - lo) > 1e-10 * hi:
+    while (hi - lo) > width * hi:
         mid = 0.5 * (lo + hi)
         if excess(mid) <= 0.0:
             hi = mid
@@ -81,6 +81,20 @@ def test_tau_star_matches_per_point_scan():
         if np.linalg.norm(z0) == 0.0:
             continue
         assert_matches_scan(coeffs.a, z0, decoherence.tau_star(coeffs.a, z0))
+
+
+def test_tau_star_keeps_its_precision_on_random_drifts():
+    # the docstring's 1e-10 relative, against the same grid's first crossing
+    # cell bisected to 1e-14 with one exponential per point; a stopping width
+    # of 1e-5 moves three of these 150 roots by more than that, up to 1.9e-8
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        r = rng.normal(size=(6, 6))
+        a = r - (np.linalg.eigvals(r).real.max() + rng.uniform(0.05, 0.5)) * np.eye(6)
+        b = rng.normal(size=(6, 6))
+        z0 = 1j * (b - b.T)
+        ref, _ = scan_tau_star(a, z0, width=1e-14)
+        assert abs(decoherence.tau_star(a, z0) - ref) <= 1e-10 * ref
 
 
 def test_tau_star_takes_first_of_several_crossings(monkeypatch):

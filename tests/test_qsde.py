@@ -161,21 +161,53 @@ def test_qcf_against_exact_state(worked, pauli):
         assert abs(qsde.qcf(pauli, mu_star, [u])[0] - ref) < 1e-10
 
 
+def _stationary(rng, constants, mats):
+    """Exact stationary state and steady mean of a random system with a Hurwitz drift."""
+    rep = oracle.HilbertRep(dim=len(mats[0]), variables=tuple(mats), constants=constants)
+    spec = _random_system(rng, constants)
+    while qsde.spectral_abscissa(qsde.build_coefficients(spec).a) >= -1e-2:
+        spec = _random_system(rng, constants)
+    return oracle.stationary_state(rep, spec), qsde.steady_mean(qsde.build_coefficients(spec))
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_qcf_against_exact_state_on_gell_mann(d):
     # alpha = (2/d) I and a dense beta, both read off the unital structure tensor
     mats = gell_mann_matrices(d)
     constants = gell_mann_constants(d)
-    rep = oracle.HilbertRep(dim=d, variables=tuple(mats), constants=constants)
     rng = np.random.default_rng(d)
-    spec = _random_system(rng, constants)
-    while qsde.spectral_abscissa(qsde.build_coefficients(spec).a) >= -1e-2:
-        spec = _random_system(rng, constants)
-    rho = oracle.stationary_state(rep, spec)
-    mu_star = qsde.steady_mean(qsde.build_coefficients(spec))
+    rho, mu_star = _stationary(rng, constants, mats)
     for u in rng.uniform(-2.0, 2.0, (20, constants.n)):
         ref = np.trace(rho @ expm(1j * np.tensordot(u, mats, axes=1)))
         assert abs(qsde.qcf(constants, mu_star, [u])[0] - ref) < 1e-12
+
+
+EXACT_ALGEBRAS = {
+    "pauli": lambda: (model.pauli_constants(), oracle.pauli_representation().variables),
+    "gellmann-3": lambda: (gell_mann_constants(3), gell_mann_matrices(3)),
+    "gellmann-4": lambda: (gell_mann_constants(4), gell_mann_matrices(4)),
+}
+
+
+@pytest.mark.parametrize("which", list(EXACT_ALGEBRAS))
+def test_qcf_squarings_against_exact_state(which):
+    # directions scaled to ||G_u||_1 from 4 to 2000 take s = 1 .. 10 squarings
+    # in the algebra, a path no default direction reaches; the reference
+    # exponentiates u . X through its eigenvectors
+    constants, mats = EXACT_ALGEBRAS[which]()
+    rng = np.random.default_rng(11)
+    rho, mu_star = _stationary(rng, constants, mats)
+    targets = np.geomspace(4.0, 2000.0, 30)
+    assert set(np.ceil(np.log2(targets / 3.54))) == set(range(1, 11))
+    us = []
+    for target in targets:
+        u = rng.normal(size=constants.n)
+        gen = np.einsum("ljk,k->jl", model._unital(constants)[:, :, 1:], u)
+        us.append(u * target / np.abs(gen).sum(axis=0).max())
+    for u, val in zip(us, qsde.qcf(constants, mu_star, us)):
+        lam, vec = np.linalg.eigh(np.tensordot(u, mats, axes=1))
+        ref = np.trace(rho @ (vec * np.exp(1j * lam)) @ vec.conj().T)
+        assert abs(val - ref) <= 1e-12 * max(1.0, np.abs(u).sum())
 
 
 def loop_qcf(constants, mu_star, us):
@@ -190,6 +222,8 @@ def loop_qcf(constants, mu_star, us):
 
 @pytest.mark.parametrize("which", ["qutrit", "pauli-qutrit"])
 def test_stacked_qcf_equals_direction_loop(which):
+    # a stack gives the one-row values bit for bit, and those agree with a
+    # dense exponential per direction to round-off
     qutrit = gell_mann_constants(3)
     constants = qutrit if which == "qutrit" else composite.augment_constants(model.pauli_constants(), qutrit)
     rng = np.random.default_rng(5)
@@ -197,7 +231,10 @@ def test_stacked_qcf_equals_direction_loop(which):
     for us in (np.eye(constants.n), rng.uniform(-2.0, 2.0, (constants.n, constants.n))):
         got = qsde.qcf(constants, mu_star, us)
         assert got.shape == (constants.n,)
-        np.testing.assert_array_equal(got, loop_qcf(constants, mu_star, us))
+        rows = np.array([qsde.qcf(constants, mu_star, [u])[0] for u in us])
+        assert got.tobytes() == rows.tobytes()
+        want = loop_qcf(constants, mu_star, us)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 def test_qcf_refuses_bad_stacks_and_overflow(pauli):
