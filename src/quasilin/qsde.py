@@ -264,21 +264,23 @@ def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
     for a dense exponential of G_u.  The squarings equal the matrix's only
     for valid constants: (I, X) must multiply associatively (model.validate).
     Each direction is computed on its own, so the values of a stack equal
-    those of one-row calls bit for bit.  A value that overflows to inf or
-    NaN is refused.
+    those of one-row calls bit for bit.  A generator norm or a value that
+    overflows to inf or NaN is refused.
     """
     n, w = constants.n, constants.n + 1
     us = np.asarray(us)
     if us.ndim != 2 or us.shape[1] != n:
         raise ValueError("us has shape %r, expected (k, %d)" % (us.shape, n))
     right = _unital(constants).transpose(2, 1, 0).reshape(w, w * w)  # [k, (j, l)] = u_ljk
-    gens = 1j * (us[:, None, :] @ right[1:]).reshape(-1, w, w)
-    norms = np.abs(gens).sum(axis=1).max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a generator that overflows is refused next
+        gens = 1j * (us[:, None, :] @ right[1:]).reshape(-1, w, w)
+        norms = np.abs(gens).sum(axis=1).max(axis=1)
     if not np.isfinite(norms).all():
         raise ValueError("quasicharacteristic function is not finite")
     squarings = np.ceil(np.log2(np.maximum(norms, _THETA[-1]) / _THETA[-1])).astype(int)
-    gens *= np.ldexp(1.0, -squarings)[:, None, None]
-    degree = 1 + np.searchsorted(_THETA[:-1], np.ldexp(norms, -squarings))
+    scale = np.ldexp(1.0, -squarings)
+    gens *= scale[:, None, None]
+    degree = 1 + np.searchsorted(_THETA[:-1], norms * scale)
     powers = np.arange(degree.max(initial=1) + 1)[:, None]
     terms = np.zeros((len(powers), len(us), 1, w), dtype=complex)  # [k, u] = e_0 / k! up to degree(u), else 0
     terms[..., 0, 0] = np.where(powers <= degree, _INV_FACTORIAL[powers], 0.0)

@@ -246,6 +246,15 @@ def test_qcf_refuses_bad_stacks_and_overflow(pauli):
         qsde.qcf(pauli, mu_star, [[0.0, 0.0, 1.0], [1e308, 0.0, 0.0]])
 
 
+def test_qcf_refuses_a_generator_that_overflows(pauli):
+    # ||G_u||_1 overflows (on the qutrit G_u itself does) before any Taylor
+    # step, and is refused without a warning
+    qutrit = gell_mann_constants(3)
+    for constants, us in ((pauli, [[0.0, 0.0, 1.0], [1e308, 1e308, 0.0]]), (qutrit, np.full((1, 8), 1.7e308))):
+        with pytest.raises(ValueError, match="not finite"):
+            qsde.qcf(constants, np.zeros(constants.n), us)
+
+
 def test_dispersion_linear_in_state(worked):
     spec, _ = worked
     rng = np.random.default_rng(2)
