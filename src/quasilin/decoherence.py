@@ -5,8 +5,10 @@ located numerically (a blocked grid scan, then Newton steps inside the
 first crossing cell), and certified upper bounds come from quadratic
 Lyapunov functions G solving a shifted Lyapunov equation, checked and turned
 into bounds from eigenvalues, the solve's residual and one linear solve,
-with no eigenvectors.  A CCR matrix that is not finite or not n x n is
-refused before any solve.
+with no eigenvectors.  Per shift lam the only work is one `trsyl` on
+(T + 2 lam I, T), T the real Schur factor of A; the scales are divided once
+over the batch, and a real Z0 is solved on its n columns.  A CCR matrix that
+is not finite or not n x n is refused before any solve.
 """
 
 from __future__ import annotations
@@ -123,11 +125,36 @@ def _schur_drift(a):
     return a, _hurwitz_abscissa(a), *schur(a, output="real")
 
 
+def _schur_lyapunov(t, rhs, lams, sa: float) -> np.ndarray:
+    """Y solving (T + lam I) Y + Y (T + lam I)^T = rhs for each lam, stacked, on the
+    real Schur factor T of A (sa its Hurwitz abscissa) and rhs in Fortran order.
+
+    Every lam is checked against (0, -sa) before any solve, naming the first that
+    fails.  The factors T + 2 lam I are built for the whole batch in one operation,
+    each in Fortran order, so that per lam only one `trsyl` on (T + 2 lam I, T)
+    and its `info` refusal run; the stack is divided by the returned scales once.
+    """
+    shifts = np.asarray(lams, dtype=float)
+    bad = np.flatnonzero(~((0.0 < shifts) & (shifts < -sa)))
+    if bad.size:
+        raise ValueError("lam must lie in (0, %.6g), got %r" % (-sa, lams[bad[0]]))
+    n = len(t)
+    shifted = (np.multiply.outer(2.0 * shifts, np.eye(n)) + t.T).transpose(0, 2, 1)
+    ys, scales = np.empty((len(shifts), n, n)), np.empty(len(shifts))
+    for i, left in enumerate(shifted):
+        ys[i], scales[i], info = dtrsyl(left, t, rhs, tranb="T")
+        if info != 0:
+            raise ValueError("trsyl perturbed near-common eigenvalues at lam %r (spectral abscissa %.6e)" % (lams[i], sa))
+    return ys / scales[:, None, None]
+
+
 def _certified_bounds(a, sa: float, t, q, k_matrix, z0, lams):
-    """G of one K and its tau bound, stacked over the shifts lams: one `trsyl` per lam
-    on the Schur pair (T, Q) of A, then every check and the bound once over the stack,
-    from eigenvalues and one stacked solve only.  Any lam failing a check refuses the
-    batch; lyapunov_G passes the identity as Z0.
+    """G of one K and its tau bound, stacked over the shifts lams, on the Schur pair
+    (T, Q) of A: `_schur_lyapunov` makes one `trsyl` on (T + 2 lam I, T) per lam and
+    divides by the returned scales once, then every check and the bound run once
+    over the stack, from eigenvalues and one stacked solve only (on the n columns of
+    a real Z0, on the 2n of Re Z0 and Im Z0 for a complex one).  Any lam failing a
+    check refuses the batch; lyapunov_G passes the identity as Z0.
 
     The strict-decay matrices D = AG + GA^T + 2 lam G go to `_check_decay`, which
     needs an eigensolve only for a lam whose solve residual it cannot vouch for."""
@@ -138,17 +165,7 @@ def _certified_bounds(a, sa: float, t, q, k_matrix, z0, lams):
     k_min = np.min(np.linalg.eigvalsh(k))
     if k_min <= 0.0:
         raise ValueError("K must be positive definite")
-    n = len(t)
-    rhs, diag = np.asfortranarray(-(q.T @ k @ q)), np.diag(t)
-    shifted, ys = np.array(t, order="F"), np.empty((len(lams), n, n))
-    for i, lam in enumerate(lams):
-        if not 0.0 < lam < -sa:
-            raise ValueError("lam must lie in (0, %.6g), got %r" % (-sa, lam))
-        shifted.flat[:: n + 1] = diag + lam
-        y, scale, info = dtrsyl(shifted, shifted, rhs, tranb="T")
-        if info != 0:
-            raise ValueError("trsyl perturbed near-common eigenvalues at lam %r (spectral abscissa %.6e)" % (lam, sa))
-        np.divide(y, scale, out=ys[i])
+    ys = _schur_lyapunov(t, np.asfortranarray(-(q.T @ k @ q)), lams, sa)
     shifts = np.asarray(lams, dtype=float)
     g = q @ ys @ q.T
     g = (g + g.swapaxes(-1, -2)) / 2.0
@@ -160,8 +177,8 @@ def _certified_bounds(a, sa: float, t, q, k_matrix, z0, lams):
     base = float(np.linalg.norm(z0))
     if base == 0.0:
         raise ValueError("zero CCR matrix: tau* = 0 and the bound is void")
-    # ||G^{-1/2} Z0||_F^2 = Re tr(Z0^H G^{-1} Z0), over the real and imaginary columns of Z0
-    x = np.concatenate([z0.real, z0.imag], axis=1)
+    # ||G^{-1/2} Z0||_F^2 = Re tr(Z0^H G^{-1} Z0), over the columns of Z0, or of Re Z0 and Im Z0
+    x = np.concatenate([z0.real, z0.imag], axis=1) if np.iscomplexobj(z0) else z0
     weighted = np.sqrt(np.sum(np.linalg.solve(g, x) * x, axis=(-2, -1)))
     return g, (1.0 + np.log(np.sqrt(w[:, -1]) * weighted / base)) / shifts
 

@@ -1,12 +1,14 @@
 import contextlib
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
+from scipy.linalg.lapack import dtrsyl
 
 from quasilin import cli, composite, decoherence, model, modes, qsde
 from conftest import gell_mann_constants, random_pauli_spec, random_stable_pauli_spec
@@ -359,6 +361,92 @@ def test_one_failing_shift_refuses_the_batch():
     lams[-1] = -qsde.spectral_abscissa(a) * (1 - 1e-14)
     with pytest.raises(ValueError, match="near-common eigenvalues"):
         stacked_bounds(a, np.eye(2), np.eye(2), lams)
+
+
+def per_shift_bounds(a, z0, k, lams):
+    """G and its bound one lam at a time: one Sylvester solve with T + lam I on
+    both sides, divided by its own scale, and Z0 solved as [Re Z0, Im Z0]."""
+    a, _, t, q = decoherence._schur_drift(a)
+    rhs = -(q.T @ k @ q)
+    x = np.concatenate([np.real(z0), np.imag(z0)], axis=1)
+    gs, bounds = [], []
+    for lam in lams:
+        shifted = t + lam * np.eye(len(t))
+        y, scale, info = dtrsyl(shifted, shifted, rhs, tranb="T")
+        assert info == 0
+        g = q @ (y / scale) @ q.T
+        g = (g + g.T) / 2.0
+        weighted = np.sqrt(np.sum(np.linalg.solve(g, x) * x))
+        gs.append(g)
+        bounds.append((1.0 + np.log(np.sqrt(np.linalg.eigvalsh(g)[-1]) * weighted / np.linalg.norm(z0))) / lam)
+    return np.array(gs), np.array(bounds)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 35])
+def test_stacked_bounds_match_per_shift_solves(n):
+    # seeded random Hurwitz drifts at three scales, the identity and a random
+    # K, real and complex Z0: the batch's (T + 2 lam I, T) solves and their
+    # once-divided scales give each shift the G and the bound of its own solve
+    rng = np.random.default_rng(300 + n)
+    m = rng.standard_normal((n, n))
+    s = rng.standard_normal((n, n))
+    z0 = rng.standard_normal((n, n))
+    for log_scale in (-2.0, 0.0, 2.0):
+        a = 10.0**log_scale * (m - (qsde.spectral_abscissa(m) + 0.5) * np.eye(n))
+        lams = grid(a)
+        for k in (np.eye(n), s.T @ s + np.eye(n)):
+            for z in (z0, z0 + 1j * rng.standard_normal((n, n))):
+                g, bounds = stacked_bounds(a, z, k, lams)
+                ref_g, ref_bounds = per_shift_bounds(a, z, k, lams)
+                assert np.all(np.linalg.norm(g - ref_g, axis=(1, 2)) <= 1e-13 * np.linalg.norm(ref_g, axis=(1, 2)))
+                assert np.all(np.abs(bounds - ref_bounds) <= 1e-13 * np.abs(ref_bounds))
+
+
+@pytest.mark.parametrize("n", [2, 8, 35])
+def test_real_ccr_matrix_bounds_equal_its_complex_cast(n):
+    # a real Z0 is solved on its n columns, the same Z0 cast to complex on 2n
+    rng = np.random.default_rng(400 + n)
+    m = rng.standard_normal((n, n))
+    a = m - (qsde.spectral_abscissa(m) + 0.5) * np.eye(n)
+    s = rng.standard_normal((n, n))
+    z0 = rng.standard_normal((n, n))
+    for k in (np.eye(n), s.T @ s + np.eye(n)):
+        _, real = stacked_bounds(a, z0, k, grid(a))
+        _, cast = stacked_bounds(a, z0.astype(complex), k, grid(a))
+        assert np.all(np.abs(real - cast) <= 1e-15 * np.abs(cast))
+
+
+def test_returned_scales_are_divided_out(monkeypatch):
+    # trsyl solves for Y / scale, with scale < 1 only to avoid overflow; a
+    # solve that reports a power-of-two scale gives the same G bit for bit
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((5, 5))
+    a = m - (qsde.spectral_abscissa(m) + 0.5) * np.eye(5)
+    z0 = rng.standard_normal((5, 5))
+    lams = grid(a)
+    clean = stacked_bounds(a, z0, np.eye(5), lams)
+    real, calls = decoherence.dtrsyl, []
+
+    def scaled(*args, **kwargs):
+        y, scale, info = real(*args, **kwargs)
+        calls.append(2.0 ** -(len(calls) % 4))
+        return calls[-1] * y, calls[-1] * scale, info
+
+    monkeypatch.setattr(decoherence, "dtrsyl", scaled)
+    g, bounds = stacked_bounds(a, z0, np.eye(5), lams)
+    assert len(calls) == 32 and min(calls) == 0.125
+    np.testing.assert_array_equal(g, clean[0])
+    np.testing.assert_array_equal(bounds, clean[1])
+
+
+def test_every_shift_is_checked_before_any_solve(worked, monkeypatch):
+    # the first shift outside (0, -sigma(A)) is named, and no solve runs
+    _, coeffs = worked
+    sa = qsde.spectral_abscissa(coeffs.a)
+    monkeypatch.setattr(decoherence, "dtrsyl", None)  # a solve would fail with a TypeError
+    for lams, bad in (([0.5, 0.0, -1.0], 0.0), ([0.5, 1.0, -sa, 3.0 * -sa], -sa), ([0.5, float("nan")], float("nan"))):
+        with pytest.raises(ValueError, match=r"^lam must lie in \(0, %.6g\), got %s$" % (-sa, re.escape(repr(bad)))):
+            stacked_bounds(coeffs.a, np.eye(3), np.eye(3), lams)
 
 
 @pytest.mark.parametrize("budget", [1, 32, 33, 64, 90])
