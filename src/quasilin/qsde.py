@@ -264,8 +264,12 @@ def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
     for a dense exponential of G_u.  The squarings equal the matrix's only
     for valid constants: (I, X) must multiply associatively (model.validate).
     Each direction is computed on its own, so the values of a stack equal
-    those of one-row calls bit for bit.  A generator norm or a value that
-    overflows to inf or NaN is refused.
+    those of one-row calls bit for bit.  A value carries a rounding allowance
+    of ||G_u||_1 2^-52: rounding u alone moves e^{i u . X} by up to half that,
+    and on Pauli directions c e1, 1e2 <= c <= 1e15, the error stays within
+    about twice it.  A direction with ||G_u||_1 > 2^52, where the allowance
+    exceeds 1, the largest |E e^{i u . X}| a state allows, is refused, after
+    the refusal of a generator norm or a value that overflows to inf or NaN.
     """
     n, w = constants.n, constants.n + 1
     us = np.asarray(us)
@@ -297,6 +301,12 @@ def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
     vals = (row @ vec[:, None])[:, 0, 0]
     if not np.isfinite(vals).all():
         raise ValueError("quasicharacteristic function is not finite")
+    coarse = np.flatnonzero(norms > 2.0**52)
+    if coarse.size:
+        raise ValueError(
+            "qcf direction %d is not resolved: ||G_u||_1 = %.6g exceeds 2^52, so its rounding allowance exceeds 1"
+            % (coarse[0], norms[coarse[0]])
+        )
     return vals
 
 

@@ -887,6 +887,20 @@ def test_qcf_overflow_exits_four(tmp_path, capsys):
     assert not os.listdir(out)
 
 
+def test_qcf_direction_it_cannot_resolve_exits_four(tmp_path, capsys):
+    # ||G_u||_1 = 1e16 > 2^52: the value's rounding allowance exceeds 1
+    out = tmp_path / "o"
+    cfgpath = qubit_config(tmp_path, qcf_u=[[0.0, 0.0, 1.0], [1e16, 0.0, 0.0]])
+    assert cli.main(["qcf", "--config", cfgpath, "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "numeric failure: qcf direction 1 is not resolved: ||G_u||_1 = 1e+16 exceeds 2^52,"
+        " so its rounding allowance exceeds 1\n"
+    )
+    assert captured.out == ""
+    assert not os.listdir(out)
+
+
 # Reference copy of the row-by-row CSV writer the CLI used before it wrote
 # whole columns; the column writer must produce the same bytes.
 def _ref_fmt(v):

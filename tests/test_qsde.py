@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -253,6 +254,54 @@ def test_qcf_refuses_a_generator_that_overflows(pauli):
     for constants, us in ((pauli, [[0.0, 0.0, 1.0], [1e308, 1e308, 0.0]]), (qutrit, np.full((1, 8), 1.7e308))):
         with pytest.raises(ValueError, match="not finite"):
             qsde.qcf(constants, np.zeros(constants.n), us)
+
+
+def generator_norm(constants, u):
+    """||G_u||_1, the largest column sum of the generator qcf exponentiates."""
+    return np.abs(np.einsum("ljk,k->jl", model._unital(constants)[:, :, 1:], u)).sum(axis=0).max()
+
+
+def test_qcf_refuses_directions_it_cannot_resolve(pauli):
+    # past ||G_u||_1 = 2^52 the rounding allowance ||G_u||_1 2^-52 exceeds 1,
+    # the largest |E e^{i u . X}| of a state; on Pauli, ||G_u||_1 = |c| for u = c e1
+    mu_star = np.array([0.1, 0.2, 0.3])
+    unit = [0.0, 0.0, 1.0]
+    assert generator_norm(pauli, [2.0**52, 0.0, 0.0]) == 2.0**52
+    assert np.isfinite(qsde.qcf(pauli, mu_star, [unit, [2.0**52, 0.0, 0.0]])).all()
+    for c in (np.nextafter(2.0**52, np.inf), 1e16, 1e17, 1e18, 1e100):
+        with pytest.raises(ValueError, match=r"^qcf direction 1 is not resolved: \|\|G_u\|\|_1 = %s exceeds 2\^52" % re.escape("%.6g" % c)):
+            qsde.qcf(pauli, mu_star, [unit, [c, 0.0, 0.0]])
+    qutrit = gell_mann_constants(3)
+    u = np.random.default_rng(5).normal(size=8)
+    with pytest.raises(ValueError, match="^qcf direction 0 is not resolved"):
+        qsde.qcf(qutrit, np.zeros(8), [u * 1e17 / generator_norm(qutrit, u)])
+
+
+def test_qcf_error_stays_within_its_allowance(pauli):
+    # e^{i c X1} = cos c I + i sin c X1 on Pauli; the error grows with
+    # ||G_u||_1 = c.  At the decades c = 1e2 .. 1e15 it stays within the
+    # allowance c 2^-52; on a dense grid it reached 2.13 times it.
+    mu_star = np.array([0.1, 0.2, 0.3])
+    for cs, factor in ((10.0 ** np.arange(2, 16), 1.0), (np.geomspace(1e2, 1e15, 1001), 3.0)):
+        us = np.outer(cs, [1.0, 0.0, 0.0])
+        allowance = np.array([generator_norm(pauli, u) for u in us]) * 2.0**-52
+        np.testing.assert_array_equal(allowance, cs * 2.0**-52)
+        err = np.abs(qsde.qcf(pauli, mu_star, us) - (np.cos(cs) + 1j * mu_star[0] * np.sin(cs)))
+        assert np.all(err <= factor * allowance)
+
+
+def test_steady_mean_refuses_an_abscissa_inside_the_hurwitz_margin():
+    # the margin is 1e-10: an abscissa of -1e-12 is refused, one of -1e-8 is not
+    b = np.array([1.0, 2.0])
+    for abscissa, refused in ((-1e-12, True), (-1e-8, False)):
+        a = np.array([[abscissa, 0.5], [0.0, -1.0]])
+        coeffs = qsde.QsdeCoefficients(a=a, a0=np.zeros((2, 2)), atilde=a, b=b)
+        assert qsde.spectral_abscissa(a) == abscissa
+        if refused:
+            with pytest.raises(ValueError, match=r"drift is not Hurwitz \(spectral abscissa -1\.000000e-12\), no stationary mean"):
+                qsde.steady_mean(coeffs)
+        else:
+            np.testing.assert_allclose(a @ qsde.steady_mean(coeffs), -b, rtol=1e-12)
 
 
 def test_dispersion_linear_in_state(worked):
