@@ -83,6 +83,31 @@ def test_pair_gaps_match_loop_reference():
         weak._check_distinct(omegas)
 
 
+def test_frequencies_closer_than_the_gap_bound_are_refused():
+    # the gap bound is 1e-9: frequencies 1e-10 apart are refused, 1e-8 apart are not
+    with pytest.raises(ValueError, match=r"^eigenfrequencies 1 and 2 are not distinct"):
+        weak._check_distinct(np.array([0.0, 1.0, 1.0 + 1e-10]))
+    weak._check_distinct(np.array([0.0, 1.0, 1.0 + 1e-8]))
+
+
+def test_limit_rate_floor_boundary(reference):
+    # the floor on |nu| at the zero mode is 1e-13: the reference coupling
+    # scaled to a zero-mode rate of -1e-9 keeps its limit, one of -1e-14 is refused
+    spec, md = reference
+    unit = qsde.build_coefficients(spec)
+    k0 = int(np.flatnonzero(md.omegas == 0)[0])
+    assert weak.nu_values(unit, md)[k0] == -4.0
+    for rate, refused in ((-1e-9, False), (-1e-14, True)):
+        scale = rate / -4.0
+        coeffs = replace(unit, atilde=scale * unit.atilde, b=scale * unit.b)
+        assert weak.nu_values(coeffs, md)[k0] == rate
+        if refused:
+            with pytest.raises(ValueError, match="^zero-mode rate vanishes"):
+                weak.invariant_mean_limit(coeffs, md)
+        else:
+            np.testing.assert_allclose(weak.invariant_mean_limit(coeffs, md), [0.0, 0.0, 1.0], atol=1e-12)
+
+
 def test_asymptotics_exact_on_reference(reference):
     spec, md = reference
     rows = weak.eigenvalue_asymptotics_check(qsde.build_coefficients(spec), md, [0.2, 0.1, 0.05])
