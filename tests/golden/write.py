@@ -2,9 +2,13 @@
 
 Each run is one in-process `quasilin.cli.main` call on a committed config:
 the 12 commands on `configs/pauli.json`, each benchmark workload's commands
-on its config here, and one refusing config per exit code 2, 3 and 4, plus
-a bad setting on a system that fails numerically and constants that fail
-`validate` (a FAIL line, exit 4).  `manifest.json` records
+on its config here (`weak` refuses the repeated zero frequencies of the
+qutrit and composite workloads), and one refusing config per exit code 2, 3
+and 4, plus a bad setting on a system that fails numerically, constants that
+fail `validate` (a FAIL line, exit 4), a non-Hermitian beta section that
+`spectrum` and `modes` refuse, a singular alpha that `modes` refuses, and a
+dephasing qubit whose `weak` run reports a vanishing zero-mode rate
+(exit 0).  `manifest.json` records
 each run's command line, exit code, stdout and stderr (the output directory
 written as <out>), and `expected/<run>/` holds the CSV tables it wrote.
 `tests/test_golden.py` reruns every run and compares.
@@ -52,13 +56,16 @@ ALL_OPS = (
 RUNS = {
     "configs/pauli.json": ALL_OPS,
     "tests/golden/pauli-sweep.json": ALL_OPS,
-    "tests/golden/gellmann-dense.json": ALL_OPS[:8],  # validate through decoherence
-    "tests/golden/composite-35.json": ("validate", "coeffs", "mean-flow", "steady", "qcf", "modes", "decoherence"),
+    "tests/golden/gellmann-dense.json": ALL_OPS[:9],  # validate through weak
+    "tests/golden/composite-35.json": ("validate", "coeffs", "mean-flow", "steady", "qcf", "modes", "decoherence", "weak"),
     "tests/golden/refuse-no-e12.json": ("composite",),
     "tests/golden/refuse-grid-steps.json": ("mean-flow",),
     "tests/golden/refuse-lossless.json": ("decoherence",),
     "tests/golden/refuse-lossless-seed.json": ("decoherence",),
     "tests/golden/refuse-complex-alpha.json": ("validate",),
+    "tests/golden/refuse-theta-asym.json": ("spectrum", "modes"),
+    "tests/golden/refuse-singular-alpha.json": ("modes",),
+    "tests/golden/dephasing.json": ("weak",),
 }
 
 
