@@ -7,8 +7,9 @@ math lives in the library modules; this file only parses, dispatches and
 formats.
 
 Commands return (label, value, bound) check rows.  Exit codes: 0 every row
-has value <= bound, 2 config or schema problem, 3 capability limit exceeded,
-4 numeric failure or a row that fails (a NaN value fails).
+passes (`model.passes`: value <= bound, so a NaN value fails), 2 config or
+schema problem, 3 capability limit exceeded, 4 numeric failure or a row that
+fails.
 """
 
 from __future__ import annotations
@@ -482,14 +483,10 @@ def cmd_weak(cfg, args, out_dir):
     return []
 
 
-def _passes(value, bound):
-    return value <= bound  # the one pass rule of every check row: a NaN value fails
-
-
 def _check_table(out_dir, name, checks):
     """CSV of (label, residual, bar, pass) rows; returns its path."""
     labels, resid, bars = zip(*checks)
-    passed = np.array(list(map(_passes, resid, bars)), dtype=int)
+    passed = np.array(list(map(model.passes, resid, bars)), dtype=int)
     return _write_csv(out_dir, name, ["check", "residual", "tol", "pass"], [labels, np.array(resid), np.array(bars), passed])
 
 
@@ -600,7 +597,7 @@ def run(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as e:
         raise ConfigError("cannot write %s: %s" % (args.out, e))
-    failed = [row for row in COMMANDS[args.command](cfg, args, args.out) if not _passes(*row[1:])]
+    failed = [row for row in COMMANDS[args.command](cfg, args, args.out) if not model.passes(*row[1:])]
     print("".join("FAIL: %s = %s is not <= %s\n" % row for row in failed), end="")
     return 4 if failed else 0
 

@@ -19,6 +19,7 @@ import numpy as np
 from scipy.linalg import expm, schur
 from scipy.linalg.lapack import dtrsyl
 
+from .model import _gate
 from .modes import _pd_sqrt
 from .qsde import _hurwitz_abscissa, _times
 
@@ -135,9 +136,8 @@ def _schur_lyapunov(t, rhs, lams, sa: float) -> np.ndarray:
     and its `info` refusal run; the stack is divided by the returned scales once.
     """
     shifts = np.asarray(lams, dtype=float)
-    bad = np.flatnonzero(~((0.0 < shifts) & (shifts < -sa)))
-    if bad.size:
-        raise ValueError("lam must lie in (0, %.6g), got %r" % (-sa, lams[bad[0]]))
+    ends = np.column_stack([-shifts, shifts])  # row i passes when 0 < lam_i < -sa
+    _gate(ends, (0.0, -sa), lambda i, _: ValueError("lam must lie in (0, %.6g), got %r" % (-sa, lams[i])), strict=True)
     n = len(t)
     shifted = (np.multiply.outer(2.0 * shifts, np.eye(n)) + t.T).transpose(0, 2, 1)
     ys, scales = np.empty((len(shifts), n, n)), np.empty(len(shifts))
@@ -160,18 +160,18 @@ def _certified_bounds(a, sa: float, t, q, k_matrix, z0, lams):
     needs an eigensolve only for a lam whose solve residual it cannot vouch for."""
     z0 = _ccr_matrix(z0, len(t))
     k = np.asarray(k_matrix, dtype=float)
-    if k.shape != q.shape or np.max(np.abs(k - k.T)) > 1e-12 * max(1.0, float(np.max(np.abs(k)))):
+    if k.shape != q.shape:
         raise ValueError("K must be symmetric of matching size")
+    asym, scale = np.max(np.abs(k - k.T)), max(1.0, float(np.max(np.abs(k))))
+    _gate(asym, 1e-12 * scale, lambda: ValueError("K must be symmetric of matching size"))
     k_min = np.min(np.linalg.eigvalsh(k))
-    if k_min <= 0.0:
-        raise ValueError("K must be positive definite")
+    _gate(-k_min, 0.0, lambda: ValueError("K must be positive definite"), strict=True)
     ys = _schur_lyapunov(t, np.asfortranarray(-(q.T @ k @ q)), lams, sa)
     shifts = np.asarray(lams, dtype=float)
     g = q @ ys @ q.T
     g = (g + g.swapaxes(-1, -2)) / 2.0
     w = np.linalg.eigvalsh(g)
-    if np.any(w[:, 0] <= 0.0):
-        raise ValueError("Lyapunov solution is not positive definite")
+    _gate(-w[:, 0], 0.0, lambda _: ValueError("Lyapunov solution is not positive definite"), strict=True)
     ag = a @ g
     _check_decay(ag + ag.swapaxes(-1, -2) + 2.0 * shifts[:, None, None] * g, k, k_min)
     base = float(np.linalg.norm(z0))
@@ -194,8 +194,8 @@ def _check_decay(decay, k, k_min: float) -> None:
     """
     rounding = _DECAY_ROUNDING * len(k) * np.finfo(float).eps * (np.linalg.norm(decay, axis=(1, 2)) + np.linalg.norm(k))
     unsure = ~(np.linalg.norm(decay + k, axis=(1, 2)) - k_min + rounding <= 1e-9)
-    if np.any(unsure) and np.max(np.linalg.eigvalsh(decay[unsure])) > 1e-9:
-        raise ValueError("strict decay inequality failed")
+    if np.any(unsure):
+        _gate(np.max(np.linalg.eigvalsh(decay[unsure])), 1e-9, lambda: ValueError("strict decay inequality failed"))
 
 
 def lyapunov_G(a, lam: float, k_matrix) -> np.ndarray:

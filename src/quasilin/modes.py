@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur
 
-from .model import _frozen
+from .model import _frozen, _gate
 
 __all__ = [
     "EigenModes",
@@ -45,19 +45,18 @@ def _alpha_roots(alpha):
     """(sqrt, inverse sqrt) of alpha, refusing a non-symmetric, complex or indefinite alpha."""
     alpha = np.asarray(alpha)
     scale = max(1.0, float(np.max(np.abs(alpha))))
-    if np.max(np.abs(alpha - alpha.T)) > 1e-10 * scale or np.max(np.abs(np.imag(alpha))) > 0:
-        raise ValueError("alpha must be real symmetric")
+    defects = np.array([np.max(np.abs(alpha - alpha.T)), np.max(np.abs(np.imag(alpha)))])
+    _gate(defects, (1e-10 * scale, 0.0), lambda _: ValueError("alpha must be real symmetric"))
     w, q = np.linalg.eigh(np.real(alpha))
-    if w[0] <= 1e-12 * max(1.0, w[-1]):
-        raise ValueError("alpha is not positive definite (min eigenvalue %g)" % w[0])
+    floor = 1e-12 * max(1.0, w[-1])
+    _gate(-w[0], -floor, lambda: ValueError("alpha is not positive definite (min eigenvalue %g)" % w[0]), strict=True)
     return _pd_sqrt(w, q)
 
 
 def _solve_upsilon(a0, alpha) -> np.ndarray:
     """Solve alpha Upsilon = A0 and check antisymmetry of the result."""
     ups = np.linalg.solve(np.real(np.asarray(alpha)), np.asarray(a0))
-    if np.max(np.abs(ups + ups.T)) > 1e-10:
-        raise ValueError("alpha^-1 A0 is not antisymmetric; A0 is not Hamiltonian-only")
+    _gate(np.max(np.abs(ups + ups.T)), 1e-10, lambda: ValueError("alpha^-1 A0 is not antisymmetric; A0 is not Hamiltonian-only"))
     return ups
 
 
@@ -99,14 +98,12 @@ def eigenmodes(a0, alpha) -> EigenModes:
     pos = np.abs(w)
     omegas = np.concatenate([pos, np.zeros(static.shape[1]), -pos[::-1]])
     v = np.hstack([pairs, static, np.conj(pairs[:, ::-1])])
-    if np.max(np.abs(v.conj().T @ v - np.eye(n))) > 1e-10:
-        raise ValueError("eigenbasis lost orthonormality")
+    _gate(np.max(np.abs(v.conj().T @ v - np.eye(n))), 1e-10, lambda: ValueError("eigenbasis lost orthonormality"))
     sigma = root @ v
     sigma_inv = v.conj().T @ iroot
     recon = 1j * sigma @ np.diag(omegas) @ sigma_inv
     scale = max(1.0, float(np.max(np.abs(a0))))
-    if np.max(np.abs(recon - a0)) > 1e-9 * scale:
-        raise ValueError("eigendecomposition failed to reproduce A0")
+    _gate(np.max(np.abs(recon - a0)), 1e-9 * scale, lambda: ValueError("eigendecomposition failed to reproduce A0"))
     omegas, v, sigma, sigma_inv = _frozen(omegas, v, sigma, sigma_inv)
     return EigenModes(omegas=omegas, vectors=v, sigma=sigma, sigma_inv=sigma_inv)
 

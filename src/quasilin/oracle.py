@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, _unital, pauli_constants
+from .model import MAX_DIM, CapabilityLimit, ConsistencyError, StructureConstants, _frozen, _gate, _unital, pauli_constants
 from .qsde import _times, ito_matrix
 
 __all__ = [
@@ -134,10 +134,9 @@ def _apply(sup, xis) -> np.ndarray:
     xis = np.asarray(xis, dtype=complex)
     out = (_vec(xis) @ sup.T).reshape(xis.shape).transpose(0, 2, 1)
     hermitian = np.max(np.abs(xis - xis.conj().transpose(0, 2, 1)), axis=(1, 2)) <= 1e-12
-    scale = np.maximum(1.0, np.max(np.abs(out), axis=(1, 2)))
+    bound = 1e-12 * np.maximum(1.0, np.max(np.abs(out), axis=(1, 2)))
     skew = np.max(np.abs(out - out.conj().transpose(0, 2, 1)), axis=(1, 2))
-    if np.any(hermitian & ~(skew <= 1e-12 * scale)):
-        raise ConsistencyError("GKSL output of a Hermitian input is not Hermitian")
+    _gate(skew[hermitian], bound[hermitian], lambda _: ConsistencyError("GKSL output of a Hermitian input is not Hermitian"))
     return out
 
 
@@ -150,12 +149,9 @@ def _check_state(rho, d):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d, d):
         raise ValueError("state has shape %r, expected (%d, %d)" % (rho.shape, d, d))
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-10:
-        raise ValueError("state is not Hermitian")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -1e-10:
-        raise ValueError("state has a negative eigenvalue")
-    if abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError("state trace differs from 1")
+    _gate(np.max(np.abs(rho - rho.conj().T)), 1e-10, lambda: ValueError("state is not Hermitian"))
+    _gate(-np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)), 1e-10, lambda: ValueError("state has a negative eigenvalue"))
+    _gate(abs(np.trace(rho) - 1.0), 1e-10, lambda: ValueError("state trace differs from 1"))
     return rho
 
 
@@ -167,8 +163,7 @@ def _propagate(state_sup, d: int, rho0, t: float):
     rho_t = (flow @ rho0.flatten(order="F")).reshape((d, d), order="F")
     tr = complex(np.trace(rho_t))
     residual = abs(tr - 1.0)
-    if not residual <= 1e-9:
-        raise ConsistencyError("trace drifted by %g" % residual)
+    _gate(residual, 1e-9, lambda: ConsistencyError("trace drifted by %g" % residual))
     return rho_t / tr, residual
 
 
@@ -209,8 +204,7 @@ def stationary_state(rep: HilbertRep, spec, *, heisenberg=None) -> np.ndarray:
     rho = (rho + rho.conj().T) / 2
     rho = rho / np.trace(rho)
     resid = np.linalg.norm((sup @ rho.flatten(order="F")))
-    if resid > 1e-8:
-        raise ValueError("no stationary state found, kernel residual %g" % resid)
+    _gate(resid, 1e-8, lambda: ValueError("no stationary state found, kernel residual %g" % resid))
     return rho
 
 

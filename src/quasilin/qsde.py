@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .model import StructureConstants, _frozen, _unital, diam_product, dot_product
+from .model import StructureConstants, _frozen, _gate, _unital, diam_product, dot_product
 
 __all__ = [
     "QsdeCoefficients",
@@ -225,8 +225,7 @@ _HURWITZ_MARGIN = 1e-10
 
 def _hurwitz_abscissa(a_matrix, reason: str = "") -> float:
     sa = spectral_abscissa(a_matrix)
-    if sa >= -_HURWITZ_MARGIN:
-        raise ValueError("drift is not Hurwitz (spectral abscissa %.6e)%s" % (sa, reason))
+    _gate(sa, -_HURWITZ_MARGIN, lambda: ValueError("drift is not Hurwitz (spectral abscissa %.6e)%s" % (sa, reason)), strict=True)
     return sa
 
 
@@ -301,12 +300,8 @@ def qcf(constants: StructureConstants, mu_star, us) -> np.ndarray:
     vals = (row @ vec[:, None])[:, 0, 0]
     if not np.isfinite(vals).all():
         raise ValueError("quasicharacteristic function is not finite")
-    coarse = np.flatnonzero(norms > 2.0**52)
-    if coarse.size:
-        raise ValueError(
-            "qcf direction %d is not resolved: ||G_u||_1 = %.6g exceeds 2^52, so its rounding allowance exceeds 1"
-            % (coarse[0], norms[coarse[0]])
-        )
+    message = "qcf direction %d is not resolved: ||G_u||_1 = %.6g exceeds 2^52, so its rounding allowance exceeds 1"
+    _gate(norms, 2.0**52, lambda u: ValueError(message % (u, norms[u])))
     return vals
 
 

@@ -23,7 +23,7 @@ from math import isqrt
 
 import numpy as np
 
-from .model import MAX_DIM, CapabilityLimit, _frozen
+from .model import MAX_DIM, CapabilityLimit, _frozen, _gate
 from .qsde import QsdeCoefficients, SystemSpec, ito_matrix, propagate
 
 __all__ = [
@@ -59,8 +59,7 @@ def lambda_operator(spec: SystemSpec, coeffs: QsdeCoefficients) -> np.ndarray:
     lam = (v.reshape(len(v), -1).T @ u.reshape(len(u), -1)).reshape((n,) * 4).transpose(0, 2, 1, 3)
     swap = lam.transpose(1, 0, 3, 2)  # P lam P
     defect = max(float(np.max(np.abs(lam.real - swap.real))), float(np.max(np.abs(lam.imag + swap.imag))))
-    if defect > 1e-8:
-        raise ValueError("restriction to Hermitian matrices is not real (max imag %g)" % defect)
+    _gate(defect, 1e-8, lambda: ValueError("restriction to Hermitian matrices is not real (max imag %g)" % defect))
     matrix = np.empty((n * n, n * n))
     np.add(lam.real, lam.imag.transpose(0, 1, 3, 2), out=matrix.reshape((n,) * 4))  # re + im P
     return _frozen(matrix)[0]
@@ -83,7 +82,6 @@ def pi_trace_flow(matrix, times) -> np.ndarray:
     out = np.empty(len(times))
     for i, vec in enumerate(propagate(matrix, np.eye(n).flatten(order="F"), times)):
         tr = float(np.trace(vec.reshape((n, n), order="F")))
-        if not tr >= -1e-9:  # NaN fails too
-            raise ValueError("trace flow left the real nonnegative axis: %r" % tr)
+        _gate(-tr, 1e-9, lambda: ValueError("trace flow left the real nonnegative axis: %r" % tr))
         out[i] = tr
     return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PAULI_THETA, ConsistencyError
+from .model import PAULI_THETA, ConsistencyError, _gate
 from .modes import EigenModes
 from .qsde import QsdeCoefficients, SystemSpec, build_coefficients
 
@@ -41,11 +41,10 @@ def scaled_coefficients(spec: SystemSpec, eps: float):
     """Coefficients at strength eps, checking exact quadratic homogeneity."""
     coeffs = build_coefficients(spec.at_strength(eps))
     unit = build_coefficients(spec)
-    scale = max(1.0, float(np.max(np.abs(unit.atilde))))
-    if np.max(np.abs(coeffs.atilde - eps**2 * unit.atilde)) > 1e-12 * scale:
-        raise ConsistencyError("coupling drift failed quadratic homogeneity")
-    if np.max(np.abs(coeffs.b - eps**2 * unit.b)) > 1e-12 * scale:
-        raise ConsistencyError("affine drift failed quadratic homogeneity")
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(unit.atilde))))
+    drift, affine = (np.max(np.abs(got - eps**2 * want)) for got, want in ((coeffs.atilde, unit.atilde), (coeffs.b, unit.b)))
+    _gate(drift, bound, lambda: ConsistencyError("coupling drift failed quadratic homogeneity"))
+    _gate(affine, bound, lambda: ConsistencyError("affine drift failed quadratic homogeneity"))
     return coeffs
 
 
@@ -70,13 +69,8 @@ def _pair_gaps(x):
 
 def _check_distinct(omegas):
     gaps, j, k = _pair_gaps(omegas)
-    close = np.flatnonzero(gaps <= 1e-9)
-    if len(close):
-        j, k = j[close[0]], k[close[0]]
-        raise ValueError(
-            "eigenfrequencies %d and %d are not distinct (%.12g vs %.12g)"
-            % (j, k, omegas[j], omegas[k])
-        )
+    message = "eigenfrequencies %d and %d are not distinct (%.12g vs %.12g)"
+    _gate(-gaps, -1e-9, lambda p: ValueError(message % (j[p], k[p], omegas[j[p]], omegas[k[p]])), strict=True)
 
 
 def nu_values(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndarray:
@@ -205,12 +199,9 @@ def invariant_mean_limit(coeffs: QsdeCoefficients, modes: EigenModes) -> np.ndar
     nu = nu_values(coeffs, modes)
     k0 = int(zero_idx[0])
     nu0 = complex(nu[k0])
-    if abs(nu0.imag) > 1e-10 * max(1.0, abs(nu0)):
-        raise ValueError("zero-mode rate is not real: %r" % nu0)
-    if abs(nu0) < _RATE_FLOOR:
-        raise ValueError("zero-mode rate vanishes, stationary mean does not converge")
-    if nu0.real >= 0.0:
-        raise ValueError("zero mode does not decay (Re nu = %g)" % nu0.real)
+    _gate(abs(nu0.imag), 1e-10 * max(1.0, abs(nu0)), lambda: ValueError("zero-mode rate is not real: %r" % nu0))
+    _gate(-abs(nu0), -_RATE_FLOOR, lambda: ValueError("zero-mode rate vanishes, stationary mean does not converge"))
+    _gate(nu0.real, 0.0, lambda: ValueError("zero mode does not decay (Re nu = %g)" % nu0.real), strict=True)
     # v_k0 is real, so sqrt(alpha) v v^T alpha^{-1/2} = Sigma e_k0 e_k0^T Sigma^{-1}
     return -(1.0 / nu0.real) * modes.sigma[:, k0].real * (modes.sigma_inv[k0].real @ coeffs.b)
 

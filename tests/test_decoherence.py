@@ -298,8 +298,21 @@ def test_search_and_lyapunov_refusals(worked):
     asym[0, 1] = 0.5
     with pytest.raises(ValueError, match="K must be symmetric"):
         decoherence.lyapunov_G(coeffs.a, 0.5, asym)
-    with pytest.raises(ValueError, match="K must be positive definite"):
-        decoherence.lyapunov_G(coeffs.a, 0.5, np.diag([1.0, -1.0, 1.0]))
+    # K's least eigenvalue must exceed 0: exactly 0 is refused too
+    for diagonal in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="K must be positive definite"):
+            decoherence.lyapunov_G(coeffs.a, 0.5, np.diag(diagonal))
+
+
+def test_lyapunov_refuses_a_nan_k(worked):
+    # a NaN in K fails the symmetry gate instead of giving an all-NaN G and a NaN bound
+    spec, coeffs = worked
+    k = np.eye(3)
+    k[0, 1] = k[1, 0] = np.nan
+    with pytest.raises(ValueError, match="K must be symmetric"):
+        decoherence.lyapunov_G(coeffs.a, 0.1, k)
+    with pytest.raises(ValueError, match="K must be symmetric"):
+        decoherence.tau_upper_bound(coeffs.a, steady_ccr(spec, coeffs), 0.1, k)
 
 
 def test_complex_drift_refused_not_discarded():

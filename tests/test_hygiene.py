@@ -113,6 +113,7 @@ def test_oracle_imports_only_model_and_qsde():
 # private names that are shared rules, one owner each, read by sibling modules
 SHARED_PRIVATE = {
     ("model", "_frozen"),
+    ("model", "_gate"),
     ("model", "_unital"),
     ("qsde", "_times"),
     ("qsde", "_finite_array"),
@@ -135,6 +136,67 @@ def test_modules_import_only_shared_private_names():
                 ]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+ORDERING = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _float_constants(tree):
+    """Names bound at module level to a float literal expression (_RATE_FLOOR, say)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            try:
+                value = ast.literal_eval(node.value)
+            except ValueError:
+                continue
+            if isinstance(value, float):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def _reads_float_bound(node, constants):
+    return any(
+        (isinstance(n, ast.Constant) and isinstance(n.value, float)) or (isinstance(n, ast.Name) and n.id in constants)
+        for n in ast.walk(node)
+    )
+
+
+def test_refusals_decide_through_the_gate():
+    # a numeric refusal compares its value with its bound in model._gate, the
+    # one rule under which a NaN fails; an `if` that raises on its own
+    # ordering comparison with a float bound is a second copy of that rule
+    found, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constants = _float_constants(tree)
+        seen |= constants
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.If) or not any(isinstance(n, ast.Raise) for s in node.body for n in ast.walk(s)):
+                continue
+            for c in ast.walk(node.test):
+                if isinstance(c, ast.Compare) and any(isinstance(op, ORDERING) for op in c.ops):
+                    if any(_reads_float_bound(x, constants) for x in [c.left, *c.comparators]):
+                        found.append("%s:%d" % (path.name, node.lineno))
+    assert {"_RATE_FLOOR", "_HURWITZ_MARGIN"} <= seen
+    assert found == []
+
+
+def test_cli_has_no_pass_rule_of_its_own():
+    # check rows pass by model.passes, the library's rule; a cli function
+    # that returns a comparison would be a second one
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+    rules = [f.name for f in functions for r in ast.walk(f) if isinstance(r, ast.Return) and isinstance(r.value, ast.Compare)]
+    callers = {
+        f.name
+        for f in functions
+        for n in ast.walk(f)
+        if isinstance(n, ast.Attribute) and n.attr == "passes" and getattr(n.value, "id", None) == "model"
+    }
+    assert len(functions) > 20 and "_passes" not in {f.name for f in functions}
+    assert rules == []
+    assert {"run", "_check_table"} <= callers
 
 
 def test_commands_return_check_rows_not_exit_codes():

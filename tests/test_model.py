@@ -62,6 +62,32 @@ def test_validate_refuses_bad_tol(pauli, tol):
         model.validate(pauli, tol=tol)
 
 
+def test_gate_decides_value_against_bound():
+    # one rule: value <= bound passes (value < bound when strict), a NaN fails
+    # both, and an array fails when any entry fails, naming the first in C order
+    def refuse(*index):
+        return ValueError("refused at %r" % (tuple(map(int, index)),))
+
+    model._gate(1.0, 1.0, refuse)
+    assert model.passes(1.0, 1.0)
+    with pytest.raises(ValueError, match=r"^refused at \(\)$"):
+        model._gate(1.0, 1.0, refuse, strict=True)
+    model._gate(1.0 - 2**-53, 1.0, refuse, strict=True)
+    for strict in (False, True):
+        with pytest.raises(ValueError, match=r"^refused at \(\)$"):
+            model._gate(np.nan, 1.0, refuse, strict=strict)
+    assert not model.passes(np.nan, 1.0) and not model.passes(np.nan, np.nan)
+    with pytest.raises(ValueError, match=r"^refused at \(2,\)$"):
+        model._gate(np.array([0.0, 1.0, np.nan, 3.0]), 1.0, refuse)
+    with pytest.raises(ValueError, match=r"^refused at \(1, 0\)$"):
+        model._gate(np.array([[0.0, 0.0], [2.0, 5.0]]), (1.0, 1.0), refuse)
+    with pytest.raises(ValueError, match=r"^refused at \(1,\)$"):
+        model._gate(np.array([0.5, 1.0]), 1.0, refuse, strict=True)
+    assert not model.passes(np.float64(np.nan), 1.0) and model.passes(np.float64(1.0), 1.0)
+    assert model.passes(np.array([0.0, 1.0]), 1.0) and not model.passes(np.array([0.0, 2.0]), 1.0)
+    model._gate(np.zeros(0), 1.0, refuse)
+
+
 def test_scalar_algebra_any_real_pair_validates():
     # X^2 = c I + d X closes for every real (c, d)
     for c, d in [(1.0, 1.0), (-0.3, 0.7), (2.5, -4.0), (0.0, 0.0)]:

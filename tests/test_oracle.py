@@ -175,6 +175,15 @@ def test_propagation_preserves_state(worked):
     assert np.linalg.eigvalsh(rho_t).min() > -1e-10
 
 
+def test_propagation_refuses_a_nan_state(worked):
+    # a NaN in rho0 fails the Hermitian gate before any exponential is formed
+    spec, _ = worked
+    rho0 = np.diag([0.5, 0.5]).astype(complex)
+    rho0[0, 1] = np.nan
+    with pytest.raises(ValueError, match="^state is not Hermitian$"):
+        oracle.lindblad_propagate(oracle.pauli_representation(), spec, rho0, 1.0)
+
+
 def test_stationary_state_of_reference_qubit(worked):
     # steady mean (0, 0, 1) corresponds to the pure state (I + sigma_z)/2
     spec, coeffs = worked

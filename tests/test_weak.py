@@ -292,6 +292,16 @@ def test_limit_refusals(pauli, reference):
         weak.invariant_mean_limit(null, md0)
 
 
+def test_limit_refuses_a_nan_rate(reference):
+    # a NaN in the coupling drift makes the zero-mode rate NaN, which is refused, not divided by
+    spec, md = reference
+    unit = qsde.build_coefficients(spec)
+    atilde = unit.atilde.copy()
+    atilde[0, 0] = np.nan
+    with pytest.raises(ValueError, match="^zero-mode rate is not real"):
+        weak.invariant_mean_limit(replace(unit, atilde=atilde), md)
+
+
 def test_scalar_shape_thresholds_absent():
     # one commuting variable: no oscillation, no thresholds, not strictly stable
     constants = model.structure_constants([[1.0]], [[[1.0]]])
