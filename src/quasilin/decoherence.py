@@ -1,8 +1,8 @@
 """Decoherence time of the mean CCR matrix and Lyapunov-type upper bounds.
 
 The mean commutator matrix decays along e^{tau A}; its 1/e time tau* is
-located numerically (a blocked grid scan, then Newton steps inside the
-first crossing cell), and certified upper bounds come from quadratic
+located numerically (a grid scan by `qsde.propagate`, then Newton steps
+inside the first crossing cell), and certified upper bounds come from quadratic
 Lyapunov functions G solving a shifted Lyapunov equation, checked and turned
 into bounds from eigenvalues, the solve's residual and one linear solve,
 with no eigenvectors.  Per shift lam the only work is one `trsyl` on
@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dtrsyl
 
 from .model import _gate
 from .modes import _pd_sqrt
-from .qsde import _hurwitz_abscissa, _times
+from .qsde import _hurwitz_abscissa, _times, propagate
 
 __all__ = [
     "TauBoundSearch",
@@ -34,7 +34,6 @@ __all__ = [
 
 GRID_POINTS = 400
 HORIZON_FACTOR = 10.0
-SCAN_BLOCK = 16  # grid points the tau* scan advances per matrix product (a power of 2)
 _DECAY_ROUNDING = 8.0  # rounding allowance of the strict-decay certificate, in n eps units
 
 
@@ -42,12 +41,10 @@ def tau_star(a, ccr_matrix) -> float:
     """First time the CCR matrix norm drops to 1/e of its initial value.
 
     Scans a 400-point grid on [0, HORIZON_FACTOR / |sigma(A)|] for the first
-    sign change of ||e^{tau A} Z0||_F - ||Z0||_F / e.  The scan forms the
-    step exponential E = e^{hA} once and its powers E^1..E^16, then
-    advances SCAN_BLOCK grid points per (16n x n)(n x n) product, with the
-    block's Frobenius norms taken in one stacked call, only as far as the
-    first block holding that change (the last block stops at the grid's
-    end).  Inside that grid cell it solves ||e^{s A} Z_lo||_F = ||Z0||_F / e
+    sign change of ||e^{tau A} Z0||_F - ||Z0||_F / e.  The grid states come
+    from `qsde.propagate`, one chain of products with the step exponential
+    e^{hA}, taken only as far as the first state at or below 1/e.  Inside
+    the grid cell that ends there it solves ||e^{s A} Z_lo||_F = ||Z0||_F / e
     from the state Z_lo at the cell's left end by safeguarded Newton steps
     (slope Re<AY, Y>/||Y||), keeping a bracket on the sign of the excess,
     bisecting when a step leaves it and clamping each iterate tol/2 inside
@@ -58,28 +55,18 @@ def tau_star(a, ccr_matrix) -> float:
     """
     a = np.asarray(a)
     sa = _hurwitz_abscissa(a)
-    n = len(a)
-    z0 = _ccr_matrix(ccr_matrix, n)
+    z0 = _ccr_matrix(ccr_matrix, len(a))
     base = float(np.linalg.norm(z0))
     if base == 0.0:
         return 0.0
     target = base / np.e
     horizon = HORIZON_FACTOR / abs(sa)
     grid = np.linspace(0.0, horizon, GRID_POINTS)
-    powers = expm(grid[1] * a)[None]
-    while len(powers) < SCAN_BLOCK:
-        powers = np.concatenate([powers, powers @ powers[-1]])
-    z_lo = z0
-    for start in range(0, GRID_POINTS - 1, len(powers)):
-        # grid points start+1 .. start+len(block), each from the block's left state
-        block = powers[: GRID_POINTS - 1 - start]
-        states = (block.reshape(-1, n) @ z_lo).reshape(-1, n, n)
-        below = np.flatnonzero(np.linalg.norm(states, axis=(1, 2)) <= target)
-        if below.size:
-            hit = start + 1 + int(below[0])
-            z_lo = states[below[0] - 1] if below[0] else z_lo
+    # the first state is Z0 itself, above 1/e, so z_lo is set before any break
+    for hit, state in enumerate(propagate(a, z0, grid)):
+        if np.linalg.norm(state) <= target:
             break
-        z_lo = states[-1]
+        z_lo = state
     else:
         raise ValueError(
             "no decay to 1/e on [0, %.6g]; tau* exceeds this horizon" % horizon

@@ -178,11 +178,13 @@ def propagate(generator, state0, times):
     e^{t0 G} state0, then one product with the step exponential e^{h G} per
     point; e^{t0 G} is that step when t0 equals h bit for bit.  Any other
     list of times takes e^{t G} state0 at each point.  At t = 0 the state is
-    state0 itself.
+    state0 itself.  Bad times are refused at the call, before any state
+    is asked for.
     """
-    gen = np.asarray(generator)
-    state0 = np.asarray(state0)
-    times = _times(times, "times")
+    return _chain(np.asarray(generator), np.asarray(state0), _times(times, "times"))
+
+
+def _chain(gen, state0, times):
     count = len(times)
     h = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
     uniform = h > 0 and np.array_equal(times[:-1], times[0] + np.arange(count - 1) * h)

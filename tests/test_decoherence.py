@@ -108,16 +108,17 @@ def test_tau_star_takes_first_of_several_crossings(monkeypatch):
     below = [np.linalg.norm(expm(t * a) @ z0) <= 1.0 / np.e for t in grid[:12]]
     assert below[3] and not below[4] and below[9]
     calls = []
-    monkeypatch.setattr(qsde, "expm", None)
-    monkeypatch.setattr(decoherence, "expm", lambda mat: calls.append(mat) or expm(mat))
+    for module in (qsde, decoherence):
+        monkeypatch.setattr(module, "expm", lambda mat, module=module: calls.append((module, mat)) or expm(mat))
     ts = decoherence.tau_star(a, z0)
     assert grid[2] < ts <= grid[3]
     assert_matches_scan(a, z0, ts)
-    # the scan forms one step exponential, first; the Newton steps in the cell
-    # each exponentiate a strictly shorter step
+    # the scan's `propagate` forms one step exponential, first; the Newton
+    # steps in the cell each exponentiate a strictly shorter step
     step = grid[1] * a
-    assert np.array_equal(calls[0], step)
-    assert all(np.abs(mat).max() < np.abs(step).max() for mat in calls[1:])
+    assert calls[0][0] is qsde and np.array_equal(calls[0][1], step)
+    assert len(calls) > 1
+    assert all(module is decoherence and np.abs(mat).max() < np.abs(step).max() for module, mat in calls[1:])
 
 
 def test_uniform_decay_bound_closed_form():
@@ -533,8 +534,9 @@ def test_tau_star_refuses_no_decay_within_horizon():
 
 
 def test_decoherence_kernel_counts_on_bundled_config(monkeypatch, tmp_path):
-    # a guard on the kernels of `cli decoherence`, with no timing: the Newton
-    # refinement of tau* takes a few exponentials, the search no eigh
+    # a guard on the kernels of `cli decoherence`, with no timing: the scan's
+    # step and the Newton refinement of tau* take a few exponentials, the
+    # search no eigh
     counts = {"expm": 0, "eigh": 0, "eigvalsh": 0}
 
     def counted(name, fn):
@@ -544,6 +546,7 @@ def test_decoherence_kernel_counts_on_bundled_config(monkeypatch, tmp_path):
 
         return call
 
+    monkeypatch.setattr(qsde, "expm", counted("expm", expm))
     monkeypatch.setattr(decoherence, "expm", counted("expm", expm))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
@@ -556,9 +559,18 @@ def test_decoherence_kernel_counts_on_bundled_config(monkeypatch, tmp_path):
     assert counts["eigvalsh"] == 2 * 2
 
 
+def test_tau_star_counts_a_state_at_exactly_one_over_e_as_crossed(monkeypatch):
+    # the grid's second state has norm ||Z0|| / e exactly: the cell ends there
+    z0 = np.array([[1.0]])
+    monkeypatch.setattr(decoherence, "propagate", lambda a, state0, times: iter([state0, state0 / np.e]))
+    grid = np.linspace(0.0, 10.0, decoherence.GRID_POINTS)
+    assert decoherence.tau_star(np.array([[-1.0]]), z0) == grid[1]
+
+
 def test_tau_star_takes_few_exponentials_on_random_pauli_specs(monkeypatch):
     calls = []
-    monkeypatch.setattr(decoherence, "expm", lambda mat: calls.append(mat) or expm(mat))
+    for module in (qsde, decoherence):
+        monkeypatch.setattr(module, "expm", lambda mat: calls.append(mat) or expm(mat))
     rng = np.random.default_rng(18)
     runs = 0
     while runs < 200:
@@ -573,8 +585,8 @@ def test_tau_star_takes_few_exponentials_on_random_pauli_specs(monkeypatch):
 
 @pytest.mark.parametrize("hit", [1, 16, 17, 33, 200, 385, 398, 399])
 def test_blocked_scan_finds_the_crossing_cell(hit):
-    # the scan advances SCAN_BLOCK grid points per product: a crossing in the
-    # first cell, at either end of a block and in the last, shorter block
+    # the scan stops at the first grid state at or below 1/e: a crossing in
+    # the first cell, in the last two and in cells between
     grid = lambda sa: np.linspace(0.0, 10.0 / abs(sa), decoherence.GRID_POINTS)
     if hit <= 39:
         # ||e^{tA} e1 e1^T|| = e^{-t} crosses 1/e at t = 1, grid point 39.9 r

@@ -528,6 +528,13 @@ def test_propagate_refuses_non_finite_times(worked, bad):
         qsde.mean_flow(coeffs, np.zeros(3), [bad])
 
 
+@pytest.mark.parametrize("bad, message", [([-1.0], "nonnegative"), ([0.0, np.nan], "finite")], ids=["negative", "nan"])
+def test_propagate_refuses_bad_times_at_the_call(bad, message):
+    # the generator is refused before it is returned, not at its first state
+    with pytest.raises(ValueError, match="^times must be %s$" % message):
+        qsde.propagate(np.eye(2), np.ones(2), bad)
+
+
 @pytest.mark.parametrize(
     "coupling,offset,message",
     [
